@@ -13,13 +13,12 @@ central generator z last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .scalar_linear import Matrix, PreconditionError
 from .lie_core import AlmostComplex, Connection, LieAlgebra, LinearMap
 from .constructions import central_extension, from_matrix_basis, semidirect
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 @dataclass
@@ -56,8 +55,16 @@ class CatalogEntry:
 
 
 def _unit(n, r, c):
-    data = [[Fraction(0)] * n for _ in range(n)]
+    data = [[0] * n for _ in range(n)]
     data[r][c] = _ONE
+    return Matrix(data)
+
+
+def _generator(n, r, c, sign):
+    """Matrix with 1 at (r, c) and ``sign`` at (c, r): a rotation or a boost."""
+    data = [[0] * n for _ in range(n)]
+    data[r][c] = _ONE
+    data[c][r] = sign
     return Matrix(data)
 
 
@@ -85,7 +92,7 @@ def so(n):
     if n < 1:
         raise PreconditionError("so(n) needs n >= 1")
     pairs = _rot_pairs(n)
-    mats = [_unit(n, i - 1, j - 1) - _unit(n, j - 1, i - 1) for i, j in pairs]
+    mats = [_generator(n, i - 1, j - 1, -1) for i, j in pairs]
     labels = [_flabel("f", i, j) for i, j in pairs]
     if n == 3:
         labels[0] = "h"
@@ -105,12 +112,12 @@ def lorentz(p):
         raise PreconditionError("lorentz algebra needs p >= 2")
     n = p + 1
     rpairs = _rot_pairs(p)
-    mats = [_unit(n, i - 1, j - 1) - _unit(n, j - 1, i - 1) for i, j in rpairs]
+    mats = [_generator(n, i - 1, j - 1, -1) for i, j in rpairs]
     labels = [_flabel("f", i, j) for i, j in rpairs]
     if p == 2:
         labels[0] = "h"
     for i in range(1, p + 1):
-        mats.append(_unit(n, i - 1, n - 1) + _unit(n, n - 1, i - 1))
+        mats.append(_generator(n, i - 1, n - 1, 1))
         labels.append(_flabel("s", i, n))
     alg, real = from_matrix_basis(mats, labels=labels, name="so_%d_1" % p)
     entry = CatalogEntry("lorentz_%d" % p, alg, realization=real)
@@ -194,10 +201,10 @@ def _realify(mat2):
     for r in range(2):
         for c in range(2):
             re, im = mat2[r][c]
-            out.data[2 * r][2 * c] = Fraction(re)
-            out.data[2 * r][2 * c + 1] = Fraction(-im)
-            out.data[2 * r + 1][2 * c] = Fraction(im)
-            out.data[2 * r + 1][2 * c + 1] = Fraction(re)
+            out.data[2 * r][2 * c] = re
+            out.data[2 * r][2 * c + 1] = -im
+            out.data[2 * r + 1][2 * c] = im
+            out.data[2 * r + 1][2 * c + 1] = re
     return out
 
 
@@ -218,12 +225,12 @@ def sl2c_real():
     entry.structures["split"] = [0, 2, 4]
     lz = lorentz(3)
     frame_cols = [
-        {5: Fraction(2)},
-        {0: Fraction(-2)},
-        {1: Fraction(-1), 3: _ONE},
-        {2: Fraction(-1), 4: _ONE},
-        {1: Fraction(-1), 3: Fraction(-1)},
-        {2: _ONE, 4: _ONE},
+        {5: 2},
+        {0: -2},
+        {1: -1, 3: 1},
+        {2: -1, 4: 1},
+        {1: -1, 3: -1},
+        {2: 1, 4: 1},
     ]
     phi = LinearMap.from_sparse_columns(6, 6, frame_cols)
     entry.inclusions["contraction_frame"] = (lz, phi)
@@ -232,17 +239,7 @@ def sl2c_real():
 
 def galilean():
     """Kinematical algebra of the 5x5 realization, with its structure map."""
-    so3 = [
-        _unit(3, 0, 1) - _unit(3, 1, 0),
-        _unit(3, 0, 2) - _unit(3, 2, 0),
-        _unit(3, 1, 2) - _unit(3, 2, 1),
-    ]
-    mats = []
-    for a in so3:
-        m = Matrix.zeros(5, 5)
-        for (r, c), v in a.to_sparse().items():
-            m.data[r][c] = v
-        mats.append(m)
+    mats = [_generator(5, r, c, -1) for r, c in ((0, 1), (0, 2), (1, 2))]
     for l in range(3):  # unprimed generators in column four
         mats.append(_unit(5, l, 3))
     for l in range(3):  # primed generators in column five
@@ -283,7 +280,7 @@ def _root_vectors(dim, fidx, r):
                 "v+": (fidx(2 * j - 1, 2 * l), fidx(2 * j, 2 * l - 1), _ONE),
                 "v-": (fidx(2 * j - 1, 2 * l), fidx(2 * j, 2 * l - 1), -_ONE),
             }.items():
-                v = [Fraction(0)] * dim
+                v = [0] * dim
                 v[p] = _ONE
                 v[q] = sign
                 vecs[tag].append(v)
@@ -291,7 +288,7 @@ def _root_vectors(dim, fidx, r):
 
 
 def _basis_vec(dim, i):
-    v = [Fraction(0)] * dim
+    v = [0] * dim
     v[i] = _ONE
     return v
 

@@ -29,8 +29,8 @@ from .lie_core import (
     _dense,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 class NotClosedError(PreconditionError):

@@ -19,11 +19,12 @@ from .scalar_linear import (
     PreconditionError,
     SingularMatrixError,
     SpanSolver,
+    exact,
     scalar_to_str,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 MAX_WITNESSES = 16
 
@@ -144,7 +145,7 @@ class LieAlgebra:
                 raise PreconditionError(
                     "structure constants must be given for ordered pairs i < j"
                 )
-            cd = {k: v for k, v in _sparse(coeffs).items() if v}
+            cd = {k: exact(v) for k, v in _sparse(coeffs).items() if v}
             for k in cd:
                 if not 0 <= k < self.dim:
                     raise DimensionMismatchError("coefficient index out of range")
@@ -175,7 +176,7 @@ class LieAlgebra:
         """Dense vector from a {label: coefficient} mapping."""
         v = [_ZERO] * self.dim
         for lab, c in coeffs.items():
-            v[self.index(lab)] = Fraction(c) if not isinstance(c, GaussScalar) else c
+            v[self.index(lab)] = c if isinstance(c, GaussScalar) else exact(Fraction(c))
         return v
 
     def bracket_basis(self, i, j):
@@ -250,12 +251,13 @@ class LinearMap:
 
     @classmethod
     def from_sparse_columns(cls, rows, cols, sparse_cols):
+        sparse_cols = [{i: exact(v) for i, v in c.items()} for c in sparse_cols]
         data = [[_ZERO] * cols for _ in range(rows)]
         for j, col in enumerate(sparse_cols):
             for i, v in col.items():
                 data[i][j] = v
         m = cls(Matrix(data))
-        m._cols = [dict(c) for c in sparse_cols]
+        m._cols = sparse_cols
         return m
 
     @classmethod
@@ -277,7 +279,7 @@ class LinearMap:
     def sparse_columns(self):
         if self._cols is None:
             self._cols = [
-                {i: e for i, e in enumerate(self.matrix.column(j)) if e}
+                {i: exact(e) for i, e in enumerate(self.matrix.column(j)) if e}
                 for j in range(self.cols)
             ]
         return self._cols
@@ -325,13 +327,16 @@ class LinearMap:
         return LinearMap(self.matrix.transpose())
 
     def is_identity(self):
-        return self.rows == self.cols and self.matrix == Matrix.identity(self.rows)
-
-    def squares_to_minus_identity(self):
         if self.rows != self.cols:
             return False
-        sq = self.compose(self)
-        return sq.matrix == Matrix.identity(self.rows).scale(Fraction(-1))
+        return all(col == {j: _ONE} for j, col in enumerate(self.sparse_columns()))
+
+    def squares_to_minus_identity(self):
+        """Whether J(J e_j) == -e_j for every column j, in O(nnz) work."""
+        if self.rows != self.cols:
+            return False
+        cols = self.sparse_columns()
+        return all(self.apply_sparse(col) == {j: -_ONE} for j, col in enumerate(cols))
 
     def __repr__(self):
         return "LinearMap(%dx%d)" % (self.rows, self.cols)
@@ -341,9 +346,11 @@ class AlmostComplex(LinearMap):
     """Endomorphism whose square is minus the identity (verified)."""
 
     def __init__(self, matrix):
+        cols = None
         if isinstance(matrix, LinearMap):
-            matrix = matrix.matrix
+            matrix, cols = matrix.matrix, matrix._cols
         super().__init__(matrix)
+        self._cols = cols
         if self.rows != self.cols:
             raise PreconditionError("almost complex structure must be square")
         if not self.squares_to_minus_identity():
@@ -361,7 +368,7 @@ class AlmostComplex(LinearMap):
         missing = [i for i, c in enumerate(cols) if c is None]
         if missing:
             raise PreconditionError("pairing leaves indices %s unmatched" % missing)
-        return cls(LinearMap.from_sparse_columns(dim, dim, cols).matrix)
+        return cls(LinearMap.from_sparse_columns(dim, dim, cols))
 
 
 class Connection:
@@ -505,8 +512,8 @@ def check_integrable(L, J, split=None, target=None):
     algebra, verified here), only pairs inside the half basis are swept;
     that suffices because vanishing there forces identical vanishing.
     """
-    _require_almost_complex(L, J)
     sweep = _Sweep("integrable", target or L.name)
+    _require_almost_complex(L, J)
     n = L.dim
     if split is None:
         cols = J.sparse_columns()
@@ -541,8 +548,8 @@ def check_integrable(L, J, split=None, target=None):
 
 def check_complex_lie(L, J, target=None):
     """Bi-invariance: every adjoint operator commutes with the structure."""
-    _require_almost_complex(L, J)
     sweep = _Sweep("complex_lie", target or L.name)
+    _require_almost_complex(L, J)
     n = L.dim
     cols = J.sparse_columns()
     for i in range(n):
@@ -559,8 +566,8 @@ def check_abelian_complex(L, J, target=None):
     """Whether both eigenspaces in the complexification are abelian."""
     from .constructions import complexify, holomorphic_eigenbasis
 
-    _require_almost_complex(L, J)
     sweep = _Sweep("abelian_complex", target or L.name)
+    _require_almost_complex(L, J)
     LC = complexify(L)
     plus, minus = holomorphic_eigenbasis(L, J)
     for name, vecs in (("eigen_plus", plus), ("eigen_minus", minus)):

@@ -1,8 +1,10 @@
 """Exact scalars and dense exact linear algebra.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``, always in
-lowest terms with positive denominator) or Gaussian rationals.  Everything in
-this module is exact; there is no floating point and no tolerance anywhere.
+Scalars are arbitrary-precision rationals or Gaussian rationals.  A rational
+is stored as an ``int`` while it is integral and as a ``fractions.Fraction``
+(lowest terms, positive denominator) otherwise; only :func:`div` promotes an
+``int`` to a ``Fraction``.  Everything in this module is exact; there is no
+floating point and no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from fractions import Fraction
 __all__ = [
     "Scalar",
     "Q",
+    "exact",
+    "div",
     "GaussScalar",
     "GAUSS_I",
     "Matrix",
@@ -63,8 +67,31 @@ def Q(num, den=1):
     return Fraction(num, den)
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def exact(x):
+    """An integral ``Fraction`` as an ``int``; any other scalar unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def div(a, b):
+    """Exact quotient: an ``int`` when it is integral, never a float.
+
+    Rationals give an ``int`` or a ``Fraction``; a Gaussian operand gives a
+    ``GaussScalar``.  Division by zero raises ``ZeroDivisionError``.
+    """
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    if isinstance(a, GaussScalar) or isinstance(b, GaussScalar):
+        return _as_gauss(a) / b
+    if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
+        raise TypeError("div needs exact scalars, got %r and %r" % (a, b))
+    return exact(a / b)
 
 
 class GaussScalar:
@@ -185,7 +212,7 @@ def scalar_from_str(text):
 
 
 class Matrix:
-    """Dense exact matrix with Fraction or GaussScalar entries, row major."""
+    """Dense exact matrix with rational or GaussScalar entries, row major."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -336,8 +363,8 @@ class Matrix:
                 inv[col], inv[piv] = inv[piv], inv[col]
             f = a[col][col]
             if f != 1:
-                a[col] = [e / f for e in a[col]]
-                inv[col] = [e / f for e in inv[col]]
+                a[col] = [div(e, f) for e in a[col]]
+                inv[col] = [div(e, f) for e in inv[col]]
             for r in range(n):
                 if r == col:
                     continue
@@ -358,7 +385,7 @@ class Matrix:
         # normalize so the first nonzero coordinate is 1
         for e in v:
             if e:
-                return [x / e for x in v]
+                return [div(x, e) for x in v]
         return v
 
     def rank(self):
@@ -393,7 +420,7 @@ class SpanSolver:
             if hit is None:
                 return vec, combo, p
             pvec, pcombo = hit
-            f = vec[p] / pvec[p]
+            f = div(vec[p], pvec[p])
             for k, val in pvec.items():
                 s = vec.get(k, _ZERO) - f * val
                 if s:

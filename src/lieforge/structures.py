@@ -36,8 +36,8 @@ from .lie_core import (
 )
 from .constructions import tangent
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 def block_complex_structure(J, I, sign=1):
@@ -270,6 +270,19 @@ def lifted_connection(conn, t_algebra=None):
     return Connection(t_algebra, maps)
 
 
+def _anticommutator_is(A, B, diag):
+    """Whether AB + BA equals diag times the identity, column by column."""
+    if A.rows != A.cols or (B.rows, B.cols) != (A.rows, A.cols):
+        raise DimensionMismatchError("anticommutator needs square maps of one size")
+    acols, bcols = A.sparse_columns(), B.sparse_columns()
+    for j in range(A.cols):
+        img = A.apply_sparse(bcols[j])
+        _acc(img, B.apply_sparse(acols[j]))
+        if img != ({j: diag} if diag else {}):
+            return False
+    return True
+
+
 class CliffordFamily:
     """Pairwise anticommuting structures generating a Clifford-type algebra.
 
@@ -318,16 +331,10 @@ class CliffordFamily:
     def certify(self, conn=None, target=None):
         """Anticommutation, integrability, rank and optional parallelism."""
         sweep = _Sweep("clifford_family", target or self.algebra.name)
-        d = self.algebra.dim
-        minus_two = Matrix.identity(d).scale(Fraction(-2))
         for a in range(len(self.maps)):
             for b in range(a, len(self.maps)):
-                anti = (
-                    self.maps[a].compose(self.maps[b]).matrix
-                    + self.maps[b].compose(self.maps[a]).matrix
-                )
-                want = minus_two if a == b else Matrix.zeros(d)
-                if anti != want:
+                diag = -2 if a == b else 0
+                if not _anticommutator_is(self.maps[a], self.maps[b], diag):
                     sweep.fail(("anticommute", a, b), (Fraction(1),))
         integrable = []
         for a, J in enumerate(self.maps):
@@ -419,9 +426,7 @@ def hypercomplex_pair(g, conn, J, target=None):
     checks = {
         "j_minus_integrable": check_integrable(talg, j_minus).passed,
         "k_integrable": check_integrable(talg, K).passed,
-        "anticommute": (
-            j_minus.compose(K).matrix + K.compose(j_minus).matrix
-        ).is_zero(),
+        "anticommute": _anticommutator_is(j_minus, K, 0),
         "j_minus_parallel": check_parallel(lifted, j_minus).passed,
         "k_parallel": check_parallel(lifted, K).passed,
         "lift_flat": check_representation(lifted).passed,

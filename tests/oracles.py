@@ -114,3 +114,17 @@ def naive_rank(rows):
         row += 1
         rank += 1
     return rank
+
+
+def naive_square(jmat):
+    """Dense J * J by the textbook triple loop, for any scalar type."""
+    n = len(jmat)
+    return [
+        [sum((jmat[i][k] * jmat[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def is_minus_identity(m):
+    n = len(m)
+    return all(m[i][j] == (-1 if i == j else 0) for i in range(n) for j in range(n))

@@ -4,7 +4,12 @@ Everything is exact arithmetic, so every assertion is equality at zero
 tolerance; the only numeric bounds are the stated wall-clock gates.
 """
 
-from lieforge import acceptance
+import json
+import os
+
+from lieforge import acceptance, cli
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "acceptance.json")
 
 
 def _run(fn):
@@ -76,3 +81,28 @@ def test_criterion_11_pseudo_kahler_plane():
 
 def test_criterion_12_infrastructure_and_performance():
     _run(acceptance.criterion_12)
+
+
+def _normalized(obj):
+    """The report with every ``elapsed_ms`` set to 0, the only timing in it."""
+    if isinstance(obj, dict):
+        return {k: 0 if k == "elapsed_ms" else _normalized(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_normalized(v) for v in obj]
+    return obj
+
+
+def test_acceptance_report_matches_golden(tmp_path, capsys):
+    """``lieforge acceptance --json`` is byte-identical to the committed report.
+
+    The golden file is the normalized report, dumped with ``indent=2`` and a
+    trailing newline.  A refactor must not change it; a deliberate change of
+    a verdict, a witness or the layout regenerates it in the same commit.
+    """
+    out = tmp_path / "acceptance.json"
+    assert cli.main(["acceptance", "--json", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as fh:
+        text = json.dumps(_normalized(json.load(fh)), indent=2) + "\n"
+    with open(GOLDEN, encoding="utf-8") as fh:
+        assert text == fh.read()

@@ -1,12 +1,20 @@
 import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieforge import catalog
-from lieforge.scalar_linear import Matrix, PreconditionError, Q
+from lieforge.scalar_linear import (
+    GaussScalar,
+    Matrix,
+    PreconditionError,
+    Q,
+    SingularMatrixError,
+)
 from lieforge.lie_core import (
     AlmostComplex,
     BilinearForm,
@@ -36,6 +44,8 @@ from oracles import (
     naive_differential,
     naive_jacobi_defect,
     naive_nijenhuis,
+    naive_square,
+    is_minus_identity,
 )
 
 
@@ -486,3 +496,135 @@ def test_witness_cap_and_total():
     if not cert.passed:
         assert len(cert.witnesses) <= 16
         assert cert.total_failures >= len(cert.witnesses)
+
+
+# ---------------------------------------------------------------------------
+# the sparse J^2 test against the dense oracle
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _pairing_matrix(perm, signs):
+    """Dense signed pairing taking perm[2k] to +-perm[2k+1] and back with the other sign."""
+    n = len(perm)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(0, n, 2):
+        a, b = perm[k], perm[k + 1]
+        s = 1 if signs[k] else -1
+        m[b][a] = Fraction(s)
+        m[a][b] = Fraction(-s)
+    return m
+
+
+def _conjugate(m, p):
+    """p m p^-1, or None when p is singular."""
+    P = Matrix(p)
+    try:
+        Pinv = P.invert()
+    except SingularMatrixError:
+        return None
+    return (P * Matrix(m) * Pinv).data
+
+
+def _agrees_with_oracle(jmat):
+    want = is_minus_identity(naive_square(jmat))
+    assert LinearMap(jmat).squares_to_minus_identity() == want
+    if want:
+        AlmostComplex(jmat)
+    else:
+        with pytest.raises(PreconditionError):
+            AlmostComplex(jmat)
+
+
+@st.composite
+def signed_permutations(draw):
+    n = draw(st.integers(1, 8))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if n % 2 == 0 and draw(st.booleans()):
+        return _pairing_matrix(perm, signs)
+    m = [[0] * n for _ in range(n)]
+    for j in range(n):
+        m[perm[j]][j] = 1 if signs[j] else -1
+    return m
+
+
+@given(signed_permutations())
+@settings(max_examples=150, deadline=None)
+def test_j_squared_matches_oracle_on_signed_permutations(jmat):
+    _agrees_with_oracle(jmat)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_j_squared_matches_oracle_on_rational_maps(data):
+    n = 2 * data.draw(st.integers(1, 2))
+    flat = data.draw(st.lists(small_rationals, min_size=n * n, max_size=n * n))
+    jmat = [flat[i * n : (i + 1) * n] for i in range(n)]
+    if data.draw(st.booleans()):
+        base = _pairing_matrix(list(range(n)), [True] * n)
+        jmat = _conjugate(base, jmat) or base
+    _agrees_with_oracle(jmat)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_j_squared_matches_oracle_on_gaussian_maps(data):
+    n = data.draw(st.integers(1, 3))
+    gauss = st.builds(GaussScalar, small_rationals, small_rationals)
+    kind = data.draw(st.sampled_from(["diag_i", "conjugated", "random"]))
+    if kind == "random":
+        jmat = [[data.draw(gauss) for _ in range(n)] for _ in range(n)]
+    else:
+        signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        jmat = [
+            [GaussScalar(0, 1 if signs[i] else -1) if i == j else GaussScalar(0) for j in range(n)]
+            for i in range(n)
+        ]
+        if kind == "conjugated":
+            p = [[data.draw(gauss) for _ in range(n)] for _ in range(n)]
+            jmat = _conjugate(jmat, p) or jmat
+    _agrees_with_oracle(jmat)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_near_miss_structure_is_rejected(data):
+    """A valid structure with exactly one column changed fails the J^2 test."""
+    n = 2 * data.draw(st.integers(1, 5))
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    jmat = _pairing_matrix(perm, signs)
+    if n <= 4 and data.draw(st.booleans()):
+        p = [[data.draw(small_rationals) for _ in range(n)] for _ in range(n)]
+        jmat = _conjugate(jmat, p) or jmat
+    assert is_minus_identity(naive_square(jmat))
+    j = data.draw(st.integers(0, n - 1))
+    kind = data.draw(st.sampled_from(["zero", "negate", "add"]))
+    for i in range(n):
+        if kind == "zero":
+            jmat[i][j] = Fraction(0)
+        elif kind == "negate":
+            jmat[i][j] = -jmat[i][j]
+    if kind == "add":
+        k = data.draw(st.integers(0, n - 1))
+        jmat[k][j] += data.draw(small_rationals.filter(bool))
+    assert not is_minus_identity(naive_square(jmat))
+    assert not LinearMap(jmat).squares_to_minus_identity()
+    with pytest.raises(PreconditionError):
+        AlmostComplex(jmat)
+    with pytest.raises(PreconditionError):
+        check_integrable(abelian(n), LinearMap(jmat))
+
+
+def test_elapsed_ms_includes_the_precondition(e3, monkeypatch):
+    L, J = e3.algebra, e3.structures["j"]
+    real = LinearMap.squares_to_minus_identity
+
+    def slow(self):
+        time.sleep(0.05)
+        return real(self)
+
+    monkeypatch.setattr(LinearMap, "squares_to_minus_identity", slow)
+    for check in (check_integrable, check_complex_lie, check_abelian_complex):
+        assert check(L, J).elapsed_ms >= 50

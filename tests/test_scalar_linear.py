@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from lieforge.scalar_linear import (
     Q,
     SingularMatrixError,
     SpanSolver,
+    div,
+    exact,
     rank,
     scalar_from_str,
     scalar_to_str,
@@ -155,3 +158,152 @@ def test_span_solver_gaussian_scalars():
 def test_gauss_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         GaussScalar(1) / GaussScalar(0)
+
+
+# ---------------------------------------------------------------------------
+# integer-first scalars: exact() and div()
+
+
+def test_exact_demotes_integral_fractions_only():
+    assert type(exact(Fraction(6, 3))) is int and exact(Fraction(6, 3)) == 2
+    assert exact(Fraction(1, 3)) == Fraction(1, 3)
+    assert type(exact(7)) is int
+    g = GaussScalar(2, 0)
+    assert exact(g) is g
+
+
+def test_div_int_by_int_exact_is_int():
+    for a, b, q in ((6, 3, 2), (-6, 3, -2), (6, -3, -2), (0, 5, 0), (7, 1, 7)):
+        r = div(a, b)
+        assert type(r) is int and r == q
+
+
+def test_div_int_by_int_inexact_is_fraction():
+    for a, b in ((1, 3), (-1, 3), (1, -3), (7, 2), (-7, 2)):
+        r = div(a, b)
+        assert type(r) is Fraction and r == Fraction(a, b)
+
+
+def test_div_fraction_operands():
+    assert div(Fraction(1, 2), 3) == Fraction(1, 6)
+    assert type(div(Fraction(4, 3), Fraction(2, 3))) is int
+    assert div(Fraction(4, 3), Fraction(2, 3)) == 2
+    assert div(3, Fraction(3, 2)) == 2 and type(div(3, Fraction(3, 2))) is int
+    assert div(1, Fraction(2)) == Fraction(1, 2)
+
+
+def test_div_gaussian_operands():
+    i = GaussScalar(0, 1)
+    assert div(i, i) == GaussScalar(1)
+    assert div(1, i) == GaussScalar(0, -1)
+    assert div(i, 2) == GaussScalar(0, Fraction(1, 2))
+    assert div(GaussScalar(1, 1), Fraction(1, 2)) == GaussScalar(2, 2)
+    assert isinstance(div(2, GaussScalar(2)), GaussScalar)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1, 0), (Fraction(1, 2), 0), (1, Fraction(0)), (GaussScalar(1), 0), (1, GaussScalar(0))],
+)
+def test_div_by_zero_raises(a, b):
+    with pytest.raises(ZeroDivisionError):
+        div(a, b)
+
+
+def test_div_rejects_floats():
+    with pytest.raises(TypeError):
+        div(1.0, 2)
+    with pytest.raises(TypeError):
+        div(Fraction(1), 0.5)
+
+
+@given(
+    st.one_of(st.integers(-50, 50), rationals),
+    st.one_of(st.integers(-50, 50), rationals).filter(bool),
+)
+@settings(max_examples=100, deadline=None)
+def test_div_is_exact_and_integer_first(a, b):
+    q = div(a, b)
+    assert q == Fraction(a) / Fraction(b)
+    assert type(q) is (int if (Fraction(a) / Fraction(b)).denominator == 1 else Fraction)
+
+
+# ---------------------------------------------------------------------------
+# no float reaches a certificate, a catalog table or a sparse column
+
+
+def _nodes(obj, seen=None):
+    """obj and everything reachable from it through lieforge objects and containers."""
+    from lieforge.lie_core import BilinearForm, Connection, LieAlgebra, LinearMap
+
+    if seen is None:
+        seen = set()
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    yield obj
+    if isinstance(obj, LieAlgebra):
+        children = [obj.table]
+    elif isinstance(obj, LinearMap):
+        children = [obj.sparse_columns(), obj.matrix]
+    elif isinstance(obj, Connection):
+        children = [obj.maps]
+    elif isinstance(obj, BilinearForm):
+        children = [obj.matrix]
+    elif isinstance(obj, Matrix):
+        children = [obj.data]
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    else:
+        return
+    for child in children:
+        yield from _nodes(child, seen)
+
+
+def _catalog_entries():
+    from lieforge import catalog
+
+    specs = [("so", n) for n in range(1, 6)] + [("lorentz", p) for p in (2, 3, 4)]
+    specs += [("gl", 1), ("gl", 2), ("affine", 1), ("affine", 2), ("abelian", 2)]
+    specs += [("sl2c",), ("galilean",), ("so3_c3",), ("poincare", 0)]
+    specs += [("euclidean", n) for n in range(3, 9)]
+    entries = [catalog.build(*spec) for spec in specs]
+    entries += [catalog.right_mult_structure(1)[0], catalog.affine_complex_structure(1)[0]]
+    for dom, cod, iota in catalog.inclusion_chain(1) + [catalog.poincare_inclusion(0)]:
+        entries += [dom, cod, iota]
+    return entries
+
+
+def test_no_float_in_acceptance_certificates():
+    from lieforge import acceptance
+
+    certs = [c for r in acceptance.run_all() for c in r.certificates]
+    assert certs
+    for cert in certs:
+        for w in cert.witnesses:
+            for x in w.defect:
+                assert isinstance(x, (int, Fraction, GaussScalar)), (cert.target, x)
+        assert not any(isinstance(x, float) for x in _nodes(cert.notes)), cert.target
+
+
+def test_no_float_in_catalog_tables_and_columns():
+    nodes = list(_nodes(_catalog_entries()))
+    assert not any(isinstance(x, float) for x in nodes)
+
+
+def test_catalog_stores_integral_scalars_as_int():
+    """Tables and sparse columns are normalized: no integral Fraction is left."""
+    from lieforge.lie_core import LieAlgebra, LinearMap
+
+    values = []
+    for node in _nodes(_catalog_entries()):
+        if isinstance(node, LieAlgebra):
+            values += [v for c in node.table.values() for v in c.values()]
+        elif isinstance(node, LinearMap):
+            values += [v for c in node.sparse_columns() for v in c.values()]
+    assert values
+    assert not any(isinstance(v, Fraction) and v.denominator == 1 for v in values)
