@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     line: int
     column: int
@@ -116,7 +116,7 @@ class ConstructionError(DslError):
     """A construction statement violated the target operation's precondition."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # ident | number | punct | end
     text: str
@@ -189,7 +189,7 @@ class Workspace:
         self.definitions = {}  # name -> (kind, payload)
         self.order = []
         self.checks = []  # (fname, [raw args], span)
-        self.construct_stmts = []  # (target name, fname, [raw args])
+        self.construct_stmts = []  # (target name, fname, [raw args], [names defined])
 
     def define(self, name, kind, payload, span):
         if name in self.definitions:
@@ -580,13 +580,14 @@ class _Parser:
         self.expect("=")
         fn = self.expect_ident()
         args = self._call_args()
+        start = len(self.ws.order)
         try:
             _run_construct(self.ws, name.text, fn.text, args, fn.span)
         except DslError:
             raise
         except LieforgeError as exc:
             raise ConstructionError(str(exc), fn.span)
-        self.ws.construct_stmts.append((name.text, fn.text, args))
+        self.ws.construct_stmts.append((name.text, fn.text, args, self.ws.order[start:]))
 
     def _stmt_check(self):
         fn = self.expect_ident()
@@ -1059,13 +1060,22 @@ def entry_to_dsl(entry):
 
 
 def workspace_to_dsl(ws):
-    """Canonical re-emission of a parsed workspace's declarations and checks."""
+    """Canonical re-emission of a parsed workspace's declarations and checks.
+
+    A construct statement is emitted where its first product was defined and
+    stands in for every name it defined.
+    """
+    constructed = {}  # name -> its construct statement, or None past the first
+    for target, fn, args, names in ws.construct_stmts:
+        constructed.update(dict.fromkeys(names[1:]))
+        constructed[names[0]] = "construct %s = %s(%s)" % (target, fn, _args_to_dsl(args))
     chunks = []
     for name in ws.order:
         kind, payload = ws.definitions[name]
-        if kind == "algebra":
-            if _from_construct(ws, name):
-                continue
+        if name in constructed:
+            if constructed[name]:
+                chunks.append(constructed[name])
+        elif kind == "algebra":
             chunks.append(algebra_to_dsl(payload, name=name))
         elif kind == "assoc":
             lines = ["assoc %s {" % name, "  basis %s ;" % " ".join(payload.labels)]
@@ -1082,14 +1092,10 @@ def workspace_to_dsl(ws):
             chunks.append("\n".join(lines))
         elif kind == "endo":
             alg_name, lm = payload
-            if _from_construct(ws, name):
-                continue
             alg = ws.definitions[alg_name][1]
             chunks.append(endo_to_dsl(name, alg_name, alg.labels, lm))
         elif kind == "conn":
             alg_name, conn = payload
-            if _from_construct(ws, name):
-                continue
             alg = ws.definitions[alg_name][1]
             lines = ["conn %s on %s {" % (name, alg_name)]
             for i, lab in enumerate(alg.labels):
@@ -1098,8 +1104,6 @@ def workspace_to_dsl(ws):
             chunks.append("\n".join(lines))
         elif kind == "form":
             alg_name, form = payload
-            if _from_construct(ws, name):
-                continue
             kindw = "sym" if form.kind == BilinearForm.SYMMETRIC else "skew"
             chunks.append(
                 "form %s on %s %s %s" % (name, alg_name, kindw, _matrix_to_dsl(form.matrix))
@@ -1128,8 +1132,6 @@ def workspace_to_dsl(ws):
                 "decomp %s on %s {\n  part0 :%s;\n  part1 :%s;\n}"
                 % (name, alg_name, vecline(dec.part0), vecline(dec.part1))
             )
-    for target, fn, args in ws.construct_stmts:
-        chunks.append("construct %s = %s(%s)" % (target, fn, _args_to_dsl(args)))
     for fn, args, _ in ws.checks:
         chunks.append("check %s(%s)" % (fn, _args_to_dsl(args)))
     return "\n\n".join(chunks) + "\n"
@@ -1143,10 +1145,3 @@ def _args_to_dsl(args):
         else:
             parts.append(str(value))
     return ", ".join(parts)
-
-
-def _from_construct(ws, name):
-    for target, _, _ in ws.construct_stmts:
-        if name == target or name.startswith(target + "_"):
-            return True
-    return False

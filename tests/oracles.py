@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: dense lists, triple loops, no reuse
 of the library's sparse code paths.  Tests compare library output against
-these.
+these.  Zeros are plain ints, so integral tables stay in integer
+arithmetic.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ from fractions import Fraction
 def dense_constants(L):
     """Structure constants as a dense dim^3 array c[i][j][k]."""
     n = L.dim
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
     for (i, j), coeffs in L.table.items():
         for k, v in coeffs.items():
             c[i][j][k] = v
@@ -21,7 +22,7 @@ def dense_constants(L):
 
 def naive_bracket(c, x, y):
     n = len(c)
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i in range(n):
         if not x[i]:
             continue
@@ -48,25 +49,60 @@ def naive_nijenhuis(L, jmat, x, y):
     return [a - b - d - e for a, b, d, e in zip(t1, t2, t3, t4)]
 
 
-def naive_jacobi_defect(L, i, j, k):
-    c = dense_constants(L)
+def naive_jacobi_defect(L, i, j, k, c=None):
+    c = c or dense_constants(L)
     n = L.dim
-    e = lambda a: [Fraction(1) if t == a else Fraction(0) for t in range(n)]
+    e = lambda a: [1 if t == a else 0 for t in range(n)]
     s1 = naive_bracket(c, e(i), naive_bracket(c, e(j), e(k)))
     s2 = naive_bracket(c, e(j), naive_bracket(c, e(k), e(i)))
     s3 = naive_bracket(c, e(k), naive_bracket(c, e(i), e(j)))
     return [a + b + d for a, b, d in zip(s1, s2, s3)]
 
 
-def naive_differential(L, omega, i, j, k):
-    """omega(b_i, [b_j, b_k]) + omega(b_j, [b_k, b_i]) + omega(b_k, [b_i, b_j])."""
+def naive_jacobi_sweep(L):
+    """Every failing basis triple i < j < k with its Jacobi defect, in order."""
     c = dense_constants(L)
     n = L.dim
-    e = lambda a: [Fraction(1) if t == a else Fraction(0) for t in range(n)]
+    fails = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                d = naive_jacobi_defect(L, i, j, k, c)
+                if any(d):
+                    fails.append(((i, j, k), d))
+    return fails
+
+
+def naive_representation_defect(rho):
+    """Every failing (i, j, k), i < j, with column k of [rho_i, rho_j] - rho([b_i, b_j])."""
+    L = rho.algebra
+    c = dense_constants(L)
+    n, m = L.dim, rho.module_dim
+    mats = [op.matrix.data for op in rho.maps]
+    fails = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            comm = naive_commutator(mats[i], mats[j])
+            image = [
+                [sum((c[i][j][l] * mats[l][r][q] for l in range(n)), Fraction(0)) for q in range(m)]
+                for r in range(m)
+            ]
+            for k in range(m):
+                d = [comm[r][k] - image[r][k] for r in range(m)]
+                if any(d):
+                    fails.append(((i, j, k), d))
+    return fails
+
+
+def naive_differential(L, omega, i, j, k, c=None):
+    """omega(b_i, [b_j, b_k]) + omega(b_j, [b_k, b_i]) + omega(b_k, [b_i, b_j])."""
+    c = c or dense_constants(L)
+    n = L.dim
+    e = lambda a: [1 if t == a else 0 for t in range(n)]
 
     def val(x, y):
         return sum(
-            (x[a] * omega[a][b] * y[b] for a in range(n) for b in range(n)),
+            (x[a] * omega[a][b] * y[b] for a in range(n) if x[a] for b in range(n) if y[b]),
             Fraction(0),
         )
 

@@ -312,3 +312,35 @@ def test_parallel_run_matches_serial():
     serial = [(c.check_name, c.passed) for c in run(ws)]
     par = [(c.check_name, c.passed) for c in run(ws, parallel=3)]
     assert serial == par
+
+
+def test_roundtrip_keeps_declarations_on_constructed_algebras():
+    # an endo on a constructed algebra must be emitted after its construct
+    text = (
+        AFF1
+        + "construct T = tangent(aff1, ls)\n"
+        + "endo K2 on T { x -> y ; y -> - x ; x_a -> y_a ; y_a -> - x_a ; }\n"
+        + "check integrable(K2)\n"
+    )
+    ws = parse(text)
+    once = workspace_to_dsl(ws)
+    again = parse(once)
+    assert again.definitions["K2"][1][1].matrix == ws.definitions["K2"][1][1].matrix
+    assert workspace_to_dsl(again) == once
+    assert [c.passed for c in run(again)] == [c.passed for c in run(ws)]
+
+
+def test_roundtrip_keeps_user_names_sharing_a_construct_prefix():
+    # T_swap is declared by the user, not made by the construct T
+    text = (
+        AFF1
+        + "construct T = tangent(aff1, ls)\n"
+        + "endo T_swap on aff1 { x -> y ; y -> - x ; }\n"
+        + "check integrable(T_swap)\n"
+    )
+    ws = parse(text)
+    once = workspace_to_dsl(ws)
+    assert "endo T_swap on aff1" in once
+    again = parse(once)
+    assert again.order == ws.order
+    assert workspace_to_dsl(again) == once

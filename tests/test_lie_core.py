@@ -21,6 +21,7 @@ from lieforge.lie_core import (
     Connection,
     LieAlgebra,
     LinearMap,
+    MAX_WITNESSES,
     check_abelian_complex,
     check_closed,
     check_complex_lie,
@@ -43,7 +44,9 @@ from oracles import (
     naive_commutator,
     naive_differential,
     naive_jacobi_defect,
+    naive_jacobi_sweep,
     naive_nijenhuis,
+    naive_representation_defect,
     naive_square,
     is_minus_identity,
 )
@@ -628,3 +631,157 @@ def test_elapsed_ms_includes_the_precondition(e3, monkeypatch):
     monkeypatch.setattr(LinearMap, "squares_to_minus_identity", slow)
     for check in (check_integrable, check_complex_lie, check_abelian_complex):
         assert check(L, J).elapsed_ms >= 50
+
+
+def test_elapsed_ms_includes_the_form_inversion(monkeypatch):
+    L = abelian(2)
+    om = BilinearForm([[Q(0), Q(1)], [Q(-1), Q(0)]], BilinearForm.SKEW)
+    g = BilinearForm(Matrix.identity(2), BilinearForm.SYMMETRIC)
+    conn = Connection(L, [LinearMap.zero(2)] * 2)
+    real = Matrix.invert
+
+    def slow(self):
+        time.sleep(0.05)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "invert", slow)
+    assert check_symplectic(L, om).elapsed_ms >= 50
+    assert check_metric(conn, g).elapsed_ms >= 50
+
+
+# ---------------------------------------------------------------------------
+# the sparse Jacobi, representation and closedness sweeps against dense oracles
+
+SMALL_LIE = [
+    e.algebra
+    for e in (
+        catalog.so(3),
+        catalog.so(4),
+        catalog.affine(1),
+        catalog.gl(2),
+        catalog.euclidean(3),
+        catalog.sl2c_real(),
+        catalog.poincare(0),
+    )
+]
+
+nonzero_rationals = small_rationals.filter(bool)
+
+
+def _matches_oracle(cert, fails):
+    assert cert.passed == (not fails)
+    assert cert.total_failures == len(fails)
+    got = [(w.indices, list(w.defect)) for w in cert.witnesses]
+    assert got == fails[:MAX_WITNESSES]
+
+
+def _corrupted(data, L, max_changes=3):
+    """L with up to ``max_changes`` structure constants shifted."""
+    n = L.dim
+    table = {key: dict(coeffs) for key, coeffs in L.table.items()}
+    for _ in range(data.draw(st.integers(0, max_changes))):
+        i = data.draw(st.integers(0, n - 2))
+        j = data.draw(st.integers(i + 1, n - 1))
+        k = data.draw(st.integers(0, n - 1))
+        coeffs = table.setdefault((i, j), {})
+        coeffs[k] = coeffs.get(k, 0) + data.draw(nonzero_rationals)
+    return LieAlgebra(L.labels, table, check=False, name=L.name)
+
+
+def _rescaled(data, L):
+    """L in the basis s_i b_i: a Lie algebra again, with new constants."""
+    s = [data.draw(nonzero_rationals) for _ in range(L.dim)]
+    table = {
+        (i, j): {k: s[i] * s[j] / s[k] * c for k, c in coeffs.items()}
+        for (i, j), coeffs in L.table.items()
+    }
+    return LieAlgebra(L.labels, table, check=False, name=L.name)
+
+
+def _table(data):
+    """A random rational table (dimension <= 9) or a rescaled small Lie algebra,
+    either one possibly corrupted."""
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(2, 9))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
+        entries = st.dictionaries(st.integers(0, n - 1), small_rationals, max_size=3)
+        table = {p: data.draw(entries) for p in chosen}
+        return LieAlgebra(["b%d" % i for i in range(n)], table, check=False)
+    return _corrupted(data, _rescaled(data, data.draw(st.sampled_from(SMALL_LIE))))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_jacobi_matches_oracle_on_rational_tables(data):
+    L = _table(data)
+    _matches_oracle(check_jacobi(L), naive_jacobi_sweep(L))
+
+
+@given(st.data())
+@settings(max_examples=5, deadline=None)
+def test_jacobi_matches_oracle_on_corrupted_e7(data):
+    L = _corrupted(data, catalog.euclidean(7).algebra, max_changes=4)
+    _matches_oracle(check_jacobi(L), naive_jacobi_sweep(L))
+
+
+def test_jacobi_witness_cap_and_order_past_sixteen_failures():
+    e7 = catalog.euclidean(7).algebra
+    table = {key: dict(coeffs) for key, coeffs in e7.table.items()}
+    for key in sorted(table)[:5]:
+        table[key] = {k: 2 * c for k, c in table[key].items()}
+    L = LieAlgebra(e7.labels, table, check=False)
+    fails = naive_jacobi_sweep(L)
+    assert len(fails) > MAX_WITNESSES
+    cert = check_jacobi(L)
+    assert len(cert.witnesses) == MAX_WITNESSES
+    _matches_oracle(cert, fails)
+
+
+CONNECTIONS = [L.adjoint_connection() for L in SMALL_LIE] + [
+    catalog.so(3).structures["standard_rep"],
+    catalog.gl(2).structures["standard_rep"],
+    catalog.gl(2).structures["left_mult"],
+]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_representation_matches_oracle_on_perturbed_connections(data):
+    rho = data.draw(st.sampled_from(CONNECTIONS))
+    m = rho.module_dim
+    mats = [op.matrix.copy() for op in rho.maps]
+    for _ in range(data.draw(st.integers(0, 3))):
+        op = mats[data.draw(st.integers(0, len(mats) - 1))]
+        r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        op.data[r][c] += data.draw(nonzero_rationals)
+    pert = Connection(rho.algebra, [LinearMap(mt) for mt in mats])
+    _matches_oracle(check_representation(pert), naive_representation_defect(pert))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_matches_naive_differential_on_random_forms(data):
+    L = _table(data)
+    n = L.dim
+    if data.draw(st.booleans()):
+        # omega(x, y) = alpha([x, y]) is closed exactly when Jacobi holds
+        alpha = [data.draw(small_rationals) for _ in range(n)]
+        w = [[sum((alpha[k] * c for k, c in L.bracket_basis(i, j).items()), Fraction(0))
+              for j in range(n)] for i in range(n)]
+    else:
+        w = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                w[i][j] = data.draw(small_rationals)
+                w[j][i] = -w[i][j]
+    form = BilinearForm(w, BilinearForm.SKEW)
+    c = dense_constants(L)
+    fails = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                d = naive_differential(L, w, i, j, k, c)
+                if d:
+                    fails.append(((i, j, k), [d]))
+    _matches_oracle(check_closed(L, form), fails)
