@@ -100,7 +100,8 @@ def so(n):
     entry = CatalogEntry("so_%d" % n, alg, realization=real)
     entry.structures["standard_rep"] = Connection(alg, [LinearMap(m) for m in real])
     if n % 4 in (0, 1) and n >= 4:
-        jp = _reg_j_pairs(n, lambda a, b: pairs.index((a, b)))
+        _require_even_rank(n)
+        jp = _rotation_pairs(n, {pq: k for k, pq in enumerate(pairs)})
         entry.structures["j"] = AlmostComplex.from_pairs(alg.dim, jp)
         entry.structures["split"] = [p[0] for p in jp]
     return entry
@@ -255,17 +256,24 @@ def galilean():
     return entry
 
 
-def _reg_j_pairs(n, fidx):
-    """Index pairs of the rotation-part structure for rank-even so(n)."""
-    r = n // 2
-    if r % 2:
+def _require_even_rank(n):
+    if (n // 2) % 2:
         raise PreconditionError("rotation structure needs even rank")
+
+
+def _rotation_pairs(n, fidx):
+    """Index pairs of the structure on the rotation part so(n).
+
+    f_(2i-1)(2i) is paired with f_(2i+1)(2i+2), then f_ab with f_(a+1)b for
+    odd a; ``fidx`` maps (a, b) to the index of f_ab.  With odd rank the
+    last f_(2r-1)(2r) is left for the caller to pair.
+    """
     pairs = []
-    for i in range(1, r, 2):
-        pairs.append((fidx(2 * i - 1, 2 * i), fidx(2 * i + 1, 2 * i + 2)))
+    for i in range(1, n // 2, 2):
+        pairs.append((fidx[(2 * i - 1, 2 * i)], fidx[(2 * i + 1, 2 * i + 2)]))
     for a in range(1, n + 1, 2):
         for b in range(a + 2, n + 1):
-            pairs.append((fidx(a, b), fidx(a + 1, b)))
+            pairs.append((fidx[(a, b)], fidx[(a + 1, b)]))
     return pairs
 
 
@@ -325,12 +333,7 @@ def _euclidean(n):
     e_index = lambda l: nf + l - 1
     z_index = alg.dim - 1
     r = n // 2
-    pairs = []
-    for i in range(1, r - (r % 2) + 1, 2):
-        pairs.append((fidx[(2 * i - 1, 2 * i)], fidx[(2 * i + 1, 2 * i + 2)]))
-    for a in range(1, n + 1, 2):
-        for b in range(a + 2, n + 1):
-            pairs.append((fidx[(a, b)], fidx[(a + 1, b)]))
+    pairs = _rotation_pairs(n, fidx)
     lim = n if n % 2 == 0 else n - 1
     for l in range(1, lim, 2):
         pairs.append((e_index(l), e_index(l + 1)))
@@ -348,7 +351,8 @@ def _euclidean(n):
     if n % 4 == 0:
         g = soa
         rho = so_entry.structures["standard_rep"]
-        jg = AlmostComplex.from_pairs(g.dim, _reg_j_pairs(n, lambda a, b: fidx[(a, b)]))
+        _require_even_rank(n)
+        jg = AlmostComplex.from_pairs(g.dim, _rotation_pairs(n, fidx))
         vecs = _root_vectors(g.dim, lambda a, b: fidx[(a, b)], r)
         part0 = [_basis_vec(g.dim, fidx[(2 * i - 1, 2 * i)]) for i in range(1, r + 1)]
         part0 += vecs["u+"] + vecs["v-"]
@@ -360,12 +364,7 @@ def _euclidean(n):
         g = central_extension(soa, name="Rz+so_%d" % n)
         zero = LinearMap.zero(n)
         rho = Connection(g, [LinearMap(m) for m in so_entry.realization] + [zero])
-        jp = []
-        for i in range(1, r, 2):
-            jp.append((fidx[(2 * i - 1, 2 * i)], fidx[(2 * i + 1, 2 * i + 2)]))
-        for a in range(1, n + 1, 2):
-            for b in range(a + 2, n + 1):
-                jp.append((fidx[(a, b)], fidx[(a + 1, b)]))
+        jp = _rotation_pairs(n, fidx)
         jp.append((fidx[(2 * r - 1, 2 * r)], g.dim - 1))
         jg = AlmostComplex.from_pairs(g.dim, jp)
         vecs = _root_vectors(g.dim, lambda a, b: fidx[(a, b)], r)
@@ -415,12 +414,7 @@ def poincare(k):
     s_index = lambda i: nf + i - 1
     e_index = lambda l: nf + q + l - 1
     r = q // 2
-    pairs = []
-    for i in range(1, r, 2):
-        pairs.append((fidx[(2 * i - 1, 2 * i)], fidx[(2 * i + 1, 2 * i + 2)]))
-    for a in range(1, q + 1, 2):
-        for b in range(a + 2, q + 1):
-            pairs.append((fidx[(a, b)], fidx[(a + 1, b)]))
+    pairs = _rotation_pairs(q, fidx)
     pairs.append((fidx[(2 * r - 1, 2 * r)], e_index(q + 1)))
     for i in range(1, q + 1, 2):
         pairs.append((s_index(i), s_index(i + 1)))
@@ -438,12 +432,7 @@ def poincare(k):
     zero = LinearMap.zero(q)
     rho_maps = [LinearMap(m) for m in so_q.realization] + [zero] * q + [zero]
     rho = Connection(g, rho_maps)
-    jp = []
-    for i in range(1, r, 2):
-        jp.append((fidx[(2 * i - 1, 2 * i)], fidx[(2 * i + 1, 2 * i + 2)]))
-    for a in range(1, q + 1, 2):
-        for b in range(a + 2, q + 1):
-            jp.append((fidx[(a, b)], fidx[(a + 1, b)]))
+    jp = _rotation_pairs(q, fidx)
     jp.append((fidx[(2 * r - 1, 2 * r)], g.dim - 1))
     for i in range(1, q + 1, 2):
         jp.append((s_index(i), s_index(i + 1)))

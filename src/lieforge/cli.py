@@ -71,7 +71,7 @@ def _cmd_check(args):
     digest = hashlib.sha256(raw).hexdigest()
     try:
         ws = parse(raw.decode("utf-8"))
-        certs = run(ws, parallel=args.parallel)
+        certs = run(ws)
     except DslError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -185,7 +185,6 @@ def main(argv=None):
     p = sub.add_parser("check", help="run the checks queued in a .lie file")
     p.add_argument("file")
     p.add_argument("--json", metavar="PATH", help="write the JSON report ('-' for stdout)")
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("catalog", help="emit a named catalog entry")

@@ -962,26 +962,15 @@ def _run_one(ws, fname, args, span):
         ]
 
 
-def run(workspace, parallel=1):
+def run(workspace):
     """Execute the queued checks; output certificate order matches the queue.
 
     Construction preconditions violated at run time become failing
     certificates flagged in the notes rather than crashes.
     """
     results = []
-    if parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            futures = [
-                pool.submit(_run_one, workspace, f, a, s)
-                for f, a, s in workspace.checks
-            ]
-            for fut in futures:
-                results.extend(fut.result())
-    else:
-        for f, a, s in workspace.checks:
-            results.extend(_run_one(workspace, f, a, s))
+    for f, a, s in workspace.checks:
+        results.extend(_run_one(workspace, f, a, s))
     return results
 
 

@@ -466,6 +466,28 @@ class BilinearForm:
 # checks
 
 
+def _signed_rows(n, pairs):
+    """Index o -> [(l, v, s)] with value(b_o, b_l) = s * v.
+
+    ``pairs`` maps a basis pair (a, b), a < b, to a value that is
+    antisymmetric in the pair, such as the structure-constant table.
+    """
+    rows = [[] for _ in range(n)]
+    for (a, b), v in pairs.items():
+        rows[a].append((b, v, 1))
+        rows[b].append((a, v, -1))
+    return rows
+
+
+def _supports(n, vectors):
+    """Index q -> [(b, y)] such that vectors[b] has coefficient y at q."""
+    index = [[] for _ in range(n)]
+    for b, vec in enumerate(vectors):
+        for q, y in vec.items():
+            index[q].append((b, y))
+    return index
+
+
 def _cyclic_sums(L, form):
     """Nonzero cyclic sums over basis triples i < j < k, in lexicographic order.
 
@@ -484,10 +506,7 @@ def _cyclic_sums(L, form):
         rows[a].append((b, coeffs))
         for l, c in coeffs.items():
             producers[l].append((a, b, c))
-    act = [[] for _ in range(n)]  # o -> (l, v, s): form(b_o, b_l) = s * v
-    for (a, b), v in form.items():
-        act[a].append((b, v, 1))
-        act[b].append((a, v, -1))
+    act = _signed_rows(n, form)
     for i in range(n):
         sums = defaultdict(dict)
         # outer index i against a pair (j, k) above it
@@ -524,21 +543,53 @@ def _require_almost_complex(L, J):
         raise PreconditionError("map squared is not minus the identity")
 
 
-def nijenhuis_sparse(L, J, u, v):
-    out = dict(J.apply_sparse(L.bracket_sparse(u, v)))
-    Ju = J.apply_sparse(u)
-    Jv = J.apply_sparse(v)
-    _acc(out, L.bracket_sparse(Ju, v), -_ONE)
-    _acc(out, L.bracket_sparse(u, Jv), -_ONE)
-    _acc(out, J.apply_sparse(L.bracket_sparse(Ju, Jv)), -_ONE)
-    return out
-
-
 def nijenhuis(L, J, x, y):
     """Torsion of the almost complex structure at the pair (x, y)."""
     if len(x) != L.dim or len(y) != L.dim:
         raise DimensionMismatchError("vectors must have length %d" % L.dim)
-    return _dense(nijenhuis_sparse(L, J, _sparse(x), _sparse(y)), L.dim)
+    u, v = _sparse(x), _sparse(y)
+    Ju, Jv = J.apply_sparse(u), J.apply_sparse(v)
+    out = J.apply_sparse(L.bracket_sparse(u, v))
+    _acc(out, L.bracket_sparse(Ju, v), -_ONE)
+    _acc(out, L.bracket_sparse(u, Jv), -_ONE)
+    _acc(out, J.apply_sparse(L.bracket_sparse(Ju, Jv)), -_ONE)
+    return _dense(out, L.dim)
+
+
+def _torsions(L, J, vectors, images):
+    """Nonzero torsions N(u_a, u_b), a < b, in lexicographic order.
+
+    N(u, v) = J([u, v] - [Ju, Jv]) - [Ju, v] - [u, Jv] is bilinear, so a
+    term contributes only through a table entry [b_p, b_q] with p in the
+    support of u_a or Ju_a and q in the support of u_b or Ju_b; only such
+    pairs are visited.  ``images[a]`` is J u_a.  Torsions stream by the
+    first index a: one row of them is live at a time.
+    """
+    n = L.dim
+    jcols = J.sparse_columns()
+    ad = _signed_rows(n, L.table)
+    vin, jin = _supports(n, vectors), _supports(n, images)
+    for a, (u, ju) in enumerate(zip(vectors, images)):
+        pre = defaultdict(dict)  # b -> [u_a, u_b] - [Ju_a, Ju_b]
+        post = defaultdict(dict)  # b -> -[Ju_a, u_b] - [u_a, Ju_b]
+        for w, index, sums, sign in (
+            (u, vin, pre, 1),
+            (u, jin, post, -1),
+            (ju, vin, post, -1),
+            (ju, jin, pre, -1),
+        ):
+            for p, x in w.items():
+                for q, c, s in ad[p]:
+                    f = sign * s * x
+                    for b, y in index[q]:
+                        if b > a:
+                            _acc(sums[b], c, f * y)
+        for b in sorted(pre.keys() | post.keys()):
+            out = post[b]
+            for k, v in pre[b].items():
+                _acc(out, jcols[k], v)
+            if out:
+                yield (a, b), out
 
 
 def check_integrable(L, J, split=None, target=None):
@@ -552,49 +603,50 @@ def check_integrable(L, J, split=None, target=None):
     _require_almost_complex(L, J)
     n = L.dim
     if split is None:
-        cols = J.sparse_columns()
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = dict(J.apply_sparse(L.bracket_basis(i, j)))
-                _acc(acc, L.bracket_sparse(cols[i], {j: _ONE}), -_ONE)
-                _acc(acc, L.bracket_sparse({i: _ONE}, cols[j]), -_ONE)
-                _acc(acc, J.apply_sparse(L.bracket_sparse(cols[i], cols[j])), -_ONE)
-                if acc:
-                    sweep.fail((i, j), _dense(acc, n))
-        return sweep.done()
-
-    vectors = [_sparse(v) for v in split]
-    solver = SpanSolver(n)
-    for v in vectors:
-        solver.add(dict(v))
-    for v in vectors:
-        solver.add(J.apply_sparse(v))
-    if solver.rank != n:
-        raise PreconditionError(
-            "half basis and its image span a %d-dimensional subspace of a "
-            "%d-dimensional algebra" % (solver.rank, n)
-        )
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            acc = nijenhuis_sparse(L, J, vectors[a], vectors[b])
-            if acc:
-                sweep.fail((a, b), _dense(acc, n))
-    return sweep.done(notes={"split": True})
+        vectors = [{i: _ONE} for i in range(n)]
+        images = J.sparse_columns()
+        notes = None
+    else:
+        vectors = [_sparse(v) for v in split]
+        images = [J.apply_sparse(v) for v in vectors]
+        solver = SpanSolver(n)
+        for v in vectors + images:
+            solver.add(dict(v))
+        if solver.rank != n:
+            raise PreconditionError(
+                "half basis and its image span a %d-dimensional subspace of a "
+                "%d-dimensional algebra" % (solver.rank, n)
+            )
+        notes = {"split": True}
+    for ab, out in _torsions(L, J, vectors, images):
+        sweep.fail(ab, _dense(out, n))
+    return sweep.done(notes=notes)
 
 
 def check_complex_lie(L, J, target=None):
-    """Bi-invariance: every adjoint operator commutes with the structure."""
+    """Bi-invariance: every adjoint operator commutes with the structure.
+
+    Row i holds ad(b_i) J b_j - J ad(b_i) b_j for the j it can be nonzero
+    at: those with a table entry [b_i, b_q] and q in the support of J b_j,
+    and those with a table entry [b_i, b_j].
+    """
     sweep = _Sweep("complex_lie", target or L.name)
     _require_almost_complex(L, J)
     n = L.dim
-    cols = J.sparse_columns()
+    jcols = J.sparse_columns()
+    ad = _signed_rows(n, L.table)
+    jin = _supports(n, jcols)
     for i in range(n):
-        for j in range(n):
-            # ad(b_i) J b_j - J ad(b_i) b_j
-            acc = dict(L.bracket_sparse({i: _ONE}, cols[j]))
-            _acc(acc, J.apply_sparse(L.bracket_basis(i, j)), -_ONE)
-            if acc:
-                sweep.fail((i, j), _dense(acc, n))
+        rows = defaultdict(dict)
+        for q, c, s in ad[i]:
+            for j, y in jin[q]:
+                _acc(rows[j], c, s * y)
+            out = rows[q]
+            for k, v in c.items():
+                _acc(out, jcols[k], -s * v)
+        for j in sorted(rows):
+            if rows[j]:
+                sweep.fail((i, j), _dense(rows[j], n))
     return sweep.done()
 
 

@@ -87,35 +87,34 @@ def check_action_compatibility(g, rho, J, I, split, target=None):
                 raise PreconditionError("%s is not stable under the structure" % name)
     sweep = _Sweep("action_compatibility", target or g.name)
     icols = I.sparse_columns()
+    units = [{k: _ONE} for k in range(m)]
     for a, u in enumerate(part0):
-        op = rho.at(u)
-        ocols = op.sparse_columns()
         for k in range(m):
-            acc = dict(op.apply_sparse(icols[k]))
-            _acc(acc, I.apply_sparse(ocols[k]), -_ONE)
+            # rho(u) I e_k - I rho(u) e_k
+            acc = rho.apply_sparse(u, icols[k])
+            _acc(acc, I.apply_sparse(rho.apply_sparse(u, units[k])), -_ONE)
             if acc:
                 sweep.fail(("part0", a, k), _dense(acc, m))
     for a, u in enumerate(part1):
-        op = rho.at(u)
-        opj = rho.at(J.apply_sparse(u))
-        ocols = op.sparse_columns()
+        ju = J.apply_sparse(u)
         for k in range(m):
-            acc = dict(opj.apply_sparse(icols[k]))
-            _acc(acc, ocols[k], -_ONE)
+            # rho(Ju) I e_k - rho(u) e_k
+            acc = rho.apply_sparse(ju, icols[k])
+            _acc(acc, rho.apply_sparse(u, units[k]), -_ONE)
             if acc:
                 sweep.fail(("part1", a, k), _dense(acc, m))
     identity_failures = 0
     jcols_g = J.sparse_columns()
     for i in range(n):
-        op = rho.at({i: _ONE})
-        opj = rho.at(jcols_g[i])
+        ocols = rho.maps[i].sparse_columns()
+        jb = jcols_g[i]
         for k in range(m):
-            ek = {k: _ONE}
-            lhs = dict(I.apply_sparse(op.apply_sparse(ek)))
-            _acc(lhs, op.apply_sparse(I.apply_sparse(ek)), -_ONE)
-            iv = I.apply_sparse(ek)
-            rhs = dict(I.apply_sparse(opj.apply_sparse(iv)))
-            _acc(rhs, opj.apply_sparse(I.apply_sparse(iv)), -_ONE)
+            # [I, rho(b_i)] e_k - [I, rho(J b_i)] I e_k
+            iv = icols[k]
+            lhs = I.apply_sparse(ocols[k])
+            _acc(lhs, rho.maps[i].apply_sparse(iv), -_ONE)
+            rhs = I.apply_sparse(rho.apply_sparse(jb, iv))
+            _acc(rhs, rho.apply_sparse(jb, I.apply_sparse(iv)), -_ONE)
             _acc(lhs, rhs, -_ONE)
             if lhs:
                 identity_failures += 1

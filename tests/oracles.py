@@ -29,24 +29,56 @@ def naive_bracket(c, x, y):
         for j in range(n):
             if not y[j]:
                 continue
+            f = x[i] * y[j]
             for k in range(n):
-                out[k] += x[i] * y[j] * c[i][j][k]
+                if c[i][j][k]:
+                    out[k] += f * c[i][j][k]
     return out
 
 
 def naive_matvec(m, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m]
+    nz = [j for j in range(len(v)) if v[j]]
+    return [sum(row[j] * v[j] for j in nz) for row in m]
 
 
-def naive_nijenhuis(L, jmat, x, y):
+def naive_nijenhuis(L, jmat, x, y, c=None):
     """J[x,y] - [Jx,y] - [x,Jy] - J[Jx,Jy] with dense arithmetic."""
-    c = dense_constants(L)
+    c = c or dense_constants(L)
     jx, jy = naive_matvec(jmat, x), naive_matvec(jmat, y)
     t1 = naive_matvec(jmat, naive_bracket(c, x, y))
     t2 = naive_bracket(c, jx, y)
     t3 = naive_bracket(c, x, jy)
     t4 = naive_matvec(jmat, naive_bracket(c, jx, jy))
     return [a - b - d - e for a, b, d, e in zip(t1, t2, t3, t4)]
+
+
+def naive_integrable_sweep(L, jmat, vectors):
+    """Every failing pair a < b of ``vectors`` with its torsion, in order."""
+    c = dense_constants(L)
+    fails = []
+    for a in range(len(vectors)):
+        for b in range(a + 1, len(vectors)):
+            d = naive_nijenhuis(L, jmat, vectors[a], vectors[b], c)
+            if any(d):
+                fails.append(((a, b), d))
+    return fails
+
+
+def naive_complex_lie_sweep(L, jmat):
+    """Every failing ordered basis pair (i, j) with [b_i, J b_j] - J [b_i, b_j]."""
+    c = dense_constants(L)
+    n = L.dim
+    e = lambda a: [1 if t == a else 0 for t in range(n)]
+    jb = [naive_matvec(jmat, e(j)) for j in range(n)]
+    fails = []
+    for i in range(n):
+        for j in range(n):
+            lhs = naive_bracket(c, e(i), jb[j])
+            rhs = naive_matvec(jmat, naive_bracket(c, e(i), e(j)))
+            d = [x - y for x, y in zip(lhs, rhs)]
+            if any(d):
+                fails.append(((i, j), d))
+    return fails
 
 
 def naive_jacobi_defect(L, i, j, k, c=None):

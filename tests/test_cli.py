@@ -133,12 +133,6 @@ check integrable(Jbad)
     assert [scalar_from_str(d) for d in w["defect"]] == recomputed
 
 
-def test_check_parallel_flag(tmp_path, capsys):
-    rc = main(["check", write(tmp_path, GOOD), "--parallel", "2"])
-    assert rc == 0
-    assert capsys.readouterr().out.count("PASS") == 2
-
-
 def test_catalog_dsl_emission_parses(tmp_path, capsys):
     rc = main(["catalog", "euclidean", "3", "--emit", "dsl"])
     out = capsys.readouterr().out

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from lieforge import catalog
+from lieforge.lie_core import MAX_WITNESSES, AlmostComplex
 from lieforge.scalar_linear import Q
 from lieforge.dsl import (
     ArityError,
@@ -11,11 +13,14 @@ from lieforge.dsl import (
     DuplicateNameError,
     ShapeError,
     UnknownNameError,
+    endo_to_dsl,
     entry_to_dsl,
     parse,
     run,
     workspace_to_dsl,
 )
+
+from oracles import naive_integrable_sweep
 
 
 AFF1 = """
@@ -145,6 +150,30 @@ def test_integrable_check_with_split_labels():
     text = entry_to_dsl(entry) + "\ncheck integrable(euclidean_3_j, h, f13, e1)\n"
     certs = run(parse(text))
     assert certs[0].passed and certs[0].notes.get("split")
+
+
+def test_integrable_checks_on_a_random_e7_pairing_match_the_oracle():
+    entry = catalog.euclidean(7)
+    alg = entry.algebra
+    n = alg.dim
+    perm = random.Random(20030700).sample(range(n), n)
+    pairs = [(perm[k], perm[k + 1]) for k in range(0, n, 2)]
+    J = AlmostComplex.from_pairs(n, pairs)
+    split = ", ".join(alg.labels[a] for a, _ in pairs)
+    text = (
+        entry_to_dsl(entry)
+        + "\n"
+        + endo_to_dsl("rand", entry.name, alg.labels, J)
+        + "\ncheck integrable(rand)\ncheck integrable(rand, %s)\n" % split
+    )
+    full, half = run(parse(text))
+    units = [alg.basis_vector(i) for i in range(n)]
+    for cert, vectors in ((full, units), (half, [units[a] for a, _ in pairs])):
+        fails = naive_integrable_sweep(alg, J.matrix.data, vectors)
+        assert fails and cert.total_failures == len(fails)
+        got = [(w.indices, list(w.defect)) for w in cert.witnesses]
+        assert got == fails[:MAX_WITNESSES]
+    assert half.notes == {"split": True}
 
 
 def test_unknown_check_rejected():
@@ -304,14 +333,6 @@ def test_reconstruct_check_with_labels():
     )
     certs = run(parse(text))
     assert certs[0].passed
-
-
-def test_parallel_run_matches_serial():
-    text = AFF1 + "check jacobi(aff1)\ncheck torsion_free(ls)\ncheck torsion_free(adc)\n"
-    ws = parse(text)
-    serial = [(c.check_name, c.passed) for c in run(ws)]
-    par = [(c.check_name, c.passed) for c in run(ws, parallel=3)]
-    assert serial == par
 
 
 def test_roundtrip_keeps_declarations_on_constructed_algebras():

@@ -42,13 +42,16 @@ from oracles import (
     dense_constants,
     naive_bracket,
     naive_commutator,
+    naive_complex_lie_sweep,
     naive_differential,
+    naive_integrable_sweep,
     naive_jacobi_defect,
     naive_jacobi_sweep,
     naive_nijenhuis,
     naive_representation_defect,
     naive_square,
     is_minus_identity,
+    naive_rank,
 )
 
 
@@ -698,17 +701,18 @@ def _rescaled(data, L):
     return LieAlgebra(L.labels, table, check=False, name=L.name)
 
 
-def _table(data):
+def _table(data, even=False):
     """A random rational table (dimension <= 9) or a rescaled small Lie algebra,
-    either one possibly corrupted."""
+    either one possibly corrupted; of even dimension if ``even``."""
     if data.draw(st.booleans()):
-        n = data.draw(st.integers(2, 9))
+        n = 2 * data.draw(st.integers(1, 4)) if even else data.draw(st.integers(2, 9))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
         entries = st.dictionaries(st.integers(0, n - 1), small_rationals, max_size=3)
         table = {p: data.draw(entries) for p in chosen}
         return LieAlgebra(["b%d" % i for i in range(n)], table, check=False)
-    return _corrupted(data, _rescaled(data, data.draw(st.sampled_from(SMALL_LIE))))
+    algebras = [L for L in SMALL_LIE if L.dim % 2 == 0] if even else SMALL_LIE
+    return _corrupted(data, _rescaled(data, data.draw(st.sampled_from(algebras))))
 
 
 @given(st.data())
@@ -785,3 +789,92 @@ def test_closed_matches_naive_differential_on_random_forms(data):
                 if d:
                     fails.append(((i, j, k), [d]))
     _matches_oracle(check_closed(L, form), fails)
+
+
+# ---------------------------------------------------------------------------
+# the sparse integrability and bi-invariance sweeps against dense oracles
+
+
+def _structure(data, n):
+    """A random signed pairing, or one conjugated by an invertible rational matrix."""
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    jmat = _pairing_matrix(perm, signs)
+    if data.draw(st.booleans()):
+        flat = data.draw(st.lists(small_rationals, min_size=n * n, max_size=n * n))
+        jmat = _conjugate(jmat, [flat[i * n : (i + 1) * n] for i in range(n)]) or jmat
+    return jmat
+
+
+def _units(n):
+    return [[1 if t == a else 0 for t in range(n)] for a in range(n)]
+
+
+def _chained_split(perm, coeffs):
+    """e_perm[2k] + coeffs[k] e_perm[2k+2]: spans with its image under the pairing perm."""
+    units = _units(len(perm))
+    split = [
+        [a + c * b for a, b in zip(units[perm[2 * k]], units[perm[2 * k + 2]])]
+        for k, c in enumerate(coeffs)
+    ]
+    return split + [units[perm[-2]]]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_integrable_and_complex_lie_match_oracles_on_rational_tables(data):
+    L = _table(data, even=True)
+    n = L.dim
+    jmat = _structure(data, n)
+    J = LinearMap(jmat)
+    _matches_oracle(check_integrable(L, J), naive_integrable_sweep(L, jmat, _units(n)))
+    _matches_oracle(check_complex_lie(L, J), naive_complex_lie_sweep(L, jmat))
+    # a random half basis, spanning with its image or rejected
+    flat = data.draw(st.lists(small_rationals, min_size=n * n // 2, max_size=n * n // 2))
+    split = [flat[a * n : (a + 1) * n] for a in range(n // 2)]
+    if naive_rank(split + [J.apply(v) for v in split]) < n:
+        with pytest.raises(PreconditionError):
+            check_integrable(L, J, split=split)
+        return
+    cert = check_integrable(L, J, split=split)
+    assert cert.notes == {"split": True}
+    _matches_oracle(cert, naive_integrable_sweep(L, jmat, split))
+
+
+def test_integrable_and_complex_lie_witness_cap_and_order_past_sixteen_failures():
+    L = catalog.euclidean(5).algebra
+    n = L.dim
+    perm = random.Random(7).sample(range(n), n)
+    jmat = _pairing_matrix(perm, [True] * n)
+    J = AlmostComplex(jmat)
+    units = _units(n)
+    split = _chained_split(perm, [1] * (n // 2 - 1))
+    for cert, fails in (
+        (check_integrable(L, J), naive_integrable_sweep(L, jmat, units)),
+        (check_integrable(L, J, split=split), naive_integrable_sweep(L, jmat, split)),
+        (check_complex_lie(L, J), naive_complex_lie_sweep(L, jmat)),
+    ):
+        assert len(fails) > MAX_WITNESSES
+        assert len(cert.witnesses) == MAX_WITNESSES
+        _matches_oracle(cert, fails)
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_integrable_and_complex_lie_match_oracles_on_wide_sparse_tables(data):
+    """Few constants in a wide table, so each row meets a few scattered pairs."""
+    n = 2 * data.draw(st.integers(6, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=n, unique=True))
+    entries = st.dictionaries(st.integers(0, n - 1), nonzero_rationals, min_size=1, max_size=1)
+    L = LieAlgebra(["b%d" % i for i in range(n)], {p: data.draw(entries) for p in chosen},
+                   check=False)
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    jmat = _pairing_matrix(perm, signs)
+    J = LinearMap(jmat)
+    coeffs = data.draw(st.lists(small_rationals, min_size=n // 2 - 1, max_size=n // 2 - 1))
+    split = _chained_split(perm, coeffs)
+    _matches_oracle(check_integrable(L, J), naive_integrable_sweep(L, jmat, _units(n)))
+    _matches_oracle(check_integrable(L, J, split=split), naive_integrable_sweep(L, jmat, split))
+    _matches_oracle(check_complex_lie(L, J), naive_complex_lie_sweep(L, jmat))
