@@ -9,6 +9,7 @@ functions.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,6 +66,19 @@ def _result(ident, label, certs, extra_ok=True, details=""):
     return CriterionResult(ident, label, passed, certs, details)
 
 
+def _timed(criterion):
+    """Set the result's ``elapsed_s`` to the wall time of the whole criterion."""
+
+    @functools.wraps(criterion)
+    def timed():
+        t0 = time.perf_counter()
+        res = criterion()
+        res.elapsed_s = time.perf_counter() - t0
+        return res
+
+    return timed
+
+
 def complex_numbers_algebra():
     """The complex numbers as a two-dimensional real associative algebra."""
     one = Fraction(1)
@@ -99,6 +113,7 @@ def zero_connection(alg):
     return Connection(alg, [LinearMap.zero(alg.dim) for _ in range(alg.dim)])
 
 
+@_timed
 def criterion_1():
     t0 = time.perf_counter()
     certs = []
@@ -122,7 +137,7 @@ def criterion_1():
         )
     )
     elapsed = time.perf_counter() - t0
-    res = _result(
+    return _result(
         "1",
         "small isometry algebras carry integrable structures; the Galilean "
         "embedding is holomorphic",
@@ -130,12 +145,10 @@ def criterion_1():
         extra_ok=elapsed < 1.0,
         details="%.3f s (bound 1 s)" % elapsed,
     )
-    res.elapsed_s = elapsed
-    return res
 
 
+@_timed
 def criterion_2():
-    t0 = time.perf_counter()
     certs = []
     sweep11 = None
     for n in range(3, 12):
@@ -162,7 +175,7 @@ def criterion_2():
                 target="%s -> %s" % (dom.name, cod.name),
             )
         )
-    res = _result(
+    return _result(
         "2",
         "Euclidean family n = 3..11: integrability, stored decompositions, "
         "holomorphic chain",
@@ -170,12 +183,10 @@ def criterion_2():
         extra_ok=sweep11 is not None and sweep11 < 30.0,
         details="e(11) sweep %.2f s (bound 30 s)" % (sweep11 or -1),
     )
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
+@_timed
 def criterion_3():
-    t0 = time.perf_counter()
     certs = []
     for k in (0, 1):
         p = catalog.poincare(k)
@@ -191,15 +202,13 @@ def criterion_3():
                 target="%s -> %s" % (dom.name, cod.name),
             )
         )
-    res = _result(
+    return _result(
         "3", "Poincare algebras: integrability and holomorphic embeddings", certs
     )
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
+@_timed
 def criterion_4():
-    t0 = time.perf_counter()
     lz = catalog.lorentz(3)
     fam = iw_contraction(
         lz.algebra,
@@ -217,7 +226,7 @@ def criterion_4():
         e3.algebra.labels[i] == lmap[lab] for i, lab in enumerate(lz.algebra.labels)
     )
     table_ok = fam.at(0).same_constants(e3.algebra)
-    res = _result(
+    return _result(
         "4",
         "contraction of the Lorentz algebra keeps the transported structure "
         "integrable and lands on the Euclidean constants",
@@ -226,12 +235,10 @@ def criterion_4():
         details="label map consistent: %s, degenerate table matches: %s"
         % (map_ok, table_ok),
     )
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
+@_timed
 def criterion_5():
-    t0 = time.perf_counter()
     certs = []
     for n in (1, 2):
         entry, J = catalog.affine_complex_structure(n)
@@ -244,18 +251,16 @@ def criterion_5():
     for sign, tag in ((1, "plus"), (-1, "minus")):
         Jfull = block_complex_structure(cd.j, cd.i, sign)
         certs.append(check_integrable(sc.algebra, Jfull, target="%s J_%s" % (sc.name, tag)))
-    res = _result(
+    return _result(
         "5",
         "affine motion algebras of even rank and the compact complex-module "
         "instance carry both block structures",
         certs,
     )
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
+@_timed
 def criterion_6():
-    t0 = time.perf_counter()
     e3 = catalog.euclidean(3)
     J = e3.structures["j"]
     ad = e3.algebra.adjoint_connection()
@@ -273,11 +278,9 @@ def criterion_6():
             target="T*_ad e_3",
         )
     )
-    res = _result(
+    return _result(
         "6", "tangent and cotangent lifts of the Euclidean structure", certs
     )
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
 def _equivalence_corpus():
@@ -293,8 +296,8 @@ def _equivalence_corpus():
     ]
 
 
+@_timed
 def criterion_7():
-    t0 = time.perf_counter()
     certs = []
     extra_ok = True
     details = []
@@ -311,14 +314,12 @@ def criterion_7():
                 talg, K, list(range(g.dim)), target=tag
             )
             certs.append(cert)
-            if not all(
-                rec.maps[i].matrix == conn.maps[i].matrix for i in range(g.dim)
-            ):
+            if rec.maps != conn.maps:
                 extra_ok = False
                 details.append("%s: reconstructed connection differs" % tag)
             if not cert.notes.get("k_image_abelian"):
                 extra_ok = False
-    res = _result(
+    return _result(
         "7",
         "torsion-freeness is equivalent to integrability of the swap "
         "structure; true cases reconstruct",
@@ -326,12 +327,10 @@ def criterion_7():
         extra_ok=extra_ok,
         details="; ".join(details),
     )
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
+@_timed
 def criterion_8():
-    t0 = time.perf_counter()
     certs = []
     gl2 = catalog.gl(2)
     _, RI = catalog.right_mult_structure(1)
@@ -346,19 +345,17 @@ def criterion_8():
     certs.append(cert2)
     keys = ("j_minus_parallel", "k_parallel", "lift_flat", "lift_torsion_free")
     extra_ok = all(c.notes[k] for c in (cert, cert2) for k in keys)
-    res = _result(
+    return _result(
         "8",
         "hypercomplex pairs on the doubled matrix and complex-affine "
         "algebras, with the lifted connection as the distinguished one",
         certs,
         extra_ok=extra_ok,
     )
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
+@_timed
 def criterion_9():
-    t0 = time.perf_counter()
     certs = []
     gl2 = catalog.gl(2)
     alg, conn, fam = clifford_tower(gl2.algebra, gl2.structures["left_mult"], 3)
@@ -370,7 +367,7 @@ def criterion_9():
     c4 = fam4.certify(conn4, target="tower abelian2 m=4")
     certs.append(c4)
     ok = ok and fam4.generated_rank == 16
-    res = _result(
+    return _result(
         "9",
         "towers: three anticommuting parallel structures of full generated "
         "rank on the doubled matrix algebra, rank sixteen on the abelian one",
@@ -379,12 +376,10 @@ def criterion_9():
         details="dims %d/%d, ranks %d/%d"
         % (alg.dim, alg4.dim, fam.generated_rank, fam4.generated_rank),
     )
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
+@_timed
 def criterion_10():
-    t0 = time.perf_counter()
     aff1, ls = left_symmetric_aff1()
     ad = aff1.adjoint_connection()
     t1, om1 = cotangent(aff1, ls, check_rep=False)
@@ -392,7 +387,7 @@ def criterion_10():
     t2, om2 = cotangent(aff1, ad, check_rep=False)
     c2 = check_closed(t2, om2, target="T*_ad aff1")
     ok = c1.passed and not c2.passed and len(c2.witnesses) > 0
-    res = CriterionResult(
+    return CriterionResult(
         "10",
         "the cotangent pairing is closed exactly for the torsion-free "
         "connection, with a concrete witness triple otherwise",
@@ -401,12 +396,10 @@ def criterion_10():
         details="failing witness: %s"
         % (c2.witnesses[0].indices if c2.witnesses else None,),
     )
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
+@_timed
 def criterion_11():
-    t0 = time.perf_counter()
     so2 = catalog.so(2)
     e2 = semidirect(
         so2.algebra,
@@ -423,14 +416,12 @@ def criterion_11():
         check_self_dual(conn, LinearMap(B.matrix), target="musical e_2"),
         check_pseudo_kahler(e2, B, target="e_2"),
     ]
-    res = _result(
+    return _result(
         "11",
         "the flat metric on the Euclidean plane algebra yields a verified "
         "pseudo-Kahler tangent algebra",
         certs,
     )
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
 def _agreement_suite():
@@ -450,8 +441,8 @@ def _agreement_suite():
     return suite
 
 
+@_timed
 def criterion_12():
-    t0 = time.perf_counter()
     certs = []
     ok = True
     details = []
@@ -495,7 +486,7 @@ def criterion_12():
     if gate_s >= 60.0:
         ok = False
         details.append("e(23) sweep %.1f s exceeds 60 s" % gate_s)
-    res = _result(
+    return _result(
         "12",
         "half-basis and eigenspace verdicts agree across the suite; DSL "
         "round trips are byte stable; the dimension-276 sweep meets its bound",
@@ -503,8 +494,6 @@ def criterion_12():
         extra_ok=ok,
         details="; ".join(details) or ("e(23) sweep %.2f s" % gate_s),
     )
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
 CRITERIA = [

@@ -352,9 +352,7 @@ def aff_algebra(A, name=None):
     for i in range(n):
         k_cols[i] = {n + i: -_ONE}
         k_cols[n + i] = {i: _ONE}
-    K = AlmostComplex(
-        LinearMap.from_sparse_columns(2 * n, 2 * n, k_cols).matrix
-    )
+    K = AlmostComplex(LinearMap.from_sparse_columns(2 * n, 2 * n, k_cols))
     conns = []
     for i in range(n):
         lm = A.left_multiplication(i).sparse_columns()

@@ -413,31 +413,31 @@ class _Parser:
             raise ShapeError(str(exc), name.span)
         self.ws.define(name.text, "assoc", alg, name.span)
 
-    def _endo_body(self, labels, span):
+    def _endo_body(self, dom_labels, cod_labels):
+        """Image of every domain label, as sparse columns over the codomain."""
         images = {}
         self.expect("{")
         while self.peek().kind == "ident":
             lab = self.expect_ident()
-            if lab.text not in labels:
+            if lab.text not in dom_labels:
                 raise UnknownNameError("unknown basis label %r" % lab.text, lab.span)
             if lab.text in images:
                 raise ShapeError("image of %r declared twice" % lab.text, lab.span)
             self.expect("->")
-            images[lab.text] = self._combo(labels)
+            images[lab.text] = self._combo(cod_labels)
             self.expect(";")
         close = self.expect("}")
-        missing = [lab for lab in labels if lab not in images]
+        missing = [lab for lab in dom_labels if lab not in images]
         if missing:
             raise ShapeError("missing images for %s" % ", ".join(missing), close.span)
-        return images
+        return [images[lab] for lab in dom_labels]
 
     def _stmt_endo(self):
         name = self.expect_ident()
         self.expect("on")
         alg_name = self.expect_ident()
         alg = self.ws.algebra(alg_name.text, alg_name.span)
-        images = self._endo_body(alg.labels, name.span)
-        cols = [images[lab] for lab in alg.labels]
+        cols = self._endo_body(alg.labels, alg.labels)
         lm = LinearMap.from_sparse_columns(alg.dim, alg.dim, cols)
         self.ws.define(name.text, "endo", (alg_name.text, lm), name.span)
 
@@ -449,22 +449,7 @@ class _Parser:
         self.expect("to")
         cod_name = self.expect_ident()
         cod = self.ws.algebra(cod_name.text, cod_name.span)
-        self.expect("{")
-        images = {}
-        while self.peek().kind == "ident":
-            lab = self.expect_ident()
-            if lab.text not in dom.labels:
-                raise UnknownNameError("unknown basis label %r" % lab.text, lab.span)
-            if lab.text in images:
-                raise ShapeError("image of %r declared twice" % lab.text, lab.span)
-            self.expect("->")
-            images[lab.text] = self._combo(cod.labels)
-            self.expect(";")
-        close = self.expect("}")
-        missing = [lab for lab in dom.labels if lab not in images]
-        if missing:
-            raise ShapeError("missing images for %s" % ", ".join(missing), close.span)
-        cols = [images[lab] for lab in dom.labels]
+        cols = self._endo_body(dom.labels, cod.labels)
         lm = LinearMap.from_sparse_columns(cod.dim, dom.dim, cols)
         self.ws.define(name.text, "map", (dom_name.text, cod_name.text, lm), name.span)
 
@@ -753,18 +738,12 @@ def _endo_with_algebra(ws, arg):
     return ws.definitions[alg_name][1], lm
 
 
-def _almost(lm):
-    return AlmostComplex(lm.matrix)
-
-
 def _split_from_labels(alg, args):
     vecs = []
     for kind, value, span in args:
         if kind != "ident" or value not in alg.labels:
             raise ShapeError("expected a basis label of the target algebra", span)
-        v = [Fraction(0)] * alg.dim
-        v[alg.index(value)] = Fraction(1)
-        vecs.append(v)
+        vecs.append({alg.index(value): 1})
     return vecs
 
 
@@ -775,17 +754,17 @@ def _ck_jacobi(ws, args):
 def _ck_integrable(ws, args):
     alg, lm = _endo_with_algebra(ws, args[0])
     split = _split_from_labels(alg, args[1:]) if len(args) > 1 else None
-    return [check_integrable(alg, _almost(lm), split=split, target=args[0][1])]
+    return [check_integrable(alg, AlmostComplex(lm), split=split, target=args[0][1])]
 
 
 def _ck_complex_lie(ws, args):
     alg, lm = _endo_with_algebra(ws, args[0])
-    return [check_complex_lie(alg, _almost(lm), target=args[0][1])]
+    return [check_complex_lie(alg, AlmostComplex(lm), target=args[0][1])]
 
 
 def _ck_abelian_complex(ws, args):
     alg, lm = _endo_with_algebra(ws, args[0])
-    return [check_abelian_complex(alg, _almost(lm), target=args[0][1])]
+    return [check_abelian_complex(alg, AlmostComplex(lm), target=args[0][1])]
 
 
 def _ck_representation(ws, args):
@@ -834,7 +813,7 @@ def _ck_product_structure(ws, args):
 
 def _ck_eigensplit(ws, args):
     alg, lm = _endo_with_algebra(ws, args[0])
-    _, _, certs = eigenspace_split(alg, _almost(lm))
+    _, _, certs = eigenspace_split(alg, AlmostComplex(lm))
     return list(certs)
 
 
@@ -846,7 +825,7 @@ def _ck_action_compatibility(ws, args):
     g = conn.algebra
     return [
         st.check_action_compatibility(
-            g, conn, _almost(J), _almost(I), decomp, target=args[0][1]
+            g, conn, AlmostComplex(J), AlmostComplex(I), decomp, target=args[0][1]
         )
     ]
 
@@ -869,7 +848,7 @@ def _ck_reconstruct(ws, args):
         if kind != "ident" or value not in alg.labels:
             raise ShapeError("expected a basis label of the algebra", span)
         part.append(alg.index(value))
-    _, _, cert = st.reconstruct_connection(alg, _almost(K), part, target=args[0][1])
+    _, _, cert = st.reconstruct_connection(alg, AlmostComplex(K), part, target=args[0][1])
     return [cert]
 
 
@@ -893,7 +872,7 @@ def _ck_holomorphic(ws, args):
     _, Jc = _arg_object(ws, args[2], ("endo",))
     return [
         st.check_holomorphic(
-            dom, cod, iota, _almost(Jd), _almost(Jc), target=args[0][1]
+            dom, cod, iota, AlmostComplex(Jd), AlmostComplex(Jc), target=args[0][1]
         )
     ]
 
@@ -901,7 +880,7 @@ def _ck_holomorphic(ws, args):
 def _ck_hypercomplex(ws, args):
     _, conn = _arg_object(ws, args[0], ("conn",))
     _, J = _arg_object(ws, args[1], ("endo",))
-    _, _, cert = st.hypercomplex_pair(conn.algebra, conn, _almost(J), target=args[0][1])
+    _, _, cert = st.hypercomplex_pair(conn.algebra, conn, AlmostComplex(J), target=args[0][1])
     return [cert]
 
 
@@ -1013,13 +992,30 @@ def algebra_to_dsl(alg, name=None):
     return "\n".join(lines)
 
 
-def endo_to_dsl(name, alg_name, labels, lm):
-    lines = ["endo %s on %s {" % (name, alg_name)]
+def _images_to_dsl(head, lm, dom_labels, cod_labels):
     cols = lm.sparse_columns()
-    for i, lab in enumerate(labels):
-        lines.append("  %s -> %s ;" % (lab, _combo_to_dsl(cols[i], labels)))
+    lines = [head + " {"]
+    for i, lab in enumerate(dom_labels):
+        lines.append("  %s -> %s ;" % (lab, _combo_to_dsl(cols[i], cod_labels)))
     lines.append("}")
     return "\n".join(lines)
+
+
+def endo_to_dsl(name, alg_name, labels, lm):
+    return _images_to_dsl("endo %s on %s" % (name, alg_name), lm, labels, labels)
+
+
+def conn_to_dsl(name, alg_name, labels, conn):
+    lines = ["conn %s on %s {" % (name, alg_name)]
+    for lab, op in zip(labels, conn.maps):
+        lines.append("  %s => %s ;" % (lab, _matrix_to_dsl(op.matrix)))
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def form_to_dsl(name, alg_name, form):
+    kind = "sym" if form.kind == BilinearForm.SYMMETRIC else "skew"
+    return "form %s on %s %s %s" % (name, alg_name, kind, _matrix_to_dsl(form.matrix))
 
 
 def entry_to_dsl(entry):
@@ -1032,19 +1028,9 @@ def entry_to_dsl(entry):
         if isinstance(obj, LinearMap) and obj.rows == alg.dim and obj.cols == alg.dim:
             chunks.append(endo_to_dsl(sname, entry.name, alg.labels, obj))
         elif isinstance(obj, Connection) and obj.algebra is alg:
-            lines = ["conn %s on %s {" % (sname, entry.name)]
-            for i, lab in enumerate(alg.labels):
-                lines.append(
-                    "  %s => %s ;" % (lab, _matrix_to_dsl(obj.maps[i].matrix))
-                )
-            lines.append("}")
-            chunks.append("\n".join(lines))
+            chunks.append(conn_to_dsl(sname, entry.name, alg.labels, obj))
         elif isinstance(obj, BilinearForm) and obj.dim == alg.dim:
-            kind = "sym" if obj.kind == BilinearForm.SYMMETRIC else "skew"
-            chunks.append(
-                "form %s on %s %s %s"
-                % (sname, entry.name, kind, _matrix_to_dsl(obj.matrix))
-            )
+            chunks.append(form_to_dsl(sname, entry.name, obj))
     return "\n\n".join(chunks) + "\n"
 
 
@@ -1086,27 +1072,16 @@ def workspace_to_dsl(ws):
         elif kind == "conn":
             alg_name, conn = payload
             alg = ws.definitions[alg_name][1]
-            lines = ["conn %s on %s {" % (name, alg_name)]
-            for i, lab in enumerate(alg.labels):
-                lines.append("  %s => %s ;" % (lab, _matrix_to_dsl(conn.maps[i].matrix)))
-            lines.append("}")
-            chunks.append("\n".join(lines))
+            chunks.append(conn_to_dsl(name, alg_name, alg.labels, conn))
         elif kind == "form":
             alg_name, form = payload
-            kindw = "sym" if form.kind == BilinearForm.SYMMETRIC else "skew"
-            chunks.append(
-                "form %s on %s %s %s" % (name, alg_name, kindw, _matrix_to_dsl(form.matrix))
-            )
+            chunks.append(form_to_dsl(name, alg_name, form))
         elif kind == "map":
             dom_name, cod_name, lm = payload
             dom = ws.definitions[dom_name][1]
             cod = ws.definitions[cod_name][1]
-            lines = ["map %s from %s to %s {" % (name, dom_name, cod_name)]
-            cols = lm.sparse_columns()
-            for i, lab in enumerate(dom.labels):
-                lines.append("  %s -> %s ;" % (lab, _combo_to_dsl(cols[i], cod.labels)))
-            lines.append("}")
-            chunks.append("\n".join(lines))
+            head = "map %s from %s to %s" % (name, dom_name, cod_name)
+            chunks.append(_images_to_dsl(head, lm, dom.labels, cod.labels))
         elif kind == "decomp":
             alg_name, dec = payload
             alg = ws.definitions[alg_name][1]

@@ -242,51 +242,55 @@ class LieAlgebra:
 
 
 class LinearMap:
-    """Exact linear map, stored dense with cached sparse columns."""
+    """Exact linear map stored as one sparse dict per column.
+
+    Column j maps a row index to the entry there; entries are normalized
+    by :func:`exact` and zeros are never stored.  ``matrix`` is a dense
+    view built on demand, for inversion and emission.
+    """
 
     def __init__(self, matrix):
         if not isinstance(matrix, Matrix):
             matrix = Matrix(matrix)
-        self.matrix = matrix
-        self._cols = None
+        self.rows, self.cols = matrix.rows, matrix.cols
+        self._columns = [{} for _ in range(self.cols)]
+        for i, row in enumerate(matrix.data):
+            for j, e in enumerate(row):
+                if e:
+                    self._columns[j][i] = exact(e)
 
     @classmethod
     def from_sparse_columns(cls, rows, cols, sparse_cols):
-        sparse_cols = [{i: exact(v) for i, v in c.items()} for c in sparse_cols]
-        data = [[_ZERO] * cols for _ in range(rows)]
-        for j, col in enumerate(sparse_cols):
-            for i, v in col.items():
-                data[i][j] = v
-        m = cls(Matrix(data))
-        m._cols = sparse_cols
-        return m
+        if len(sparse_cols) != cols:
+            raise DimensionMismatchError("need one sparse column per map column")
+        columns = [{i: exact(v) for i, v in c.items() if v} for c in sparse_cols]
+        for c in columns:
+            if c and not (0 <= min(c) and max(c) < rows):
+                raise DimensionMismatchError("row index out of range")
+        return _columns_map(rows, cols, columns)
 
     @classmethod
     def zero(cls, rows, cols=None):
-        return cls(Matrix.zeros(rows, cols))
+        cols = rows if cols is None else cols
+        return _columns_map(rows, cols, [{} for _ in range(cols)])
 
     @classmethod
     def identity(cls, n):
-        return cls(Matrix.identity(n))
+        return _columns_map(n, n, [{j: _ONE} for j in range(n)])
 
     @property
-    def rows(self):
-        return self.matrix.rows
-
-    @property
-    def cols(self):
-        return self.matrix.cols
+    def matrix(self):
+        data = [[_ZERO] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self._columns):
+            for i, v in col.items():
+                data[i][j] = v
+        return Matrix(data)
 
     def sparse_columns(self):
-        if self._cols is None:
-            self._cols = [
-                {i: exact(e) for i, e in enumerate(self.matrix.column(j)) if e}
-                for j in range(self.cols)
-            ]
-        return self._cols
+        return self._columns
 
     def apply_sparse(self, vec):
-        cols = self.sparse_columns()
+        cols = self._columns
         out = {}
         for j, a in vec.items():
             _acc(out, cols[j], a)
@@ -301,36 +305,37 @@ class LinearMap:
         """self after other."""
         if self.cols != other.rows:
             raise DimensionMismatchError("composition shape mismatch")
-        cols = [self.apply_sparse(c) for c in other.sparse_columns()]
+        cols = [self.apply_sparse(c) for c in other._columns]
         return LinearMap.from_sparse_columns(self.rows, other.cols, cols)
 
-    def __add__(self, other):
-        return LinearMap(self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return LinearMap(self.matrix - other.matrix)
-
     def __neg__(self):
-        return LinearMap(-self.matrix)
+        return _columns_map(
+            self.rows, self.cols, [{i: -v for i, v in c.items()} for c in self._columns]
+        )
 
     def scale(self, s):
-        return LinearMap(self.matrix.scale(s))
+        cols = [{i: s * v for i, v in c.items()} for c in self._columns]
+        return LinearMap.from_sparse_columns(self.rows, self.cols, cols)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
-        return self.matrix == other.matrix
+        return (self.rows, self.cols, self._columns) == (other.rows, other.cols, other._columns)
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self._columns)))
 
     def transpose(self):
-        return LinearMap(self.matrix.transpose())
+        rows = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self._columns):
+            for i, v in col.items():
+                rows[i][j] = v
+        return _columns_map(self.cols, self.rows, rows)
 
     def is_identity(self):
         if self.rows != self.cols:
             return False
-        return all(col == {j: _ONE} for j, col in enumerate(self.sparse_columns()))
+        return all(col == {j: _ONE} for j, col in enumerate(self._columns))
 
     def squares_to_minus_identity(self):
         """Whether J(J e_j) == -e_j for every column j, in O(nnz) work."""
@@ -343,15 +348,23 @@ class LinearMap:
         return "LinearMap(%dx%d)" % (self.rows, self.cols)
 
 
+def _columns_map(rows, cols, columns):
+    """LinearMap over already normalized columns, taken without a copy."""
+    lm = object.__new__(LinearMap)
+    lm.rows, lm.cols, lm._columns = rows, cols, columns
+    return lm
+
+
 class AlmostComplex(LinearMap):
-    """Endomorphism whose square is minus the identity (verified)."""
+    """Endomorphism whose square is minus the identity (verified).
+
+    Built from a :class:`LinearMap`, it shares that map's columns.
+    """
 
     def __init__(self, matrix):
-        cols = None
-        if isinstance(matrix, LinearMap):
-            matrix, cols = matrix.matrix, matrix._cols
-        super().__init__(matrix)
-        self._cols = cols
+        if not isinstance(matrix, LinearMap):
+            matrix = LinearMap(matrix)
+        self.rows, self.cols, self._columns = matrix.rows, matrix.cols, matrix._columns
         if self.rows != self.cols:
             raise PreconditionError("almost complex structure must be square")
         if not self.squares_to_minus_identity():

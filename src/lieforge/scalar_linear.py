@@ -237,16 +237,6 @@ class Matrix:
             m.data[i][i] = _ONE
         return m
 
-    @classmethod
-    def from_columns(cls, columns):
-        if not columns:
-            return cls([])
-        n = len(columns[0])
-        for c in columns:
-            if len(c) != n:
-                raise DimensionMismatchError("columns of unequal length")
-        return cls([[columns[j][i] for j in range(len(columns))] for i in range(n)])
-
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -265,9 +255,6 @@ class Matrix:
             and all(a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
         )
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.data))
-
     def __repr__(self):
         return "Matrix(%r)" % (self.data,)
 
@@ -282,13 +269,6 @@ class Matrix:
             raise DimensionMismatchError("matrix shapes differ")
         return Matrix(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError("matrix shapes differ")
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
         )
 
     def scale(self, s):
@@ -387,12 +367,6 @@ class Matrix:
             if e:
                 return [div(x, e) for x in v]
         return v
-
-    def rank(self):
-        solver = SpanSolver(self.rows)
-        for j in range(self.cols):
-            solver.add({i: e for i, e in enumerate(self.column(j)) if e})
-        return solver.rank
 
 
 class SpanSolver:

@@ -49,12 +49,12 @@ def block_complex_structure(J, I, sign=1):
     for c in I.sparse_columns():
         shifted = {n + k: (v if sign == 1 else -v) for k, v in c.items()}
         cols.append(shifted)
-    return AlmostComplex(LinearMap.from_sparse_columns(n + m, n + m, cols).matrix)
+    return AlmostComplex(LinearMap.from_sparse_columns(n + m, n + m, cols))
 
 
 def dual_structure(J):
     """Induced structure on the dual space, minus the transpose."""
-    return AlmostComplex(-J.matrix.transpose())
+    return AlmostComplex(-J.transpose())
 
 
 def _span_of(dim, vectors):
@@ -474,13 +474,10 @@ def symplectic_from_duality(conn, psi):
     if psi.rows != n or psi.cols != n:
         raise DimensionMismatchError("duality map does not match the module")
     data = [[_ZERO] * (2 * n) for _ in range(2 * n)]
-    pm = psi.matrix.data
-    for i in range(n):
-        for j in range(n):
-            v = pm[i][j]
-            if v:
-                data[i][n + j] = -v
-                data[n + j][i] = v
+    for j, col in enumerate(psi.sparse_columns()):
+        for i, v in col.items():
+            data[i][n + j] = -v
+            data[n + j][i] = v
     return BilinearForm(Matrix(data), BilinearForm.SKEW)
 
 
@@ -607,37 +604,3 @@ def check_holomorphic(dom, cod, iota, J_dom, J_cod, target=None):
         if acc:
             sweep.fail(("structure", i), _dense(acc, cod.dim))
     return sweep.done()
-
-
-def clifford_metric_conjecture(g, B, m=2):
-    """Exploratory harness for metrics on higher tower levels.
-
-    Lifts the metric diagonally level by level and reports, for every
-    family member, whether the induced pairing is skew, closed and
-    parallel.  Nothing here is asserted; the certificates record the
-    evidence for the candidate lift.
-    """
-    conn = levi_civita(g, B)
-    rep = check_representation(conn)
-    tf = check_torsion_free(conn)
-    if not (rep.passed and tf.passed):
-        raise PreconditionError("metric is not flat")
-    alg, lifted, family = clifford_tower(g, conn, m)
-    G = B
-    for _ in range(m):
-        G = _diagonal_lift(G)
-    certs = []
-    for idx, J in enumerate(family.maps):
-        sweep = _Sweep("clifford_metric_candidate", "%s[J%d]" % (alg.name, idx + 1))
-        pairing = J.matrix.transpose() * G.matrix
-        skew = pairing == -(pairing.transpose())
-        notes = {"pairing_skew": skew}
-        if skew:
-            omega = BilinearForm(pairing, BilinearForm.SKEW)
-            notes["closed"] = check_symplectic(alg, omega).passed
-            notes["parallel"] = check_parallel(lifted, omega).passed
-        for key, ok in notes.items():
-            if not ok:
-                sweep.fail((key,), (Fraction(1),))
-        certs.append(sweep.done(notes=notes))
-    return certs

@@ -1,8 +1,12 @@
 import json
+import os
 
 import pytest
 
+from lieforge import catalog
 from lieforge.cli import main
+
+GOLDEN_CATALOG = os.path.join(os.path.dirname(__file__), "golden", "catalog.lie")
 
 
 GOOD = """
@@ -181,3 +185,23 @@ def test_version(capsys):
     with pytest.raises(SystemExit):
         main(["--version"])
     assert "lieforge" in capsys.readouterr().out
+
+
+def test_catalog_emission_matches_golden(capsys):
+    """`lieforge catalog` output, byte for byte, for every builder.
+
+    Each entry of the golden file starts with a `# lieforge catalog NAME
+    [PARAM]` line followed by that command's output; entries are separated
+    by one blank line.
+    """
+    with open(GOLDEN_CATALOG, encoding="utf-8") as fh:
+        golden = fh.read()
+    commands = [
+        line.split()[3:] for line in golden.splitlines() if line.startswith("# lieforge catalog ")
+    ]
+    assert {c[0] for c in commands} == set(catalog._BUILDERS)
+    chunks = []
+    for args in commands:
+        assert main(["catalog", *args]) == 0
+        chunks.append("# lieforge catalog %s\n%s" % (" ".join(args), capsys.readouterr().out))
+    assert "\n".join(chunks) == golden

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lieforge import catalog
 from lieforge.scalar_linear import (
+    DimensionMismatchError,
     GaussScalar,
     Matrix,
     PreconditionError,
@@ -878,3 +879,69 @@ def test_integrable_and_complex_lie_match_oracles_on_wide_sparse_tables(data):
     _matches_oracle(check_integrable(L, J), naive_integrable_sweep(L, jmat, _units(n)))
     _matches_oracle(check_integrable(L, J, split=split), naive_integrable_sweep(L, jmat, split))
     _matches_oracle(check_complex_lie(L, J), naive_complex_lie_sweep(L, jmat))
+
+
+# ---------------------------------------------------------------------------
+# LinearMap's sparse columns against the dense Matrix oracle
+
+
+def test_is_identity_ignores_explicit_zeros():
+    m = LinearMap.from_sparse_columns(2, 2, [{0: 1, 1: 0}, {1: 1}])
+    assert m.matrix == Matrix.identity(2)
+    assert m.is_identity()
+    assert m.sparse_columns() == [{0: 1}, {1: 1}]
+
+
+def test_almost_complex_shares_the_map_columns():
+    lm = LinearMap.from_sparse_columns(2, 2, [{1: 1}, {0: -1}])
+    assert AlmostComplex(lm).sparse_columns() is lm.sparse_columns()
+
+
+def test_from_sparse_columns_rejects_bad_shapes():
+    with pytest.raises(DimensionMismatchError):
+        LinearMap.from_sparse_columns(2, 2, [{0: 1}])
+    with pytest.raises(DimensionMismatchError):
+        LinearMap.from_sparse_columns(2, 1, [{2: 1}])
+
+
+gauss_scalars = st.builds(GaussScalar, small_rationals, small_rationals)
+
+
+@st.composite
+def dense_triples(draw):
+    """Dense A (r x k), A2 of A's shape and B (k x c), with c possibly 0.
+
+    Entries are rational or Gaussian, about half of them zero; A2 is A with
+    at most one entry changed.
+    """
+    entry = st.one_of(st.just(0), draw(st.sampled_from([small_rationals, gauss_scalars])))
+    r, k, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    a = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    a2 = [row[:] for row in a]
+    if draw(st.booleans()):
+        a2[draw(st.integers(0, r - 1))][draw(st.integers(0, k - 1))] = draw(entry)
+    b = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    return Matrix(a), Matrix(a2), Matrix(b), [draw(entry) for _ in range(k)], draw(entry)
+
+
+@given(dense_triples())
+@settings(max_examples=150, deadline=None)
+def test_linear_map_matches_dense_oracle(mats):
+    A, A2, B, vec, s = mats
+    lm, lm2, lb = LinearMap(A), LinearMap(A2), LinearMap(B)
+    assert (lm.rows, lm.cols, lb.rows, lb.cols) == (A.rows, A.cols, B.rows, B.cols)
+    for m in (lm, lb):
+        for col in m.sparse_columns():
+            assert all(v and not (type(v) is Fraction and v.denominator == 1) for v in col.values())
+    assert lm.matrix == A and lb.matrix == B
+    cols = [{i: e for i, e in enumerate(A.column(j))} for j in range(A.cols)]
+    assert LinearMap.from_sparse_columns(A.rows, A.cols, cols) == lm
+    assert lm.compose(lb).matrix == A * B
+    assert lm.transpose().matrix == A.transpose()
+    assert lm.transpose().transpose() == lm
+    assert (-lm).matrix == -A
+    assert lm.scale(s).matrix == A.scale(s)
+    assert lm.apply(vec) == A.matvec(vec)
+    assert (lm == lm2) == (A == A2)
+    if lm == lm2:
+        assert hash(lm) == hash(lm2)

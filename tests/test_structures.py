@@ -27,7 +27,6 @@ from lieforge.structures import (
     check_pseudo_kahler,
     check_self_dual,
     check_torsion_integrability_equivalence,
-    clifford_metric_conjecture,
     clifford_tower,
     dual_structure,
     hypercomplex_pair,
@@ -461,14 +460,3 @@ def test_dual_structure_squares():
     e3 = catalog.euclidean(3)
     d = dual_structure(e3.structures["j"])
     assert d.squares_to_minus_identity()
-
-
-def test_metric_conjecture_harness_runs():
-    so2 = catalog.so(2)
-    e2 = semidirect(so2.algebra, so2.structures["standard_rep"],
-                    module_labels=["e1", "e2"], check_rep=False)
-    B = BilinearForm(Matrix.identity(3), BilinearForm.SYMMETRIC)
-    certs = clifford_metric_conjecture(e2, B, m=2)
-    assert len(certs) == 2
-    for c in certs:
-        assert "pairing_skew" in c.notes
