@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar_linear import LieforgeError, Matrix, PreconditionError
+from .scalar_linear import LieforgeError, Matrix, PreconditionError, exact
 from .lie_core import (
     AlmostComplex,
     BilinearForm,
@@ -46,6 +46,7 @@ from .lie_core import (
     check_representation,
     check_symplectic,
     check_torsion_free,
+    _sparse,
 )
 from .constructions import (
     AssociativeAlgebra,
@@ -269,10 +270,10 @@ class _Parser:
         return labels
 
     def _number(self, tok):
-        if "/" in tok.text:
-            p, q = tok.text.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(tok.text))
+        p, _, q = tok.text.partition("/")
+        if q and not int(q):
+            raise DslSyntaxError("zero denominator in literal %r" % tok.text, tok.span)
+        return Fraction(int(p), int(q or 1))
 
     def _combo(self, labels):
         """Linear combination over the given labels, as a sparse dict."""
@@ -517,11 +518,7 @@ class _Parser:
             vecs = []
             if self.peek().text != ";":
                 while True:
-                    sparse = self._combo(alg.labels)
-                    v = [Fraction(0)] * alg.dim
-                    for k, val in sparse.items():
-                        v[k] = val
-                    vecs.append(v)
+                    vecs.append({k: exact(v) for k, v in self._combo(alg.labels).items()})
                     if self.peek().text == ",":
                         self.next()
                         continue
@@ -1088,10 +1085,7 @@ def workspace_to_dsl(ws):
             def vecline(vs):
                 if not vs:
                     return ""
-                return " " + " , ".join(
-                    _combo_to_dsl({i: c for i, c in enumerate(v) if c}, alg.labels)
-                    for v in vs
-                ) + " "
+                return " " + " , ".join(_combo_to_dsl(_sparse(v), alg.labels) for v in vs) + " "
             chunks.append(
                 "decomp %s on %s {\n  part0 :%s;\n  part1 :%s;\n}"
                 % (name, alg_name, vecline(dec.part0), vecline(dec.part1))

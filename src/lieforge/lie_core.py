@@ -11,11 +11,9 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .scalar_linear import (
     DimensionMismatchError,
-    GaussScalar,
     Matrix,
     PreconditionError,
     SingularMatrixError,
@@ -173,13 +171,6 @@ class LieAlgebra:
         v[i] = _ONE
         return v
 
-    def vector_from_labels(self, coeffs):
-        """Dense vector from a {label: coefficient} mapping."""
-        v = [_ZERO] * self.dim
-        for lab, c in coeffs.items():
-            v[self.index(lab)] = c if isinstance(c, GaussScalar) else exact(Fraction(c))
-        return v
-
     def bracket_basis(self, i, j):
         """Sparse [b_i, b_j]."""
         if i == j:
@@ -231,11 +222,6 @@ class LieAlgebra:
     def same_constants(self, other):
         """Equality of structure-constant tables (labels ignored)."""
         return self.dim == other.dim and self.table == other.table
-
-    def relabeled(self, labels, name=None):
-        return LieAlgebra(
-            labels, self.table, field=self.field, check=False, name=name or self.name
-        )
 
     def __repr__(self):
         return "LieAlgebra(%s, dim=%d)" % (self.name, self.dim)
@@ -407,16 +393,6 @@ class Connection:
 
     def __getitem__(self, i):
         return self.maps[i]
-
-    def at(self, x):
-        """Operator at an arbitrary algebra vector (linear in the subscript)."""
-        x = _sparse(x)
-        cols = [dict() for _ in range(self.module_dim)]
-        for i, c in x.items():
-            mcols = self.maps[i].sparse_columns()
-            for j in range(self.module_dim):
-                _acc(cols[j], mcols[j], c)
-        return LinearMap.from_sparse_columns(self.module_dim, self.module_dim, cols)
 
     def apply_sparse(self, x, v):
         """Sparse evaluation of the operator at x applied to module vector v."""
@@ -605,6 +581,22 @@ def _torsions(L, J, vectors, images):
                 yield (a, b), out
 
 
+def _bracket_pairs(L, vectors):
+    """Pairs a < b, in lexicographic order, whose bracket [u_a, u_b] can be nonzero.
+
+    The bracket is bilinear, so it is nonzero only through a table entry
+    [b_p, b_q] with p in the support of u_a and q in the support of u_b;
+    only such pairs are yielded.  The brackets themselves are left to the
+    caller.
+    """
+    ad = _signed_rows(L.dim, L.table)
+    index = _supports(L.dim, vectors)
+    for a, u in enumerate(vectors):
+        partners = {b for p in u for q, _, _ in ad[p] for b, _ in index[q] if b > a}
+        for b in sorted(partners):
+            yield a, b
+
+
 def check_integrable(L, J, split=None, target=None):
     """Vanishing of the structure torsion on basis pairs.
 
@@ -672,11 +664,10 @@ def check_abelian_complex(L, J, target=None):
     LC = complexify(L)
     plus, minus = holomorphic_eigenbasis(L, J)
     for name, vecs in (("eigen_plus", plus), ("eigen_minus", minus)):
-        for a in range(len(vecs)):
-            for b in range(a + 1, len(vecs)):
-                acc = LC.bracket_sparse(vecs[a], vecs[b])
-                if acc:
-                    sweep.fail((name, a, b), _dense(acc, LC.dim))
+        for a, b in _bracket_pairs(L, vecs):
+            acc = LC.bracket_sparse(vecs[a], vecs[b])
+            if acc:
+                sweep.fail((name, a, b), _dense(acc, LC.dim))
     return sweep.done()
 
 

@@ -88,32 +88,38 @@ def div(a, b):
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     if isinstance(a, GaussScalar) or isinstance(b, GaussScalar):
-        return _as_gauss(a) / b
+        return a / b
     if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
         raise TypeError("div needs exact scalars, got %r and %r" % (a, b))
     return exact(a / b)
 
 
 class GaussScalar:
-    """Gaussian rational re + im*i with exact rational parts."""
+    """Gaussian rational re + im*i.
+
+    Each part is stored like a rational scalar: an ``int`` while it is
+    integral and a ``Fraction`` otherwise.  A float part raises
+    ``TypeError``, and quotients go through :func:`div`.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = _part(re)
+        self.im = _part(im)
 
     def __repr__(self):
         return "GaussScalar(%r, %r)" % (self.re, self.im)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.re or self.im)
 
     def __eq__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussScalar):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         if not self.im:
@@ -121,67 +127,71 @@ class GaussScalar:
         return hash((self.re, self.im))
 
     def __neg__(self):
-        return GaussScalar(-self.re, -self.im)
+        return _gauss(-self.re, -self.im)
 
     def __add__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussScalar(self.re + other.re, self.im + other.im)
+        if isinstance(other, GaussScalar):
+            return _gauss(exact(self.re + other.re), exact(self.im + other.im))
+        if isinstance(other, (int, Fraction)):
+            return _gauss(exact(self.re + other), self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussScalar(self.re - other.re, self.im - other.im)
+        if isinstance(other, GaussScalar):
+            return _gauss(exact(self.re - other.re), exact(self.im - other.im))
+        if isinstance(other, (int, Fraction)):
+            return _gauss(exact(self.re - other), self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussScalar(other.re - self.re, other.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return _gauss(exact(other - self.re), -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if isinstance(other, GaussScalar):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return _gauss(exact(a * c - b * d), exact(a * d + b * c))
+        if isinstance(other, (int, Fraction)):
+            return _gauss(exact(self.re * other), exact(self.im * other))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return _gauss(div(self.re, other), div(self.im, other))
+        if not isinstance(other, GaussScalar):
             return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        a, b, c, d = self.re, self.im, other.re, other.im
+        n = c * c + d * d
         if not n:
             raise ZeroDivisionError("division by zero GaussScalar")
-        return GaussScalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _gauss(div(a * c + b * d, n), div(b * c - a * d, n))
 
     def __rtruediv__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def conjugate(self):
-        return GaussScalar(self.re, -self.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussScalar(other) / self
+        return NotImplemented
 
 
-def _as_gauss(x):
-    if isinstance(x, GaussScalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussScalar(x)
-    return NotImplemented
+def _part(x):
+    """A part of a Gaussian scalar in integer-first form; floats are rejected."""
+    if isinstance(x, Fraction):
+        return exact(x)
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError("GaussScalar parts must be int or Fraction, got %r" % (x,))
+
+
+def _gauss(re, im):
+    """GaussScalar over parts already in integer-first form."""
+    g = object.__new__(GaussScalar)
+    g.re = re
+    g.im = im
+    return g
 
 
 GAUSS_I = GaussScalar(0, 1)

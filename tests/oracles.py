@@ -81,6 +81,44 @@ def naive_complex_lie_sweep(L, jmat):
     return fails
 
 
+def naive_eigenspace_sweep(L, jmat):
+    """Every pair a < b of eigenvectors with a nonzero bracket, per eigenspace.
+
+    The +i eigenvectors are e_k - i J e_k and the -i ones e_k + i J e_k.
+    A complex vector is kept as a pair of dense real lists (x, y) for
+    x + i y, and the bracket is taken part by part.  Membership in the
+    complex span is a real rank test on the realified vectors: w = x + i y
+    gives (x, y) and, for i w, (-y, x).  Returns {"plus": [...],
+    "minus": [...]} with entries ((a, b), (re, im), inside), where
+    ``inside`` says whether the bracket lies in the span of that eigenspace.
+    """
+    c = dense_constants(L)
+    n = L.dim
+    out = {}
+    for key, sign in (("plus", -1), ("minus", 1)):
+        vecs = [
+            ([Fraction(int(r == k)) for r in range(n)], [sign * Fraction(jmat[r][k]) for r in range(n)])
+            for k in range(n)
+        ]
+        real = []
+        for x, y in vecs:
+            real += [x + y, [-e for e in y] + x]
+        basis = naive_row_basis(real)
+        fails = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                (x1, y1), (x2, y2) = vecs[a], vecs[b]
+                xx, yy = naive_bracket(c, x1, x2), naive_bracket(c, y1, y2)
+                xy, yx = naive_bracket(c, x1, y2), naive_bracket(c, y1, x2)
+                re = [p - q for p, q in zip(xx, yy)]
+                im = [p + q for p, q in zip(xy, yx)]
+                if any(re) or any(im):
+                    w = [re + im, [-e for e in im] + re]
+                    fails.append(((a, b), (re, im), naive_rank(basis + w) == len(basis)))
+        out[key] = fails
+    return out
+
+
 def naive_jacobi_defect(L, i, j, k, c=None):
     c = c or dense_constants(L)
     n = L.dim
@@ -160,8 +198,13 @@ def naive_commutator(a, b):
 
 def naive_rank(rows):
     """Row rank by fraction Gaussian elimination on copies."""
-    m = [list(r) for r in rows]
-    rank = 0
+    return len(naive_row_basis(rows))
+
+
+def naive_row_basis(rows):
+    """The nonzero rows of the reduced row echelon form, by Gauss-Jordan on
+    Fraction copies of rational rows."""
+    m = [[Fraction(e) for e in r] for r in rows]
     cols = len(m[0]) if m else 0
     row = 0
     for col in range(cols):
@@ -180,8 +223,7 @@ def naive_rank(rows):
                 g = m[r][col]
                 m[r] = [e - g * p for e, p in zip(m[r], m[row])]
         row += 1
-        rank += 1
-    return rank
+    return m[:row]
 
 
 def naive_square(jmat):
@@ -196,3 +238,16 @@ def naive_square(jmat):
 def is_minus_identity(m):
     n = len(m)
     return all(m[i][j] == (-1 if i == j else 0) for i in range(n) for j in range(n))
+
+
+def connection_at(conn, x):
+    """Dense operator sum_i x_i rho(b_i) of a connection at an algebra vector."""
+    m = conn.module_dim
+    out = [[0] * m for _ in range(m)]
+    for i, c in enumerate(x):
+        if c:
+            data = conn.maps[i].matrix.data
+            for r in range(m):
+                for q in range(m):
+                    out[r][q] += c * data[r][q]
+    return out

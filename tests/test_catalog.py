@@ -8,7 +8,7 @@ from lieforge.lie_core import (
     check_representation,
 )
 
-from oracles import naive_rank
+from oracles import connection_at, naive_rank
 
 
 def all_small_entries():
@@ -208,9 +208,8 @@ def test_compat_identity_as_matrix_equation():
     e4 = catalog.euclidean(4)
     cd = e4.structures["compat"]
     for v in cd.split.part1:
-        lhs = cd.rho.at(cd.j.apply(list(v))).compose(cd.i)
-        rhs = cd.rho.at(list(v))
-        assert lhs.matrix == rhs.matrix
+        lhs = Matrix(connection_at(cd.rho, cd.j.apply(list(v)))) * cd.i.matrix
+        assert lhs == Matrix(connection_at(cd.rho, v))
 
 
 def test_right_mult_structure_squares():

@@ -7,6 +7,7 @@ from lieforge import catalog
 from lieforge.cli import main
 
 GOLDEN_CATALOG = os.path.join(os.path.dirname(__file__), "golden", "catalog.lie")
+ZERO_DENOMINATOR = os.path.join(os.path.dirname(__file__), "fixtures", "zero_denominator.lie")
 
 
 GOOD = """
@@ -61,6 +62,13 @@ def test_check_precondition_exit_two(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 2
     assert "precondition" in out
+
+
+def test_check_zero_denominator_exits_two_with_span(capsys):
+    rc = main(["check", ZERO_DENOMINATOR])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: zero denominator in literal '1/0' (line 1, column 34)\n"
 
 
 def test_check_missing_file(capsys):

@@ -317,6 +317,33 @@ def test_decomp_and_action_compatibility_check():
     assert certs[0].notes["g1_zero"]
 
 
+def test_decomp_parts_are_sparse_integer_first():
+    text = "algebra g { basis r z ; }\ndecomp D on g { part0 : 2 r - 4/2 z , 1/2 z ; part1 : ; }\n"
+    ws = parse(text)
+    dec = ws.definitions["D"][1][1]
+    assert dec.part0 == [{0: 2, 1: -2}, {1: Fraction(1, 2)}] and dec.part1 == []
+    assert type(dec.part0[0][1]) is int
+    assert workspace_to_dsl(parse(workspace_to_dsl(ws))) == workspace_to_dsl(ws)
+
+
+@pytest.mark.parametrize(
+    "text, literal",
+    [
+        ("algebra g { basis x y ; [x, y] = 1/0 y ; }", "1/0"),
+        ("algebra g { basis x ; }\nform w on g sym matrix [[3/00]]", "3/00"),
+        ("algebra g { basis x ; }\nconstruct h = central_extension(g, -2/0)", "2/0"),
+    ],
+)
+def test_zero_denominator_is_a_dsl_error_with_span(text, literal):
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(text)
+    assert "zero denominator" in str(exc.value)
+    line = next(k for k, row in enumerate(text.splitlines(), 1) if literal in row)
+    column = text.splitlines()[line - 1].index(literal) + 1
+    assert (exc.value.span.line, exc.value.span.column, exc.value.span.length) == (
+        line, column, len(literal))
+
+
 def test_eigensplit_check():
     entry = catalog.euclidean(3)
     text = entry_to_dsl(entry) + "\ncheck eigensplit(euclidean_3_j)\n"

@@ -37,7 +37,7 @@ from lieforge.lie_core import (
     nijenhuis,
     torsion,
 )
-from lieforge.constructions import cotangent, tangent
+from lieforge.constructions import cotangent, eigenspace_split, tangent
 
 from oracles import (
     dense_constants,
@@ -45,6 +45,7 @@ from oracles import (
     naive_commutator,
     naive_complex_lie_sweep,
     naive_differential,
+    naive_eigenspace_sweep,
     naive_integrable_sweep,
     naive_jacobi_defect,
     naive_jacobi_sweep,
@@ -879,6 +880,94 @@ def test_integrable_and_complex_lie_match_oracles_on_wide_sparse_tables(data):
     _matches_oracle(check_integrable(L, J), naive_integrable_sweep(L, jmat, _units(n)))
     _matches_oracle(check_integrable(L, J, split=split), naive_integrable_sweep(L, jmat, split))
     _matches_oracle(check_complex_lie(L, J), naive_complex_lie_sweep(L, jmat))
+
+
+# ---------------------------------------------------------------------------
+# the sparse eigenspace sweeps against the dense realified oracle
+
+INTEGRABLE = [
+    (e.algebra, e.structures[key].matrix.data)
+    for e in (catalog.euclidean(3), catalog.sl2c_real(), catalog.poincare(0), catalog.so(4))
+    for key in ("j", "mult_i")
+    if key in e.structures
+]
+
+
+def _parts(defect):
+    """A Gaussian defect vector as its (real, imaginary) dense lists."""
+    re = [x.re if isinstance(x, GaussScalar) else x for x in defect]
+    im = [x.im if isinstance(x, GaussScalar) else 0 for x in defect]
+    return re, im
+
+
+def _matches_eigen_oracle(cert, fails):
+    assert cert.passed == (not fails)
+    assert cert.total_failures == len(fails)
+    assert [(w.indices, _parts(w.defect)) for w in cert.witnesses] == fails[:MAX_WITNESSES]
+
+
+def _eigen_sweeps_match_oracle(L, jmat):
+    """eigenspace_split and check_abelian_complex against naive_eigenspace_sweep."""
+    want = naive_eigenspace_sweep(L, jmat)
+    J = LinearMap(jmat)
+    _, _, certs = eigenspace_split(L, J)
+    for cert, key in zip(certs, ("plus", "minus")):
+        _matches_eigen_oracle(cert, [(ab, d) for ab, d, inside in want[key] if not inside])
+    _matches_eigen_oracle(
+        check_abelian_complex(L, J),
+        [(("eigen_" + key,) + ab, d) for key in ("plus", "minus") for ab, d, _ in want[key]],
+    )
+    return certs
+
+
+def _in_basis(L, jmat, p):
+    """L and J in the basis given by the columns of p, or None when p is singular."""
+    P = Matrix(p)
+    try:
+        Pinv = P.invert()
+    except SingularMatrixError:
+        return None
+    n, c, cols = L.dim, dense_constants(L), P.transpose().data
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeffs = Pinv.matvec(naive_bracket(c, cols[i], cols[j]))
+            if any(coeffs):
+                table[(i, j)] = {k: v for k, v in enumerate(coeffs) if v}
+    return LieAlgebra(L.labels, table, check=False), (Pinv * Matrix(jmat) * P).data
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_eigenspace_sweeps_match_oracle_on_integrable_and_random_structures(data):
+    """A structure integrable in some rational basis passes; a random one is compared."""
+    L, jmat = data.draw(st.sampled_from(INTEGRABLE))
+    n = L.dim
+    # a permuted, rescaled basis with one entry sheared: new constants, small ones
+    perm = data.draw(st.permutations(range(n)))
+    p = [[0] * n for _ in range(n)]
+    for j in range(n):
+        p[perm[j]][j] = data.draw(nonzero_rationals)
+    p[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += data.draw(small_rationals)
+    L, jmat = _in_basis(L, jmat, p) or (L, jmat)
+    certs = _eigen_sweeps_match_oracle(L, jmat)
+    assert all(cert.passed for cert in certs)
+    _eigen_sweeps_match_oracle(L, _structure(data, n))
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_eigenspace_sweeps_match_oracle_on_rational_tables(data):
+    L = _table(data, even=True)
+    _eigen_sweeps_match_oracle(L, _structure(data, L.dim))
+
+
+def test_eigenspace_witness_cap_and_order_past_sixteen_failures():
+    L = catalog.euclidean(4).algebra
+    n = L.dim
+    perm = random.Random(7).sample(range(n), n)
+    certs = _eigen_sweeps_match_oracle(L, _pairing_matrix(perm, [True] * n))
+    assert all(cert.total_failures > MAX_WITNESSES for cert in certs)
 
 
 # ---------------------------------------------------------------------------

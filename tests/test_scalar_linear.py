@@ -160,6 +160,27 @@ def test_gauss_division_by_zero():
         GaussScalar(1) / GaussScalar(0)
 
 
+def test_gauss_parts_are_integer_first():
+    g = GaussScalar(Fraction(4, 2), Fraction(1, 3))
+    assert type(g.re) is int and g.re == 2 and g.im == Fraction(1, 3)
+    for h in (g * GaussScalar(0, 3), g + Fraction(2, 3) * GaussScalar(0, 1), div(g, g), g / 2):
+        for part in (h.re, h.im):
+            assert type(part) is int or part.denominator != 1, h
+    assert hash(GaussScalar(Fraction(6, 3))) == hash(2) == hash(Fraction(2))
+    assert scalar_to_str(GaussScalar(Fraction(-6, 3), Fraction(3, 4))) == "-2+3/4*i"
+
+
+def test_gauss_rejects_float_parts():
+    with pytest.raises(TypeError):
+        GaussScalar(0.1, 2)
+    with pytest.raises(TypeError):
+        GaussScalar(1, 0.5)
+    with pytest.raises(TypeError):
+        GaussScalar(1) + 0.5
+    with pytest.raises(TypeError):
+        div(GaussScalar(1), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # integer-first scalars: exact() and div()
 
@@ -252,6 +273,8 @@ def _nodes(obj, seen=None):
         children = [obj.matrix]
     elif isinstance(obj, Matrix):
         children = [obj.data]
+    elif isinstance(obj, GaussScalar):
+        children = [obj.re, obj.im]
     elif isinstance(obj, dict):
         children = list(obj.values())
     elif isinstance(obj, (list, tuple)):
@@ -307,3 +330,48 @@ def test_catalog_stores_integral_scalars_as_int():
             values += [v for c in node.sparse_columns() for v in c.values()]
     assert values
     assert not any(isinstance(v, Fraction) and v.denominator == 1 for v in values)
+
+
+def _assert_integer_first(nodes):
+    nodes = list(nodes)
+    assert not any(isinstance(x, float) for x in nodes)
+    assert not any(isinstance(x, Fraction) and x.denominator == 1 for x in nodes)
+    return nodes
+
+
+def test_gaussian_tables_eigenbases_and_witnesses_are_integer_first():
+    """Complexified tables, eigenbases and eigenspace witnesses hold no float
+    and no integral Fraction in any Gaussian part."""
+    import random
+
+    from lieforge import catalog
+    from lieforge.constructions import complexify, eigenspace_split, holomorphic_eigenbasis
+    from lieforge.lie_core import AlmostComplex, LieAlgebra, LinearMap, check_abelian_complex
+
+    cases = [(e.algebra, e.structures["j"]) for e in (
+        catalog.euclidean(3), catalog.euclidean(5), catalog.sl2c_real(), catalog.galilean(),
+    )]
+    L = catalog.euclidean(5).algebra
+    perm = random.Random(3).sample(range(L.dim), L.dim)
+    cases.append((L, AlmostComplex.from_pairs(L.dim, list(zip(perm[::2], perm[1::2])))))
+    # e(3) in the basis s_i b_i, so that constants and eigenvectors carry fractions
+    e3, j3 = cases[0]
+    s = [Fraction(n, d) for n, d in ((1, 2), (3, 1), (2, 3), (1, 1), (5, 4), (2, 1))]
+    table = {
+        (i, j): {k: s[i] * s[j] / s[k] * c for k, c in coeffs.items()}
+        for (i, j), coeffs in e3.table.items()
+    }
+    cols = [{r: s[k] * c / s[r] for r, c in col.items()} for k, col in enumerate(j3.sparse_columns())]
+    cases.append((LieAlgebra(e3.labels, table), AlmostComplex(LinearMap.from_sparse_columns(6, 6, cols))))
+    failing = 0
+    for L, J in cases:
+        objs = [complexify(L).table, holomorphic_eigenbasis(L, J)]
+        certs = list(eigenspace_split(L, J)[2]) + [check_abelian_complex(L, J)]
+        objs += [w.defect for c in certs for w in c.witnesses]
+        failing += sum(not c.passed for c in certs)
+        nodes = list(_nodes(objs))
+        assert any(isinstance(x, GaussScalar) and x.im for x in nodes)
+        assert not any(isinstance(x, float) for x in nodes)
+        assert not any(isinstance(x, Fraction) and x.denominator == 1 for x in nodes)
+    assert failing
+    assert any(isinstance(x, Fraction) for x in _nodes(holomorphic_eigenbasis(*cases[-1])))
