@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar_linear import Matrix
 from .lie_core import (
     AlmostComplex,
     BilinearForm,
@@ -408,12 +407,12 @@ def criterion_11():
         name="e_2",
         check_rep=False,
     )
-    B = BilinearForm(Matrix.identity(3), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
     conn = levi_civita(e2, B)
     certs = [
         check_representation(conn, target="LC e_2"),
         check_torsion_free(conn, target="LC e_2"),
-        check_self_dual(conn, LinearMap(B.matrix), target="musical e_2"),
+        check_self_dual(conn, B.gram, target="musical e_2"),
         check_pseudo_kahler(e2, B, target="e_2"),
     ]
     return _result(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalar_linear import Matrix, PreconditionError
+from .scalar_linear import PreconditionError
 from .lie_core import AlmostComplex, Connection, LieAlgebra, LinearMap
 from .constructions import central_extension, from_matrix_basis, semidirect
 
@@ -55,17 +55,17 @@ class CatalogEntry:
 
 
 def _unit(n, r, c):
-    data = [[0] * n for _ in range(n)]
-    data[r][c] = _ONE
-    return Matrix(data)
+    cols = [{} for _ in range(n)]
+    cols[c][r] = _ONE
+    return LinearMap.from_sparse_columns(n, n, cols)
 
 
 def _generator(n, r, c, sign):
-    """Matrix with 1 at (r, c) and ``sign`` at (c, r): a rotation or a boost."""
-    data = [[0] * n for _ in range(n)]
-    data[r][c] = _ONE
-    data[c][r] = sign
-    return Matrix(data)
+    """The map with 1 at (r, c) and ``sign`` at (c, r): a rotation or a boost."""
+    cols = [{} for _ in range(n)]
+    cols[c][r] = _ONE
+    cols[r][c] = sign
+    return LinearMap.from_sparse_columns(n, n, cols)
 
 
 def _flabel(prefix, i, j):
@@ -98,7 +98,7 @@ def so(n):
         labels[0] = "h"
     alg, real = from_matrix_basis(mats, labels=labels, name="so_%d" % n)
     entry = CatalogEntry("so_%d" % n, alg, realization=real)
-    entry.structures["standard_rep"] = Connection(alg, [LinearMap(m) for m in real])
+    entry.structures["standard_rep"] = Connection(alg, real)
     if n % 4 in (0, 1) and n >= 4:
         _require_even_rank(n)
         jp = _rotation_pairs(n, {pq: k for k, pq in enumerate(pairs)})
@@ -122,7 +122,7 @@ def lorentz(p):
         labels.append(_flabel("s", i, n))
     alg, real = from_matrix_basis(mats, labels=labels, name="so_%d_1" % p)
     entry = CatalogEntry("lorentz_%d" % p, alg, realization=real)
-    entry.structures["standard_rep"] = Connection(alg, [LinearMap(m) for m in real])
+    entry.structures["standard_rep"] = Connection(alg, real)
     if p == 3:
         _attach_deformation_structure(entry)
     return entry
@@ -159,16 +159,14 @@ def gl(n):
     labels = [_flabel("e", i, j) for i, j in pairs]
     alg, real = from_matrix_basis(mats, labels=labels, name="gl_%d" % n)
     entry = CatalogEntry("gl_%d" % n, alg, realization=real)
-    entry.structures["standard_rep"] = Connection(alg, [LinearMap(m) for m in real])
+    entry.structures["standard_rep"] = Connection(alg, real)
     left = []
-    for k in range(alg.dim):
+    for a in real:
+        # the unit matrix e_rc is basis element r * n + c
         cols = []
-        for j in range(alg.dim):
-            prod = (mats[k] * mats[j]).to_sparse()
-            col = {}
-            for (r, c), v in prod.items():
-                col[pairs.index((r + 1, c + 1))] = v
-            cols.append(col)
+        for b in real:
+            prod = a.compose(b).sparse_columns()
+            cols.append({r * n + c: v for c, col in enumerate(prod) for r, v in col.items()})
         left.append(LinearMap.from_sparse_columns(alg.dim, alg.dim, cols))
     entry.structures["left_mult"] = Connection(alg, left)
     return entry
@@ -198,15 +196,13 @@ def abelian(n):
 
 def _realify(mat2):
     """Complex 2x2 matrix of GaussScalar-like (re, im) pairs as a real 4x4."""
-    out = Matrix.zeros(4, 4)
+    cols = [{} for _ in range(4)]
     for r in range(2):
         for c in range(2):
             re, im = mat2[r][c]
-            out.data[2 * r][2 * c] = re
-            out.data[2 * r][2 * c + 1] = -im
-            out.data[2 * r + 1][2 * c] = im
-            out.data[2 * r + 1][2 * c + 1] = re
-    return out
+            cols[2 * c].update({2 * r: re, 2 * r + 1: im})
+            cols[2 * c + 1].update({2 * r: -im, 2 * r + 1: re})
+    return LinearMap.from_sparse_columns(4, 4, cols)
 
 
 def sl2c_real():
@@ -363,7 +359,7 @@ def _euclidean(n):
     elif n % 4 == 2:
         g = central_extension(soa, name="Rz+so_%d" % n)
         zero = LinearMap.zero(n)
-        rho = Connection(g, [LinearMap(m) for m in so_entry.realization] + [zero])
+        rho = Connection(g, so_entry.realization + [zero])
         jp = _rotation_pairs(n, fidx)
         jp.append((fidx[(2 * r - 1, 2 * r)], g.dim - 1))
         jg = AlmostComplex.from_pairs(g.dim, jp)
@@ -430,7 +426,7 @@ def poincare(k):
     g = central_extension(lza, name="Rz+so_%d_1" % q)
     so_q = so(q)
     zero = LinearMap.zero(q)
-    rho_maps = [LinearMap(m) for m in so_q.realization] + [zero] * q + [zero]
+    rho_maps = so_q.realization + [zero] * q + [zero]
     rho = Connection(g, rho_maps)
     jp = _rotation_pairs(q, fidx)
     jp.append((fidx[(2 * r - 1, 2 * r)], g.dim - 1))
@@ -492,11 +488,10 @@ def so3_on_c3():
     g = central_extension(so3.algebra, name="Rz+so_3")
     maps = []
     for m in so3.realization:
-        big = Matrix.zeros(6, 6)
-        for (r, c), v in m.to_sparse().items():
-            big.data[r][c] = v
-            big.data[r + 3][c + 3] = v
-        maps.append(LinearMap(big))
+        # m on the real and on the imaginary copy
+        cols = m.sparse_columns()
+        cols = cols + [{r + 3: v for r, v in c.items()} for c in cols]
+        maps.append(LinearMap.from_sparse_columns(6, 6, cols))
     maps.append(LinearMap.zero(6))
     rho = Connection(g, maps)
     alg = semidirect(

@@ -12,9 +12,9 @@ from fractions import Fraction
 from .scalar_linear import (
     DimensionMismatchError,
     GaussScalar,
-    Matrix,
     PreconditionError,
     SpanSolver,
+    exact,
 )
 from .lie_core import (
     AlmostComplex,
@@ -57,11 +57,11 @@ class AssociativeAlgebra:
             raise PreconditionError("basis labels must be unique")
         self.name = name
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self.table = {
-            pair: {k: v for k, v in _sparse(coeffs).items() if v}
-            for pair, coeffs in table.items()
-            if any(_sparse(coeffs).values())
-        }
+        self.table = {}
+        for pair, coeffs in table.items():
+            cd = {k: exact(v) for k, v in _sparse(coeffs).items() if v}
+            if cd:
+                self.table[pair] = cd
         bad = self._associativity_defect()
         if bad is not None:
             raise PreconditionError(
@@ -183,11 +183,8 @@ def cotangent(g, conn, name=None, check_rep=True):
         check_rep=check_rep,
     )
     n = g.dim
-    data = [[_ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        data[i][n + i] = -_ONE
-        data[n + i][i] = _ONE
-    omega = BilinearForm(Matrix(data), BilinearForm.SKEW)
+    cols = [{n + i: _ONE} for i in range(n)] + [{i: -_ONE} for i in range(n)]
+    omega = BilinearForm(LinearMap.from_sparse_columns(2 * n, 2 * n, cols), BilinearForm.SKEW)
     return alg, omega
 
 
@@ -263,55 +260,46 @@ def eigenspace_split(L, J):
 def from_matrix_basis(mats, labels=None, name="matrix_algebra"):
     """Structure constants extracted from a list of basis matrices.
 
-    The commutator of any two inputs must lie in their span; the matrices
-    must be linearly independent.  The realization is returned alongside
-    the algebra for oracle cross-checks.  Commutators of matrices satisfy
+    The matrices may be :class:`LinearMap`s or dense input, which is
+    converted once.  The commutator of any two inputs must lie in their
+    span; the matrices must be linearly independent.  The realization is
+    returned alongside the algebra as the list of ``LinearMap``s, ready to
+    serve as its standard representation.  Commutators of matrices satisfy
     the Jacobi identity identically, so the construction sweep is skipped.
     """
-    mats = [m if isinstance(m, Matrix) else Matrix(m) for m in mats]
+    mats = [m if isinstance(m, LinearMap) else LinearMap(m) for m in mats]
     if not mats:
         return LieAlgebra([], {}, check=False, name=name), []
-    rows, cols = mats[0].rows, mats[0].cols
-    if rows != cols:
+    n = mats[0].rows
+    if n != mats[0].cols:
         raise PreconditionError("matrix realization needs square matrices")
     for m in mats:
-        if m.rows != rows or m.cols != cols:
+        if m.rows != n or m.cols != n:
             raise DimensionMismatchError("realization matrices of unequal shape")
     if labels is None:
         labels = ["m%d" % (i + 1) for i in range(len(mats))]
-    flat = []
-    for m in mats:
-        flat.append({r * cols + c: v for (r, c), v in m.to_sparse().items()})
-    solver = SpanSolver(rows * cols)
-    for i, f in enumerate(flat):
-        if not solver.add(dict(f)):
+    # a matrix is flattened to the vector {r * n + c: entry}
+    cols = [m.sparse_columns() for m in mats]
+    entries = [[(r, c, v) for c, col in enumerate(mc) for r, v in col.items()] for mc in cols]
+    solver = SpanSolver(n * n)
+    for i, ent in enumerate(entries):
+        if not solver.add({r * n + c: v for r, c, v in ent}):
             raise PreconditionError(
                 "realization matrices are dependent at position %d" % i
             )
-    sparse_mats = [m.to_sparse() for m in mats]
+    # [a, b] = ab - ba, where (ab)[:, c] sums b[k, c] a[:, k] over the
+    # nonzero entries (k, c) of b
     table = {}
-    n = len(mats)
-    for i in range(n):
-        a = sparse_mats[i]
-        for j in range(i + 1, n):
-            b = sparse_mats[j]
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
             comm = {}
-            for (r, k), x in a.items():
-                for (k2, c), y in b.items():
-                    if k == k2:
-                        key = r * cols + c
-                        s = comm.get(key, _ZERO) + x * y
-                        if s:
-                            comm[key] = s
-                        elif key in comm:
-                            del comm[key]
-            for (r, k), y in b.items():
-                for (k2, c), x in a.items():
-                    if k == k2:
-                        key = r * cols + c
-                        s = comm.get(key, _ZERO) - y * x
-                        if s:
-                            comm[key] = s
+            for left, right, sign in ((cols[i], entries[j], _ONE), (cols[j], entries[i], -_ONE)):
+                for k, c, y in right:
+                    for r, x in left[k].items():
+                        key = r * n + c
+                        v = comm.get(key, _ZERO) + sign * x * y
+                        if v:
+                            comm[key] = v
                         elif key in comm:
                             del comm[key]
             if not comm:
@@ -424,26 +412,38 @@ def iw_contraction(base, subalgebra, complement):
 
 
 def matrices_from_json(data):
-    """Matrix realization from a JSON list of row-major rational matrices.
+    """Realization matrices from a JSON list of row-major rational matrices.
 
-    Entries may be integers or "p/q" strings; floats are rejected to keep
-    everything exact.  Feed the result to :func:`from_matrix_basis`.
+    Entries may be integers or "p/q" strings; floats, booleans and other
+    JSON values are rejected to keep everything exact, and so are ragged or
+    empty matrices.  Malformed input raises :class:`PreconditionError`.
+    Feed the resulting ``LinearMap``s to :func:`from_matrix_basis`.
     """
     import json
 
     if isinstance(data, (str, bytes)):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except ValueError as exc:
+            raise PreconditionError("matrix import is not valid JSON: %s" % exc)
+    if not isinstance(data, list):
+        raise PreconditionError("matrix import needs a list of matrices")
     mats = []
     for m in data:
-        rows = []
-        for row in m:
-            out = []
-            for e in row:
-                if isinstance(e, float):
-                    raise PreconditionError(
-                        "floating point entry %r in matrix import" % e
-                    )
-                out.append(Fraction(e) if isinstance(e, int) else Fraction(str(e)))
-            rows.append(out)
-        mats.append(Matrix(rows))
+        if not (isinstance(m, list) and m and all(isinstance(r, list) and r for r in m)):
+            raise PreconditionError("each imported matrix must be a list of nonempty rows")
+        if any(len(r) != len(m[0]) for r in m):
+            raise PreconditionError("ragged rows in matrix import")
+        mats.append(LinearMap([[_json_entry(e) for e in r] for r in m]))
     return mats
+
+
+def _json_entry(e):
+    if isinstance(e, bool) or not isinstance(e, (int, str)):
+        raise PreconditionError(
+            "matrix entry %r is neither an integer nor a 'p/q' string" % (e,)
+        )
+    try:
+        return Fraction(e)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError("matrix entry %r is not a rational" % (e,))

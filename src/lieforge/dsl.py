@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar_linear import LieforgeError, Matrix, PreconditionError, exact
+from .scalar_linear import LieforgeError, PreconditionError, exact
 from .lie_core import (
     AlmostComplex,
     BilinearForm,
@@ -347,7 +347,7 @@ class _Parser:
         close = self.expect("]")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("ragged matrix rows", close.span)
-        return Matrix(rows)
+        return LinearMap(rows)
 
     def _stmt_algebra(self):
         name = self.expect_ident()
@@ -482,7 +482,7 @@ class _Parser:
         missing = [lab for lab in alg.labels if lab not in mats]
         if missing:
             raise ShapeError("missing maps for %s" % ", ".join(missing), close.span)
-        conn = Connection(alg, [LinearMap(mats[lab]) for lab in alg.labels])
+        conn = Connection(alg, [mats[lab] for lab in alg.labels])
         self.ws.define(name.text, "conn", (alg_name.text, conn), name.span)
 
     def _stmt_form(self):

@@ -411,44 +411,48 @@ class Connection:
 
 
 class BilinearForm:
-    """Bilinear form with an exactly enforced symmetry kind."""
+    """Bilinear form with an exactly enforced symmetry kind.
+
+    The Gram matrix is stored once, as the :class:`LinearMap` ``gram``;
+    ``matrix`` is a dense view built on demand, for inversion and emission.
+    """
 
     SYMMETRIC = "symmetric"
     SKEW = "skew"
 
-    def __init__(self, matrix, kind):
-        if not isinstance(matrix, Matrix):
-            matrix = Matrix(matrix)
-        if matrix.rows != matrix.cols:
+    def __init__(self, gram, kind):
+        if not isinstance(gram, LinearMap):
+            gram = LinearMap(gram)
+        if gram.rows != gram.cols:
             raise PreconditionError("bilinear form matrix must be square")
         if kind not in (self.SYMMETRIC, self.SKEW):
             raise PreconditionError("kind must be 'symmetric' or 'skew'")
-        t = matrix.transpose()
-        if kind == self.SYMMETRIC and t != matrix:
+        t = gram.transpose()
+        if kind == self.SYMMETRIC and t != gram:
             raise PreconditionError("matrix is not symmetric")
-        if kind == self.SKEW and t != -matrix:
+        if kind == self.SKEW and t != -gram:
             raise PreconditionError("matrix is not skew")
-        self.matrix = matrix
+        self.gram = gram
         self.kind = kind
-        self.dim = matrix.rows
+        self.dim = gram.rows
 
-    def value(self, x, y):
-        xs, ys = _sparse(x), _sparse(y)
-        s = _ZERO
-        data = self.matrix.data
-        for i, a in xs.items():
-            row = data[i]
-            for j, b in ys.items():
-                e = row[j]
-                if e:
-                    s = s + a * e * b
-        return s
+    @property
+    def matrix(self):
+        return self.gram.matrix
 
     def value_basis(self, i, j):
-        return self.matrix.data[i][j]
+        return self.gram.sparse_columns()[j].get(i, _ZERO)
 
     def __repr__(self):
         return "BilinearForm(%s, dim=%d)" % (self.kind, self.dim)
+
+
+def _inverse(lm, message):
+    """Exact inverse of a square map; PreconditionError with a kernel vector if singular."""
+    try:
+        return LinearMap(lm.matrix.invert())
+    except SingularMatrixError as exc:
+        raise PreconditionError(message, details=exc.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +736,12 @@ def check_closed(L, form, target=None):
         raise DimensionMismatchError("form does not match algebra dimension")
     sweep = _Sweep("closed", target or L.name)
     # omega(b_a, b_b) as a one-entry vector, so the cyclic sum is d omega
-    n, data = L.dim, form.matrix.data
-    pairs = {(a, b): {0: data[a][b]} for a in range(n) for b in range(a + 1, n) if data[a][b]}
+    pairs = {
+        (a, b): {0: v}
+        for b, col in enumerate(form.gram.sparse_columns())
+        for a, v in col.items()
+        if a < b
+    }
     for ijk, s in _cyclic_sums(L, pairs):
         sweep.fail(ijk, (s[0],))
     return sweep.done()
@@ -808,10 +816,7 @@ def check_metric(conn, form, target=None):
     if form.kind != BilinearForm.SYMMETRIC:
         raise PreconditionError("metric check needs a symmetric form")
     sweep = _Sweep("metric", target or conn.algebra.name)
-    try:
-        form.matrix.invert()
-    except SingularMatrixError:
-        raise PreconditionError("metric check needs an invertible form")
+    _inverse(form.gram, "metric check needs an invertible form")
     compat = check_parallel(conn, form)
     tf = check_torsion_free(conn)
     flat = check_representation(conn)

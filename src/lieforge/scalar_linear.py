@@ -222,7 +222,12 @@ def scalar_from_str(text):
 
 
 class Matrix:
-    """Dense exact matrix with rational or GaussScalar entries, row major."""
+    """Dense exact matrix with rational or GaussScalar entries, row major.
+
+    The library stores every matrix as a sparse-column ``LinearMap``; a
+    ``Matrix`` is only dense input and the view that inversion and
+    emission read.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -274,13 +279,6 @@ class Matrix:
     def __neg__(self):
         return Matrix([[-e for e in row] for row in self.data])
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError("matrix shapes differ")
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
-
     def scale(self, s):
         return Matrix([[s * e for e in row] for row in self.data])
 
@@ -317,15 +315,6 @@ class Matrix:
                     s = s + a * v
             out.append(s)
         return out
-
-    def to_sparse(self):
-        """Dict (row, col) -> nonzero entry."""
-        return {
-            (i, j): e
-            for i, row in enumerate(self.data)
-            for j, e in enumerate(row)
-            if e
-        }
 
     def invert(self):
         """Exact inverse by Gauss-Jordan elimination.

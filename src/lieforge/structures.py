@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar_linear import (
-    DimensionMismatchError,
-    Matrix,
-    PreconditionError,
-    SingularMatrixError,
-    SpanSolver,
-)
+from .scalar_linear import DimensionMismatchError, PreconditionError, SpanSolver
 from .lie_core import (
     AlmostComplex,
     BilinearForm,
@@ -27,6 +21,7 @@ from .lie_core import (
     _Sweep,
     _acc,
     _dense,
+    _inverse,
     _sparse,
     check_integrable,
     check_parallel,
@@ -444,10 +439,7 @@ def hypercomplex_pair(g, conn, J, target=None):
 
 def check_self_dual(conn, psi, target=None):
     """Whether psi intertwines the family with its contragredient."""
-    try:
-        psi.matrix.invert()
-    except SingularMatrixError as exc:
-        raise PreconditionError("duality map is singular", details=exc.kernel)
+    _inverse(psi, "duality map is singular")
     n = conn.module_dim
     if psi.rows != n or psi.cols != n:
         raise DimensionMismatchError("duality map does not match the module")
@@ -473,12 +465,10 @@ def symplectic_from_duality(conn, psi):
     n = conn.module_dim
     if psi.rows != n or psi.cols != n:
         raise DimensionMismatchError("duality map does not match the module")
-    data = [[_ZERO] * (2 * n) for _ in range(2 * n)]
-    for j, col in enumerate(psi.sparse_columns()):
-        for i, v in col.items():
-            data[i][n + j] = -v
-            data[n + j][i] = v
-    return BilinearForm(Matrix(data), BilinearForm.SKEW)
+    # omega(b_i, b_(n+j)) = -psi[i][j], and omega is skew
+    cols = [{n + j: v for j, v in c.items()} for c in psi.transpose().sparse_columns()]
+    cols += [{i: -v for i, v in c.items()} for c in psi.sparse_columns()]
+    return BilinearForm(LinearMap.from_sparse_columns(2 * n, 2 * n, cols), BilinearForm.SKEW)
 
 
 def levi_civita(g, B):
@@ -488,10 +478,7 @@ def levi_civita(g, B):
     """
     if B.kind != BilinearForm.SYMMETRIC:
         raise PreconditionError("metric must be symmetric")
-    try:
-        binv = B.matrix.invert()
-    except SingularMatrixError:
-        raise PreconditionError("metric must be invertible")
+    binv = _inverse(B.gram, "metric must be invertible")
     n = g.dim
     half = Fraction(1, 2)
     maps = []
@@ -515,22 +502,16 @@ def levi_civita(g, B):
                     if e:
                         s = s + c * e
                 rhs.append(half * s)
-            col = binv.matvec(rhs)
-            cols.append({k: v for k, v in enumerate(col) if v})
+            cols.append(_sparse(binv.apply(rhs)))
         maps.append(LinearMap.from_sparse_columns(n, n, cols))
     return Connection(g, maps)
 
 
 def _diagonal_lift(B):
     n = B.dim
-    data = [[_ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            v = B.value_basis(i, j)
-            if v:
-                data[i][j] = v
-                data[n + i][n + j] = v
-    return BilinearForm(Matrix(data), BilinearForm.SYMMETRIC)
+    cols = B.gram.sparse_columns()
+    cols = cols + [{n + i: v for i, v in c.items()} for c in cols]
+    return BilinearForm(LinearMap.from_sparse_columns(2 * n, 2 * n, cols), BilinearForm.SYMMETRIC)
 
 
 def check_pseudo_kahler(g, B, target=None):
@@ -554,7 +535,7 @@ def check_pseudo_kahler(g, B, target=None):
         cert = sweep.done(notes=notes)
         cert.passed = False
         return cert
-    psi = LinearMap(B.matrix)
+    psi = B.gram
     sd = check_self_dual(conn, psi)
     notes["self_dual"] = sd.passed
     talg = tangent(g, conn, check_rep=False)
@@ -566,8 +547,7 @@ def check_pseudo_kahler(g, B, target=None):
     par = check_parallel(lifted, omega)
     notes["omega_parallel"] = par.passed
     G = _diagonal_lift(B)
-    pairing = K.matrix.transpose() * G.matrix
-    notes["pairing_matches_omega"] = pairing == omega.matrix
+    notes["pairing_matches_omega"] = K.transpose().compose(G.gram) == omega.gram
     notes["k_integrable"] = check_integrable(talg, K).passed
     notes["metric_parallel"] = check_parallel(lifted, G).passed
     for key in (

@@ -3,6 +3,7 @@ import pytest
 from lieforge import catalog
 from lieforge.scalar_linear import Matrix, PreconditionError, Q, rank
 from lieforge.lie_core import (
+    LinearMap,
     check_integrable,
     check_jacobi,
     check_representation,
@@ -49,9 +50,16 @@ def test_so3_labels_and_h():
     so3 = catalog.so(3)
     assert so3.algebra.labels == ["h", "f13", "f23"]
     # h = e12 - e21 in the realization
-    assert so3.realization[0] == Matrix(
+    assert so3.realization[0].matrix == Matrix(
         [[Q(0), Q(1), Q(0)], [Q(-1), Q(0), Q(0)], [Q(0), Q(0), Q(0)]]
     )
+
+
+def test_standard_rep_shares_the_realization():
+    for entry in (catalog.so(4), catalog.lorentz(3), catalog.gl(2)):
+        rep = entry.structures["standard_rep"]
+        assert all(a is b for a, b in zip(rep.maps, entry.realization))
+        assert len(rep.maps) == len(entry.realization) == entry.algebra.dim
 
 
 def test_so_label_scheme_wide():
@@ -68,12 +76,10 @@ def test_lorentz2_boost_labels():
 def test_lorentz_realization_preserves_minkowski_form():
     p = 3
     lz = catalog.lorentz(p)
-    eta = Matrix.zeros(p + 1, p + 1)
-    for i in range(p):
-        eta.data[i][i] = Q(1)
-    eta.data[p][p] = Q(-1)
+    eta = LinearMap.from_sparse_columns(p + 1, p + 1, [{i: 1} for i in range(p)] + [{p: -1}])
+    # m^T eta + eta m = 0
     for m in lz.realization:
-        assert (m.transpose() * eta + eta * m).is_zero()
+        assert m.transpose().compose(eta) == -eta.compose(m)
 
 
 def test_standard_reps_are_representations():

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lieforge import catalog
-from lieforge.scalar_linear import Matrix, PreconditionError, Q
+from lieforge.scalar_linear import Matrix, PreconditionError, Q, SingularMatrixError
 from lieforge.lie_core import (
     AlmostComplex,
     Connection,
@@ -302,16 +304,104 @@ def test_from_matrix_basis_galilean_jacobi():
     assert check_jacobi(gal.algebra).passed
 
 
+def _flat(m):
+    return [e for row in m for e in row]
+
+
+def _oracle_first_failure(mats):
+    """("dependent", i) or ("not_closed", (i, j)) for the first failure in
+    lexicographic order, by dense commutators and ranks; None if closed."""
+    rows = []
+    for i, m in enumerate(mats):
+        if naive_rank(rows + [_flat(m)]) == len(rows):
+            return "dependent", i
+        rows.append(_flat(m))
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            comm = _flat(naive_commutator(mats[i], mats[j]))
+            if naive_rank(rows + [comm]) > len(rows):
+                return "not_closed", (i, j)
+    return None
+
+
+def _assert_constants_reproduce_commutators(alg, mats):
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            expect = [[Q(0)] * len(mats[0]) for _ in mats[0]]
+            for k, c in alg.bracket_basis(i, j).items():
+                expect = madd(expect, mats[k], c)
+            assert naive_commutator(mats[i], mats[j]) == expect
+
+
 def test_from_matrix_basis_commutators_match_oracle():
     gal = catalog.galilean()
-    real = gal.realization
-    for i in range(len(real)):
-        for j in range(i + 1, len(real)):
-            comm = naive_commutator(real[i].data, real[j].data)
-            expect = [[Q(0)] * 5 for _ in range(5)]
-            for k, c in gal.algebra.bracket_basis(i, j).items():
-                expect = madd(expect, [[c * e for e in row] for row in real[k].data])
-            assert comm == expect
+    _assert_constants_reproduce_commutators(gal.algebra, [m.matrix.data for m in gal.realization])
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@given(st.sampled_from([("so", 2), ("so", 3), ("so", 4), ("gl", 1), ("gl", 2), ("gl", 3)]),
+       st.data())
+@settings(max_examples=25, deadline=None)
+def test_from_matrix_basis_conjugated_bases_keep_constants(spec, data):
+    """P m P^-1 over a rational P is closed with the unconjugated constants."""
+    entry = catalog.build(*spec)
+    n = entry.realization[0].rows
+    p = data.draw(st.lists(st.lists(small_rationals, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    try:
+        pinv = Matrix(p).invert()
+    except SingularMatrixError:
+        assume(False)
+    mats = [(Matrix(p) * m.matrix * pinv).data for m in entry.realization]
+    assert _oracle_first_failure(mats) is None
+    alg, real = from_matrix_basis(mats)
+    assert alg.same_constants(entry.algebra)
+    assert [m.matrix.data for m in real] == mats
+    _assert_constants_reproduce_commutators(alg, mats)
+
+
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                       min_size=1, max_size=6, unique=True).map(lambda u: (n, u))))
+@settings(max_examples=60, deadline=None)
+def test_from_matrix_basis_unit_sets_fail_like_the_oracle(case):
+    n, units = case
+    mats = [unit(n, r, c) for r, c in units]
+    expect = _oracle_first_failure(mats)
+    if expect is None:
+        alg, _ = from_matrix_basis(mats)
+        _assert_constants_reproduce_commutators(alg, mats)
+    else:
+        assert expect[0] == "not_closed"
+        with pytest.raises(NotClosedError) as exc:
+            from_matrix_basis(mats)
+        assert exc.value.pair == expect[1]
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                      min_size=n, max_size=n), min_size=1, max_size=4),
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    st.integers(0, 4),
+)))
+@settings(max_examples=60, deadline=None)
+def test_from_matrix_basis_dependent_sets_fail_like_the_oracle(case):
+    """A combination of earlier matrices inserted into a random set is
+    reported at the oracle's first dependent position."""
+    n, mats, coeffs, at = case
+    at = min(at, len(mats))
+    combo = [[Q(0)] * n for _ in range(n)]
+    for m, c in zip(mats[:at], coeffs):
+        combo = madd(combo, m, c)
+    mats = mats[:at] + [combo] + mats[at:]
+    kind, pos = _oracle_first_failure(mats)
+    assert kind == "dependent" and pos <= at
+    with pytest.raises(PreconditionError, match="dependent at position %d$" % pos) as exc:
+        from_matrix_basis(mats)
+    assert not isinstance(exc.value, NotClosedError)
 
 
 def test_from_matrix_basis_not_closed():
@@ -395,7 +485,7 @@ def test_matrices_from_json_roundtrip():
 
     text = '[[["1/2", "0"], ["0", "-1/2"]], [["0", "1"], ["0", "0"]]]'
     mats = matrices_from_json(text)
-    assert mats[0].data[0][0] == Q(1, 2)
+    assert mats[0].matrix.data[0][0] == Q(1, 2)
     alg, _ = from_matrix_basis(mats, labels=["h", "e"])
     assert alg.bracket_basis(0, 1) == {1: Q(1)}  # [h, e] = e at half weights
     assert check_jacobi(alg).passed
@@ -406,6 +496,39 @@ def test_matrices_from_json_rejects_floats():
 
     with pytest.raises(PreconditionError):
         matrices_from_json([[[0.5]]])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        '[[["abc"]]]',  # not a rational
+        '[[["1/0"]]]',  # zero denominator
+        "[[[true]]]",  # a JSON boolean is not the integer 1
+        "[[[null]]]",
+        "[[[[1]]]]",  # a list where an entry belongs
+        "[[[1, 0], [0]]]",  # ragged rows
+        "[[1, 0]]",  # rows that are not lists
+        "[7]",  # a matrix that is not a list
+        "[[]]",  # an empty matrix
+        "[[[]]]",  # an empty row
+        '{"m": [[1]]}',  # not a list of matrices
+        "[[[1]",  # not JSON
+    ],
+)
+def test_matrices_from_json_rejects_malformed_input(data):
+    from lieforge.constructions import matrices_from_json
+
+    with pytest.raises(PreconditionError):
+        matrices_from_json(data)
+
+
+def test_matrices_from_json_gives_integer_first_maps():
+    from lieforge.constructions import matrices_from_json
+
+    (m,) = matrices_from_json('[[["2/2", 3], ["-1/2", 0]]]')
+    assert isinstance(m, LinearMap)
+    assert m.sparse_columns() == [{0: 1, 1: Q(-1, 2)}, {0: 3}]
+    assert type(m.sparse_columns()[0][0]) is int
 
 
 def test_contraction_rejects_non_reductive_split():

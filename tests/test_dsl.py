@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieforge import catalog
-from lieforge.lie_core import MAX_WITNESSES, AlmostComplex
+from lieforge.lie_core import MAX_WITNESSES, AlmostComplex, LinearMap
 from lieforge.scalar_linear import Q
 from lieforge.dsl import (
     ArityError,
@@ -392,3 +394,55 @@ def test_roundtrip_keeps_user_names_sharing_a_construct_prefix():
     again = parse(once)
     assert again.order == ws.order
     assert workspace_to_dsl(again) == once
+
+
+# ---------------------------------------------------------------------------
+# conn and form text round trips
+
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+
+
+def _square(n):
+    return st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _matrix_text(rows):
+    return "matrix [%s]" % ", ".join("[%s]" % ", ".join(map(str, r)) for r in rows)
+
+
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.integers(1, 3).flatmap(lambda m: st.lists(_square(m), min_size=dim, max_size=dim)),
+    _square(dim),
+    st.sampled_from(["sym", "skew"]),
+)))
+@settings(max_examples=60, deadline=None)
+def test_conn_and_form_text_round_trips(case):
+    """Canonical conn and form text re-emits byte for byte, and the parsed
+    operators and Gram matrix hold exactly the written entries."""
+    dim, ops, upper, kind = case
+    labels = ["b%d" % i for i in range(dim)]
+    # a symmetric or skew Gram matrix from the upper triangle
+    sign = 1 if kind == "sym" else -1
+    gram = [[upper[min(i, j)][max(i, j)] * (sign if i > j else 1) for j in range(dim)]
+            for i in range(dim)]
+    if kind == "skew":
+        for i in range(dim):
+            gram[i][i] = Fraction(0)
+    lines = ["conn C on A {"]
+    lines += ["  %s => %s ;" % (lab, _matrix_text(m)) for lab, m in zip(labels, ops)]
+    text = "\n\n".join([
+        "algebra A {\n  basis %s ;\n}" % " ".join(labels),
+        "\n".join(lines + ["}"]),
+        "form F on A %s %s" % (kind, _matrix_text(gram)),
+    ]) + "\n"
+    ws = parse(text)
+    assert workspace_to_dsl(ws) == text
+    conn, form = ws.definitions["C"][1][1], ws.definitions["F"][1][1]
+    assert [op.matrix.data for op in conn.maps] == ops
+    assert form.matrix.data == gram
+    assert form.gram == LinearMap(gram)

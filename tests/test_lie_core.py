@@ -361,6 +361,18 @@ def test_closed_and_symplectic_abelian():
     assert check_symplectic(L, om).passed
 
 
+def test_form_stores_its_gram_matrix_as_sparse_columns():
+    om = BilinearForm([[Q(0), Q(1, 2)], [Q(-1, 2), Q(0)]], BilinearForm.SKEW)
+    assert om.gram.sparse_columns() == [{1: Q(-1, 2)}, {0: Q(1, 2)}]
+    assert (om.value_basis(0, 1), om.value_basis(1, 0), om.value_basis(1, 1)) == (
+        Q(1, 2), Q(-1, 2), 0,
+    )
+    assert om.matrix == Matrix([[0, Q(1, 2)], [Q(-1, 2), 0]])
+    assert BilinearForm(om.gram, BilinearForm.SKEW).gram is om.gram
+    with pytest.raises(PreconditionError):
+        BilinearForm(om.gram, BilinearForm.SYMMETRIC)
+
+
 def test_symplectic_degenerate_carries_kernel():
     L = abelian(2)
     om = BilinearForm([[Q(0), Q(0)], [Q(0), Q(0)]], BilinearForm.SKEW)

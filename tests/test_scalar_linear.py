@@ -255,6 +255,7 @@ def test_div_is_exact_and_integer_first(a, b):
 
 def _nodes(obj, seen=None):
     """obj and everything reachable from it through lieforge objects and containers."""
+    from lieforge.constructions import AssociativeAlgebra
     from lieforge.lie_core import BilinearForm, Connection, LieAlgebra, LinearMap
 
     if seen is None:
@@ -263,14 +264,14 @@ def _nodes(obj, seen=None):
         return
     seen.add(id(obj))
     yield obj
-    if isinstance(obj, LieAlgebra):
+    if isinstance(obj, (LieAlgebra, AssociativeAlgebra)):
         children = [obj.table]
     elif isinstance(obj, LinearMap):
         children = [obj.sparse_columns(), obj.matrix]
     elif isinstance(obj, Connection):
         children = [obj.maps]
     elif isinstance(obj, BilinearForm):
-        children = [obj.matrix]
+        children = [obj.gram]
     elif isinstance(obj, Matrix):
         children = [obj.data]
     elif isinstance(obj, GaussScalar):
@@ -337,6 +338,24 @@ def _assert_integer_first(nodes):
     assert not any(isinstance(x, float) for x in nodes)
     assert not any(isinstance(x, Fraction) and x.denominator == 1 for x in nodes)
     return nodes
+
+
+def test_dsl_workspace_is_integer_first():
+    """Everything parsed from text, associative tables and forms included,
+    stores integral scalars as int."""
+    import os
+
+    from lieforge.constructions import AssociativeAlgebra
+    from lieforge.dsl import parse
+    from lieforge.lie_core import BilinearForm
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "corpus", "aff1.lie"), encoding="utf-8") as fh:
+        ws = parse(fh.read())
+    nodes = _assert_integer_first(_nodes(list(ws.definitions.values())))
+    assert any(isinstance(x, AssociativeAlgebra) for x in nodes)
+    assert any(isinstance(x, BilinearForm) for x in nodes)
+    assert ws.definitions["C"][1].table[(0, 0)] == {0: 1}
 
 
 def test_gaussian_tables_eigenbases_and_witnesses_are_integer_first():
