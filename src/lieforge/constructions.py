@@ -7,6 +7,7 @@ affinization of associative algebras and contraction families.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from fractions import Fraction
 
 from .scalar_linear import (
@@ -279,29 +280,48 @@ def from_matrix_basis(mats, labels=None, name="matrix_algebra"):
     if labels is None:
         labels = ["m%d" % (i + 1) for i in range(len(mats))]
     # a matrix is flattened to the vector {r * n + c: entry}
-    cols = [m.sparse_columns() for m in mats]
-    entries = [[(r, c, v) for c, col in enumerate(mc) for r, v in col.items()] for mc in cols]
+    entries = [[(r, c, v) for c, col in enumerate(m.sparse_columns()) for r, v in col.items()]
+               for m in mats]
     solver = SpanSolver(n * n)
     for i, ent in enumerate(entries):
         if not solver.add({r * n + c: v for r, c, v in ent}):
             raise PreconditionError(
                 "realization matrices are dependent at position %d" % i
             )
-    # [a, b] = ab - ba, where (ab)[:, c] sums b[k, c] a[:, k] over the
-    # nonzero entries (k, c) of b
+    # the entries of every matrix j indexed by row k as (j, c, y) and by
+    # column k as (j, r * n, y), in increasing j: an entry (r, k) of a_i
+    # meets a_i a_j in by_row[k], an entry (k, c) meets a_j a_i in
+    # by_col[k], and either way the two parts add up to the key r * n + c
+    by_row = [deque() for _ in range(n)]
+    by_col = [deque() for _ in range(n)]
+    for j, ent in enumerate(entries):
+        for r, c, y in ent:
+            by_row[r].append((j, c, y))
+            by_col[c].append((j, r * n, y))
     table = {}
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = {}
-            for left, right, sign in ((cols[i], entries[j], _ONE), (cols[j], entries[i], -_ONE)):
-                for k, c, y in right:
-                    for r, x in left[k].items():
-                        key = r * n + c
-                        v = comm.get(key, _ZERO) + sign * x * y
-                        if v:
-                            comm[key] = v
-                        elif key in comm:
-                            del comm[key]
+    for i, ent in enumerate(entries):
+        # a_i's own entries lead its rows and columns; once they are
+        # dropped the indexes hold only the matrices j > i
+        for r, c, _ in ent:
+            by_row[r].popleft()
+            by_col[c].popleft()
+        # [a_i, a_j] = a_i a_j - a_j a_i for every j > i at once
+        row = defaultdict(dict)
+        halves = (
+            (by_row, [(k, r * n, x) for r, k, x in ent]),  # a_i[r, k] a_j[k, c]
+            (by_col, [(k, c, -x) for k, c, x in ent]),  # -a_j[r, k] a_i[k, c]
+        )
+        for index, terms in halves:
+            for k, base, x in terms:
+                for j, part, y in index[k]:
+                    comm, key = row[j], base + part
+                    v = comm.get(key, _ZERO) + x * y
+                    if v:
+                        comm[key] = v
+                    elif key in comm:
+                        del comm[key]
+        for j in sorted(row):
+            comm = row[j]
             if not comm:
                 continue
             combo = solver.solve(comm)

@@ -811,23 +811,22 @@ def check_metric(conn, form, target=None):
     """Whether the connection is the Levi-Civita connection of a flat metric.
 
     Requires compatibility with the form plus torsion-freeness and flatness;
-    the certificate notes report each sub-check separately.
+    the certificate notes report each sub-check separately, and each witness
+    starts with the name of the sub-check it comes from.
     """
     if form.kind != BilinearForm.SYMMETRIC:
         raise PreconditionError("metric check needs a symmetric form")
     sweep = _Sweep("metric", target or conn.algebra.name)
     _inverse(form.gram, "metric check needs an invertible form")
-    compat = check_parallel(conn, form)
-    tf = check_torsion_free(conn)
-    flat = check_representation(conn)
-    notes = {
-        "compatible": compat.passed,
-        "torsion_free": tf.passed,
-        "flat": flat.passed,
+    subs = {
+        "compatible": check_parallel(conn, form),
+        "torsion_free": check_torsion_free(conn),
+        "flat": check_representation(conn),
     }
-    for sub in (compat, tf, flat):
+    notes = {key: sub.passed for key, sub in subs.items()}
+    for key, sub in subs.items():
         for w in sub.witnesses:
-            sweep.fail(w.indices, w.defect)
+            sweep.fail((key,) + w.indices, w.defect)
         sweep.total += sub.total_failures - len(sub.witnesses)
     return sweep.done(notes=notes)
 

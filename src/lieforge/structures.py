@@ -264,17 +264,21 @@ def lifted_connection(conn, t_algebra=None):
     return Connection(t_algebra, maps)
 
 
-def _anticommutator_is(A, B, diag):
-    """Whether AB + BA equals diag times the identity, column by column."""
+def _anticommutator_defect(A, B, diag):
+    """The first nonzero entry (r, c, value) of AB + BA - diag I, column by
+    column and then by row, or None when AB + BA equals diag I."""
     if A.rows != A.cols or (B.rows, B.cols) != (A.rows, A.cols):
         raise DimensionMismatchError("anticommutator needs square maps of one size")
     acols, bcols = A.sparse_columns(), B.sparse_columns()
-    for j in range(A.cols):
-        img = A.apply_sparse(bcols[j])
-        _acc(img, B.apply_sparse(acols[j]))
-        if img != ({j: diag} if diag else {}):
-            return False
-    return True
+    for c in range(A.cols):
+        img = A.apply_sparse(bcols[c])
+        _acc(img, B.apply_sparse(acols[c]))
+        if diag:
+            _acc(img, {c: -diag})
+        if img:
+            r = min(img)
+            return r, c, img[r]
+    return None
 
 
 class CliffordFamily:
@@ -328,8 +332,10 @@ class CliffordFamily:
         for a in range(len(self.maps)):
             for b in range(a, len(self.maps)):
                 diag = -2 if a == b else 0
-                if not _anticommutator_is(self.maps[a], self.maps[b], diag):
-                    sweep.fail(("anticommute", a, b), (Fraction(1),))
+                bad = _anticommutator_defect(self.maps[a], self.maps[b], diag)
+                if bad is not None:
+                    r, c, value = bad
+                    sweep.fail(("anticommute", a, b, r, c), (value,))
         integrable = []
         for a, J in enumerate(self.maps):
             c = check_integrable(self.algebra, J)
@@ -420,7 +426,7 @@ def hypercomplex_pair(g, conn, J, target=None):
     checks = {
         "j_minus_integrable": check_integrable(talg, j_minus).passed,
         "k_integrable": check_integrable(talg, K).passed,
-        "anticommute": _anticommutator_is(j_minus, K, 0),
+        "anticommute": _anticommutator_defect(j_minus, K, 0) is None,
         "j_minus_parallel": check_parallel(lifted, j_minus).passed,
         "k_parallel": check_parallel(lifted, K).passed,
         "lift_flat": check_representation(lifted).passed,

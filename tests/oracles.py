@@ -226,13 +226,18 @@ def naive_row_basis(rows):
     return m[:row]
 
 
-def naive_square(jmat):
-    """Dense J * J by the textbook triple loop, for any scalar type."""
-    n = len(jmat)
+def naive_product(a, b):
+    """Dense a * b by the textbook triple loop, for any scalar type."""
+    n = len(a)
     return [
-        [sum((jmat[i][k] * jmat[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
         for i in range(n)
     ]
+
+
+def naive_square(jmat):
+    """Dense J * J."""
+    return naive_product(jmat, jmat)
 
 
 def is_minus_identity(m):

@@ -28,7 +28,7 @@ from lieforge.constructions import (
     tangent,
 )
 
-from oracles import naive_commutator, naive_rank
+from oracles import naive_commutator, naive_product, naive_rank
 
 
 def unit(n, r, c):
@@ -402,6 +402,57 @@ def test_from_matrix_basis_dependent_sets_fail_like_the_oracle(case):
     with pytest.raises(PreconditionError, match="dependent at position %d$" % pos) as exc:
         from_matrix_basis(mats)
     assert not isinstance(exc.value, NotClosedError)
+
+
+_general_entries = st.sampled_from([1, -1, 2, -2, Q(1, 2), Q(-1, 2)])
+
+
+def _sparse_matrix(n):
+    return st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           _general_entries, min_size=1, max_size=3).map(
+        lambda d: [[d.get((r, c), 0) for c in range(n)] for r in range(n)])
+
+
+def _lie_closure(mats, cap):
+    """Independent members of mats and of their commutators, until the span
+    is closed or holds cap matrices."""
+    out, rows, pending = [], [], list(mats)
+    while pending and len(out) < cap:
+        m = pending.pop(0)
+        if naive_rank(rows + [_flat(m)]) > len(rows):
+            pending += [naive_commutator(a, m) for a in out]
+            out.append(m)
+            rows.append(_flat(m))
+    return out
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(_sparse_matrix(n), min_size=1, max_size=4),
+    st.sampled_from(["as drawn", "with a square", "closed up"]),
+)))
+@settings(max_examples=80, deadline=None)
+def test_from_matrix_basis_general_sets_fail_like_the_oracle(case):
+    """Sparse sets with signed and half entries, some with a commuting
+    product a * a (so ab = ba != 0 cancels in the bracket), some closed up
+    by commutators: the constants reproduce every commutator, or the error
+    names the oracle's first failure."""
+    mats, shape = case
+    if shape == "with a square":
+        mats = mats + [naive_product(mats[0], mats[0])]
+    elif shape == "closed up":
+        mats = _lie_closure(mats, cap=6)
+    expect = _oracle_first_failure(mats)
+    if expect is None:
+        alg, _ = from_matrix_basis(mats)
+        _assert_constants_reproduce_commutators(alg, mats)
+    elif expect[0] == "not_closed":
+        with pytest.raises(NotClosedError) as exc:
+            from_matrix_basis(mats)
+        assert exc.value.pair == expect[1]
+    else:
+        with pytest.raises(PreconditionError, match="dependent at position %d$" % expect[1]) as exc:
+            from_matrix_basis(mats)
+        assert not isinstance(exc.value, NotClosedError)
 
 
 def test_from_matrix_basis_not_closed():

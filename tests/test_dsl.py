@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieforge import catalog
-from lieforge.lie_core import MAX_WITNESSES, AlmostComplex, LinearMap
+from lieforge.lie_core import MAX_WITNESSES, AlmostComplex, Certificate, LinearMap
 from lieforge.scalar_linear import Q
 from lieforge.dsl import (
     ArityError,
     ConstructionError,
+    DslError,
     DslSyntaxError,
     DuplicateNameError,
     ShapeError,
+    SourceSpan,
     UnknownNameError,
     endo_to_dsl,
     entry_to_dsl,
@@ -446,3 +448,75 @@ def test_conn_and_form_text_round_trips(case):
     assert [op.matrix.data for op in conn.maps] == ops
     assert form.matrix.data == gram
     assert form.gram == LinearMap(gram)
+
+
+# Grammar fuzzing: well-formed statements, then random token edits.  Any
+# input must end in certificates or in a DslError that carries a span.
+_DEFINITIONS = [
+    "algebra g { basis x y ; [x, y] = y ; }",
+    "algebra h { basis a b c ; [a, b] = 1/2 c - b ; [a, c] = 0 ; }",
+    "assoc A { basis e ; e * e = e ; }",
+    "endo J on g { x -> y ; y -> - x ; }",
+    "endo E on g { x -> x ; y -> - y ; }",
+    "conn c on g { x => matrix [[0, 0], [0, 1]] ; y => [[0, 0], [0, 0]] ; }",
+    "form s on g sym matrix [[1, 0], [0, 1]]",
+    "form w on g skew [[0, 1], [-1, 0]]",
+    "map f from g to g { x -> x ; y -> 2 y ; }",
+    "decomp d on g { part0 : x ; part1 : y ; }",
+]
+_USES = [
+    "construct T = tangent(g, c)",
+    "construct S = cotangent(g, c)",
+    "construct Z = central_ext(g)",
+    "construct B = aff(A)",
+    "construct W = tower(g, c, 1)",
+    "construct K = canonical_K(T)",
+    "construct N = nabla1(T, c)",
+    "construct L = levi_civita(g, s)",
+    "construct P = jplus(T, J, J, +)",
+    "construct O = omega_psi(T, c, J)",
+    "construct D = semidirect(g, c)",
+] + ["check %s(%s)" % (fn, args) for fn, args in [
+    ("jacobi", "g"), ("integrable", "J"), ("integrable", "J, x"), ("complex_lie", "J"),
+    ("abelian_complex", "J"), ("representation", "c"), ("flat", "c"),
+    ("torsion_free", "c"), ("closed", "w"), ("symplectic", "w"), ("parallel", "c, J"),
+    ("metric", "c, s"), ("product_structure", "E"), ("eigensplit", "J"),
+    ("action_compatibility", "c, J, J, d"), ("torsion_equivalence", "g, c"),
+    ("reconstruct", "g, J, x"), ("self_dual", "c, J"), ("pseudo_kahler", "g, s"),
+    ("holomorphic", "f, J, J"), ("hypercomplex", "c, J"), ("integrable", "K"),
+]]
+_TOKENS = sorted({t for s in _DEFINITIONS + _USES for t in s.split()} | {
+    "0", "3", "0/1", "1/0", "-1", "->", "=>", ":", "*", "=", "+", "#", "\n", "@", "/", "q",
+})
+
+
+def _edit(tokens, edits):
+    tokens = list(tokens)
+    for op, at, tok in edits:
+        at = at % (len(tokens) + 1)
+        if op == "insert" or not tokens:
+            tokens.insert(at, tok)
+        elif at < len(tokens):
+            if op == "delete":
+                del tokens[at]
+            else:
+                tokens[at] = tok
+    return tokens
+
+
+@given(
+    st.sets(st.sampled_from(_DEFINITIONS), max_size=2),
+    st.lists(st.sampled_from(_USES), max_size=5),
+    st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                       st.integers(0, 300), st.sampled_from(_TOKENS)), max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_any_token_sequence_ends_in_certificates_or_a_spanned_error(dropped, uses, edits):
+    statements = [s for s in _DEFINITIONS if s not in dropped] + uses
+    text = " ".join(_edit(" \n".join(statements).split(" "), edits))
+    try:
+        certs = run(parse(text))
+    except DslError as exc:
+        assert isinstance(exc.span, SourceSpan)
+        return
+    assert all(isinstance(c, Certificate) for c in certs)

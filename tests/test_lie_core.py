@@ -430,6 +430,23 @@ def test_metric_left_symmetric_not_metric():
     assert not cert.notes["compatible"]
 
 
+def test_metric_witnesses_name_their_sub_check():
+    # torsion-free on the abelian plane, but neither flat nor skew
+    L = abelian(2)
+    conn = Connection(L, [LinearMap([[1, 0], [0, 0]]), LinearMap([[0, 1], [0, 0]])])
+    B = BilinearForm(Matrix.identity(2), BilinearForm.SYMMETRIC)
+    cert = check_metric(conn, B)
+    subs = {
+        "compatible": check_parallel(conn, B),
+        "torsion_free": check_torsion_free(conn),
+        "flat": check_representation(conn),
+    }
+    assert cert.notes == {"compatible": False, "torsion_free": True, "flat": False}
+    expect = [((key,) + w.indices, w.defect) for key, sub in subs.items() for w in sub.witnesses]
+    assert [(w.indices, w.defect) for w in cert.witnesses] == expect
+    assert cert.total_failures == sum(sub.total_failures for sub in subs.values())
+
+
 def test_product_structure_tangent_swap():
     aff = catalog.affine(1).algebra
     ls = Connection(aff, [LinearMap([[Q(0), Q(0)], [Q(0), Q(1)]]), LinearMap.zero(2)])

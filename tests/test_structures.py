@@ -42,7 +42,7 @@ from lieforge.acceptance import (
     zero_connection,
 )
 
-from oracles import naive_rank
+from oracles import naive_product, naive_rank
 
 
 def heisenberg_with_affine_structure():
@@ -257,11 +257,29 @@ def test_tower_rejects_torsion():
 
 
 def test_clifford_family_detects_commuting_members():
+    # each anticommute witness is the first nonzero entry of AB + BA - diag I
     ab = catalog.abelian(4).algebra
     J1 = AlmostComplex.from_pairs(4, [(0, 1), (2, 3)])
-    fam = CliffordFamily(ab, [J1, J1])
-    cert = fam.certify()
+    J2 = AlmostComplex.from_pairs(4, [(0, 2), (1, 3)])
+    maps = [J1, J1, J2]
+    cert = CliffordFamily(ab, maps).certify()
     assert not cert.passed
+    dense = [J.matrix.data for J in maps]
+    expect = []
+    for a in range(len(maps)):
+        for b in range(a, len(maps)):
+            s = [[x + y for x, y in zip(ra, rb)] for ra, rb in
+                 zip(naive_product(dense[a], dense[b]), naive_product(dense[b], dense[a]))]
+            if a == b:
+                for i in range(4):
+                    s[i][i] += 2
+            bad = [(r, c) for c in range(4) for r in range(4) if s[r][c]]
+            if bad:
+                r, c = bad[0]
+                expect.append((("anticommute", a, b, r, c), (s[r][c],)))
+    assert expect[0] == (("anticommute", 0, 1, 0, 0), (-2,))
+    got = [(w.indices, w.defect) for w in cert.witnesses if w.indices[0] == "anticommute"]
+    assert got == expect
 
 
 def test_hypercomplex_pair_requires_parallel_structure():
