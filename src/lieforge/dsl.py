@@ -18,11 +18,15 @@ Grammar sketch::
     check FN(arg, ...)
 
 Unlisted brackets and products are zero.  Comments run from ``#`` to the
-end of the line.
+end of the line.  A name starts with a letter or ``_`` and goes on with
+letters, digits, ``_`` or ``'``; a number is a run of decimal digits with an
+optional ``/`` and denominator.
 """
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,70 +121,67 @@ class ConstructionError(DslError):
     """A construction statement violated the target operation's precondition."""
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # ident | number | punct | end
-    text: str
-    span: SourceSpan
+class _Token(namedtuple("_Token", "kind text line column length")):
+    """One token: kind is ident | number | punct | end."""
+
+    __slots__ = ()
+
+    @property
+    def span(self):
+        return SourceSpan(self.line, self.column, self.length)
+
+
+# One alternative per token kind, tried in this order after any blanks.  A
+# comment that runs to the end of the text belongs to ``end``, which keeps
+# the comment's column.  ``\d`` is a Unicode decimal digit, what ``int``
+# reads; ``[^\W\d]`` is a letter, ``_`` or a numeric character that is not
+# a decimal digit, which ``_tokenize`` refuses.
+_TOKEN = re.compile(
+    r"""[ \t\r]*(?:
+      (?P<newline>\n)
+    | (?P<end>(?:\#[^\n]*)?\Z)
+    | (?P<comment>\#[^\n]*)
+    | (?P<punct>->|=>|[{}\[\](),;:*+\-=])
+    | (?P<number>\d+(?:/\d*)?)
+    | (?P<ident>[^\W\d][\w']*)
+    | (?P<bad>.)
+    )""",
+    re.VERBOSE,
+)
 
 
 def _tokenize(text):
+    """The tokens of ``text``, ending in one ``end`` token."""
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    append = toks.append
+    make = tuple.__new__
+    line, bol = 1, 0  # bol: offset where the current line begins
+    for m in _TOKEN.finditer(text):  # every text ends in an ``end`` match
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            bol = start + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col, 1)
-        two = text[i : i + 2]
-        if two in ("->", "=>"):
-            toks.append(Token("punct", two, SourceSpan(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if ch in "{}[](),;:*+-=":
-            toks.append(Token("punct", ch, span))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise DslSyntaxError("malformed rational literal", span)
-                j = k
-            toks.append(Token("number", text[i:j], SourceSpan(line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(Token("ident", text[i:j], SourceSpan(line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        raise DslSyntaxError("unexpected character %r" % ch, span)
-    toks.append(Token("end", "", SourceSpan(line, col, 0)))
-    return toks
+        col = start - bol + 1
+        if kind == "end":
+            append(make(_Token, ("end", "", line, col, 0)))
+            return toks
+        tok = m[kind]
+        if kind == "number" and tok[-1] == "/":
+            nxt = text[m.end() : m.end() + 1]
+            if nxt.isdigit():
+                raise _unexpected(nxt, line, col + len(tok))
+            raise DslSyntaxError("malformed rational literal", SourceSpan(line, col, 1))
+        if kind == "bad" or kind == "ident" and not (tok[0].isalpha() or tok[0] == "_"):
+            raise _unexpected(tok[0], line, col)
+        append(make(_Token, (kind, tok, line, col, len(tok))))
+
+
+def _unexpected(ch, line, column):
+    return DslSyntaxError("unexpected character %r" % ch, SourceSpan(line, column, 1))
 
 
 class Workspace:
@@ -254,6 +255,7 @@ class _Parser:
     # statement bodies ---------------------------------------------------
 
     def _basis(self):
+        """The basis labels, as a label -> index dict in declaration order."""
         self.expect("{")
         kw = self.expect_ident()
         if kw.text != "basis":
@@ -265,19 +267,26 @@ class _Parser:
             self.next()
         if not labels:
             raise DslSyntaxError("empty basis", kw.span)
-        if len(set(labels)) != len(labels):
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != len(labels):
             raise ShapeError("duplicate basis label", kw.span)
-        return labels
+        return index
 
     def _number(self, tok):
         p, _, q = tok.text.partition("/")
-        if q and not int(q):
+        try:
+            den = int(q or 1)
+            num = int(p)
+        except ValueError:  # more digits than the interpreter's int-string limit
+            raise DslSyntaxError(
+                "literal of %d digits is too long" % max(len(p), len(q)), tok.span
+            ) from None
+        if not den:
             raise DslSyntaxError("zero denominator in literal %r" % tok.text, tok.span)
-        return Fraction(int(p), int(q or 1))
+        return Fraction(num, den)
 
-    def _combo(self, labels):
-        """Linear combination over the given labels, as a sparse dict."""
-        index = {lab: i for i, lab in enumerate(labels)}
+    def _combo(self, index):
+        """Linear combination over the labels of ``index``, as a sparse dict."""
         out = {}
         t = self.peek()
         if t.kind == "number" and t.text == "0":
@@ -285,10 +294,10 @@ class _Parser:
             if nxt.text in (";", ",", "}"):
                 self.next()
                 return out
-        sign = Fraction(1)
+        sign = 1
         if t.text == "-":
             self.next()
-            sign = Fraction(-1)
+            sign = -1
         while True:
             t = self.next()
             coeff = sign
@@ -297,10 +306,10 @@ class _Parser:
                 t = self.next()
             if t.kind != "ident":
                 raise DslSyntaxError("expected a basis label, found %r" % t.text, t.span)
-            if t.text not in index:
+            k = index.get(t.text)
+            if k is None:
                 raise UnknownNameError("unknown basis label %r" % t.text, t.span)
-            k = index[t.text]
-            s = out.get(k, Fraction(0)) + coeff
+            s = out.get(k, 0) + coeff
             if s:
                 out[k] = s
             elif k in out:
@@ -308,11 +317,11 @@ class _Parser:
             nxt = self.peek()
             if nxt.text == "+":
                 self.next()
-                sign = Fraction(1)
+                sign = 1
                 continue
             if nxt.text == "-":
                 self.next()
-                sign = Fraction(-1)
+                sign = -1
                 continue
             return out
 
@@ -326,10 +335,10 @@ class _Parser:
             self.expect("[")
             row = []
             while True:
-                s = Fraction(1)
+                s = 1
                 t = self.next()
                 if t.text == "-":
-                    s = Fraction(-1)
+                    s = -1
                     t = self.next()
                 if t.kind != "number":
                     raise DslSyntaxError("expected a number, found %r" % t.text, t.span)
@@ -351,7 +360,7 @@ class _Parser:
 
     def _stmt_algebra(self):
         name = self.expect_ident()
-        labels = self._basis()
+        index = self._basis()
         table = {}
         declared = set()
         while self.peek().text == "[":
@@ -361,7 +370,6 @@ class _Parser:
             b = self.expect_ident()
             self.expect("]")
             self.expect("=")
-            index = {lab: i for i, lab in enumerate(labels)}
             for t in (a, b):
                 if t.text not in index:
                     raise UnknownNameError("unknown basis label %r" % t.text, t.span)
@@ -373,7 +381,7 @@ class _Parser:
                     "bracket [%s, %s] declared twice" % (a.text, b.text), open_tok.span
                 )
             declared.add((min(i, j), max(i, j)))
-            combo = self._combo(labels)
+            combo = self._combo(index)
             self.expect(";")
             if i > j:
                 i, j = j, i
@@ -382,15 +390,14 @@ class _Parser:
                 table[(i, j)] = combo
         self.expect("}")
         try:
-            alg = LieAlgebra(labels, table, check=True, name=name.text)
+            alg = LieAlgebra(list(index), table, check=True, name=name.text)
         except PreconditionError as exc:
             raise ShapeError(str(exc), name.span)
         self.ws.define(name.text, "algebra", alg, name.span)
 
     def _stmt_assoc(self):
         name = self.expect_ident()
-        labels = self._basis()
-        index = {lab: i for i, lab in enumerate(labels)}
+        index = self._basis()
         table = {}
         while self.peek().kind == "ident":
             a = self.expect_ident()
@@ -403,42 +410,42 @@ class _Parser:
             pair = (index[a.text], index[b.text])
             if pair in table:
                 raise ShapeError("product declared twice", a.span)
-            combo = self._combo(labels)
+            combo = self._combo(index)
             self.expect(";")
             if combo:
                 table[pair] = combo
         self.expect("}")
         try:
-            alg = AssociativeAlgebra(labels, table, name=name.text)
+            alg = AssociativeAlgebra(list(index), table, name=name.text)
         except PreconditionError as exc:
             raise ShapeError(str(exc), name.span)
         self.ws.define(name.text, "assoc", alg, name.span)
 
-    def _endo_body(self, dom_labels, cod_labels):
-        """Image of every domain label, as sparse columns over the codomain."""
+    def _endo_body(self, dom, cod):
+        """Image of every basis label of ``dom``, as sparse columns over ``cod``."""
         images = {}
         self.expect("{")
         while self.peek().kind == "ident":
             lab = self.expect_ident()
-            if lab.text not in dom_labels:
+            if lab.text not in dom._index:
                 raise UnknownNameError("unknown basis label %r" % lab.text, lab.span)
             if lab.text in images:
                 raise ShapeError("image of %r declared twice" % lab.text, lab.span)
             self.expect("->")
-            images[lab.text] = self._combo(cod_labels)
+            images[lab.text] = self._combo(cod._index)
             self.expect(";")
         close = self.expect("}")
-        missing = [lab for lab in dom_labels if lab not in images]
+        missing = [lab for lab in dom.labels if lab not in images]
         if missing:
             raise ShapeError("missing images for %s" % ", ".join(missing), close.span)
-        return [images[lab] for lab in dom_labels]
+        return [images[lab] for lab in dom.labels]
 
     def _stmt_endo(self):
         name = self.expect_ident()
         self.expect("on")
         alg_name = self.expect_ident()
         alg = self.ws.algebra(alg_name.text, alg_name.span)
-        cols = self._endo_body(alg.labels, alg.labels)
+        cols = self._endo_body(alg, alg)
         lm = LinearMap.from_sparse_columns(alg.dim, alg.dim, cols)
         self.ws.define(name.text, "endo", (alg_name.text, lm), name.span)
 
@@ -450,7 +457,7 @@ class _Parser:
         self.expect("to")
         cod_name = self.expect_ident()
         cod = self.ws.algebra(cod_name.text, cod_name.span)
-        cols = self._endo_body(dom.labels, cod.labels)
+        cols = self._endo_body(dom, cod)
         lm = LinearMap.from_sparse_columns(cod.dim, dom.dim, cols)
         self.ws.define(name.text, "map", (dom_name.text, cod_name.text, lm), name.span)
 
@@ -464,7 +471,7 @@ class _Parser:
         mdim = None
         while self.peek().kind == "ident":
             lab = self.expect_ident()
-            if lab.text not in alg.labels:
+            if lab.text not in alg._index:
                 raise UnknownNameError("unknown basis label %r" % lab.text, lab.span)
             if lab.text in mats:
                 raise ShapeError("map at %r declared twice" % lab.text, lab.span)
@@ -518,7 +525,7 @@ class _Parser:
             vecs = []
             if self.peek().text != ";":
                 while True:
-                    vecs.append({k: exact(v) for k, v in self._combo(alg.labels).items()})
+                    vecs.append({k: exact(v) for k, v in self._combo(alg._index).items()})
                     if self.peek().text == ",":
                         self.next()
                         continue
@@ -604,7 +611,7 @@ def _is_label_of_args(ws, args, value):
                 alg = payload
             elif k in ("endo", "conn", "form", "decomp"):
                 alg = ws.definitions[payload[0]][1]
-            if alg is not None and value in alg.labels:
+            if alg is not None and value in alg._index:
                 return True
     return False
 

@@ -6,7 +6,10 @@ these.  Zeros are plain ints, so integral tables stay in integer
 arithmetic.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+
+from lieforge.dsl import DslSyntaxError, SourceSpan
 
 
 def dense_constants(L):
@@ -256,3 +259,72 @@ def connection_at(conn, x):
                 for q in range(m):
                     out[r][q] += c * data[r][q]
     return out
+
+
+@dataclass(frozen=True, slots=True)
+class Token:
+    kind: str  # ident | number | punct | end
+    text: str
+    span: SourceSpan
+
+
+def naive_tokenize(text):
+    """The DSL's tokens, one character at a time; the reference for
+    ``lieforge.dsl._tokenize``.  Unlike it, a number token here may hold
+    characters that pass ``isdigit`` but that ``int`` rejects."""
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        span = SourceSpan(line, col, 1)
+        two = text[i : i + 2]
+        if two in ("->", "=>"):
+            toks.append(Token("punct", two, SourceSpan(line, col, 2)))
+            i += 2
+            col += 2
+            continue
+        if ch in "{}[](),;:*+-=":
+            toks.append(Token("punct", ch, span))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "/":
+                k = j + 1
+                while k < n and text[k].isdigit():
+                    k += 1
+                if k == j + 1:
+                    raise DslSyntaxError("malformed rational literal", span)
+                j = k
+            toks.append(Token("number", text[i:j], SourceSpan(line, col, j - i)))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            toks.append(Token("ident", text[i:j], SourceSpan(line, col, j - i)))
+            col += j - i
+            i = j
+            continue
+        raise DslSyntaxError("unexpected character %r" % ch, span)
+    toks.append(Token("end", "", SourceSpan(line, col, 0)))
+    return toks

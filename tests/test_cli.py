@@ -7,7 +7,8 @@ from lieforge import catalog
 from lieforge.cli import main
 
 GOLDEN_CATALOG = os.path.join(os.path.dirname(__file__), "golden", "catalog.lie")
-ZERO_DENOMINATOR = os.path.join(os.path.dirname(__file__), "fixtures", "zero_denominator.lie")
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+ZERO_DENOMINATOR = os.path.join(FIXTURES, "zero_denominator.lie")
 
 
 GOOD = """
@@ -69,6 +70,21 @@ def test_check_zero_denominator_exits_two_with_span(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == "error: zero denominator in literal '1/0' (line 1, column 34)\n"
+
+
+@pytest.mark.parametrize(
+    "fixture, message",
+    [
+        ("superscript_digit.lie", "unexpected character '²'"),
+        ("long_literal.lie", "literal of 4301 digits is too long"),
+    ],
+    ids=["superscript_digit", "long_literal"],
+)
+def test_check_unreadable_literal_exits_two_with_span(fixture, message, capsys):
+    rc = main(["check", os.path.join(FIXTURES, fixture)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: %s (line 1, column 34)\n" % message
 
 
 def test_check_missing_file(capsys):

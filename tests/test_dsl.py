@@ -1,4 +1,9 @@
+import io
+import itertools
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieforge import catalog
+from lieforge.cli import main
 from lieforge.lie_core import MAX_WITNESSES, AlmostComplex, Certificate, LinearMap
 from lieforge.scalar_linear import Q
 from lieforge.dsl import (
@@ -17,6 +23,7 @@ from lieforge.dsl import (
     ShapeError,
     SourceSpan,
     UnknownNameError,
+    _tokenize,
     endo_to_dsl,
     entry_to_dsl,
     parse,
@@ -24,7 +31,7 @@ from lieforge.dsl import (
     workspace_to_dsl,
 )
 
-from oracles import naive_integrable_sweep
+from oracles import Token, naive_integrable_sweep, naive_tokenize
 
 
 AFF1 = """
@@ -504,19 +511,334 @@ def _edit(tokens, edits):
     return tokens
 
 
-@given(
+def _fuzz_text(dropped, uses, edits):
+    statements = [s for s in _DEFINITIONS if s not in dropped] + uses
+    return " ".join(_edit(" \n".join(statements).split(" "), edits))
+
+
+_fuzz_texts = st.builds(
+    _fuzz_text,
     st.sets(st.sampled_from(_DEFINITIONS), max_size=2),
     st.lists(st.sampled_from(_USES), max_size=5),
     st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
                        st.integers(0, 300), st.sampled_from(_TOKENS)), max_size=3),
 )
+
+
+@given(_fuzz_texts)
 @settings(max_examples=150, deadline=None)
-def test_any_token_sequence_ends_in_certificates_or_a_spanned_error(dropped, uses, edits):
-    statements = [s for s in _DEFINITIONS if s not in dropped] + uses
-    text = " ".join(_edit(" \n".join(statements).split(" "), edits))
+def test_any_token_sequence_ends_in_certificates_or_a_spanned_error(text):
     try:
         certs = run(parse(text))
     except DslError as exc:
         assert isinstance(exc.span, SourceSpan)
         return
     assert all(isinstance(c, Certificate) for c in certs)
+
+
+@given(_fuzz_texts)
+@settings(max_examples=100, deadline=None)
+def test_check_command_on_any_token_sequence_exits_cleanly(text):
+    """`lieforge check` on a fuzzed file exits 0 or 1 with certificate lines,
+    or 2 with one ``error:`` line or a failed precondition, never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.lie")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["check", path])
+    out, err = out.getvalue(), err.getvalue()
+    if err:
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        lines = out.splitlines()
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)
+        assert rc == (2 if any("  precondition: " in line for line in lines)
+                      else 1 if any(line.startswith("FAIL ") for line in lines) else 0)
+
+
+# ---------------------------------------------------------------------------
+# tokenizer
+
+_ALPHABET = "{}[](),;:*+-=/#'_ \t\r\néλ٣²" + "abcxyz" + "ABXY" + "0123456789"
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [(t.kind, t.text, t.span) for t in tokenize(text)]
+    except DslSyntaxError as exc:
+        return str(exc), exc.span
+
+
+def _offset(text, span):
+    lines = text.split("\n")
+    return sum(len(row) + 1 for row in lines[: span.line - 1]) + span.column - 1
+
+
+def _expected_tokens(text):
+    """The reference tokens or error, except where a number the reference
+    reads, and emits or reports malformed, holds a character that ``int``
+    rejects: the first such character is unexpected."""
+    try:
+        toks, err = naive_tokenize(text), None
+    except DslSyntaxError as exc:
+        at = _offset(text, exc.span)
+        toks, err = naive_tokenize(text[:at])[:-1], exc
+        if str(exc).startswith("malformed rational literal"):
+            read = "".join(itertools.takewhile(str.isdigit, text[at:]))
+            toks.append(Token("number", read, exc.span))
+    for t in toks:
+        if t.kind == "number":
+            bad = [k for k, ch in enumerate(t.text) if ch != "/" and not ch.isdecimal()]
+            if bad:
+                span = SourceSpan(t.span.line, t.span.column + bad[0], 1)
+                return "unexpected character %r (%s)" % (t.text[bad[0]], span), span
+    if err is not None:
+        return str(err), err.span
+    return [(t.kind, t.text, t.span) for t in toks]
+
+
+@given(st.text(alphabet=_ALPHABET, max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_tokenizer_matches_the_character_loop(text):
+    assert _tokens_or_error(_tokenize, text) == _expected_tokens(text)
+
+
+def test_end_token_after_a_trailing_comment_keeps_the_comment_column():
+    for tokenize in (_tokenize, naive_tokenize):
+        assert tokenize("algebra g # no newline")[-1].span == SourceSpan(1, 11, 0)
+        assert tokenize("x\n\t # c")[-1].span == SourceSpan(2, 3, 0)
+        assert tokenize("x # c\n ")[-1].span == SourceSpan(2, 2, 0)
+
+
+def test_superscript_digit_is_an_unexpected_character():
+    text = "algebra g { basis x y ; [x, y] = ² x ; }"
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == "unexpected character '²' (line 1, column 34)"
+    assert exc.value.span == SourceSpan(1, 34, 1)
+    for literal, column in (("2² x", 35), ("1/² x", 36)):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(text.replace("² x", literal))
+        assert exc.value.span == SourceSpan(1, column, 1)
+
+
+def test_arabic_indic_digits_are_decimal():
+    alg = parse("algebra g { basis x y ; [x, y] = ٣ y - ١/٢ x ; }").definitions["g"][1]
+    assert alg.table == {(0, 1): {1: 3, 0: Fraction(-1, 2)}}
+    assert type(alg.table[(0, 1)][1]) is int
+
+
+@pytest.mark.parametrize(
+    "numerator, denominator", [("9" * 4301, ""), ("1", "7" * 5000)], ids=["numerator", "denominator"]
+)
+def test_over_long_literal_is_a_dsl_error_with_span(numerator, denominator):
+    literal = numerator + ("/" + denominator if denominator else "")
+    text = "algebra g { basis x y ;\n  [x, y] = %s y ; }" % literal
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(text)
+    digits = max(len(numerator), len(denominator))
+    assert str(exc.value) == "literal of %d digits is too long (line 2, column 12)" % digits
+    assert exc.value.span == SourceSpan(2, 12, len(literal))
+
+
+# ---------------------------------------------------------------------------
+# generated workspaces: declarations on declared and constructed algebras,
+# interleaved with constructs and checks, round-trip through emission
+
+# Strategies below are drawn from tuples, which hypothesis can cache.
+_LIE = (  # basis, brackets (a, b, c): [a, b] = c
+    ("x y", ()),
+    ("x y", (("x", "y", "y"),)),
+    ("p q c", (("p", "q", "c"),)),
+    ("a b c", (("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b"))),
+    ("r u v", (("r", "u", "v"), ("v", "r", "u"))),
+)
+_ASSOC = (
+    "basis e ; e * e = e ;",
+    "basis one i ; one * one = one ; one * i = i ; i * one = i ; i * i = - one ;",
+    "basis one t ; one * one = one ; t * one = t ; one * t = t ;",
+)
+
+
+def _scalar_text(draw, num):
+    den = draw(st.integers(1, 3))
+    return str(num) if den == 1 else "%d/%d" % (num, den)
+
+
+def _combo_text(draw, labels):
+    terms = draw(st.lists(st.tuples(st.sampled_from(labels), st.integers(-3, 3)), max_size=3))
+    if not terms:
+        return "0"
+    out = []
+    for lab, num in terms:
+        mag = _scalar_text(draw, abs(num))
+        term = lab if mag == "1" and draw(st.booleans()) else "%s %s" % (mag, lab)
+        if out or num < 0:
+            term = "%s %s" % ("-" if num < 0 else "+", term)
+        out.append(term)
+    return " ".join(out)
+
+
+def _random_matrix_text(draw, n, skew=None):
+    rows = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    if skew is not None:  # symmetric (skew False) or skew (skew True)
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = -rows[j][i] if skew else rows[j][i]
+            if skew:
+                rows[i][i] = 0
+    body = ", ".join("[%s]" % ", ".join(map(str, r)) for r in rows)
+    return ("matrix [%s]" if draw(st.booleans()) else "[%s]") % body
+
+
+@st.composite
+def _workspace_texts(draw):
+    lines, flat = [], []  # flat: (conn, algebra, torsion free) for zero connections
+    kinds, basis, home = {}, {}, {}  # name -> kind; algebra -> labels; endo -> algebra
+    abelian = set()
+    names = iter("n%d" % k for k in range(100))
+
+    def named(kind):
+        return [n for n, k in kinds.items() if k == kind]
+
+    for _ in range(draw(st.integers(1, 10))):
+        algebras = named("algebra")
+        unextended = [a for a in algebras if "z" not in basis[a]]
+        small = [a for a in algebras if len(basis[a]) <= 4]
+        choices = ["algebra", "assoc"]
+        if algebras:
+            choices += ["endo", "map", "conn", "form", "decomp", "check", "check"]
+        if small:
+            choices += ["zero_conn"] * 3
+        if flat or named("assoc") or unextended:
+            choices += ["construct"] * 3
+        what = draw(st.sampled_from(tuple(choices)))
+        name = next(names)
+        alg = draw(st.sampled_from(tuple(small if what == "zero_conn" else algebras or [None])))
+        if what not in ("check", "construct"):
+            kinds[name] = {"zero_conn": "conn"}.get(what, what)
+        if what == "algebra":
+            labels, brackets = draw(st.sampled_from(_LIE))
+            k = draw(st.sampled_from(("", "2 ", "- ", "1/2 ")))
+            body = []
+            for a, b, c in brackets:
+                if draw(st.booleans()):
+                    body.append("[%s, %s] = %s%s ;" % (a, b, k, c))
+                else:
+                    body.append("[%s, %s] = %s%s ;" % (b, a, "" if k == "- " else "- " + k, c))
+            lines.append("algebra %s { basis %s ; %s }" % (name, labels, " ".join(body)))
+            basis[name] = tuple(labels.split())
+            if not brackets:
+                abelian.add(name)
+        elif what == "assoc":
+            lines.append("assoc %s { %s }" % (name, draw(st.sampled_from(_ASSOC))))
+        elif what in ("endo", "map"):
+            cod = draw(st.sampled_from(tuple(algebras))) if what == "map" else alg
+            head = ("endo %s on %s" % (name, alg) if what == "endo"
+                    else "map %s from %s to %s" % (name, alg, cod))
+            images = ["%s -> %s ;" % (lab, _combo_text(draw, basis[cod]))
+                      for lab in draw(st.permutations(basis[alg]))]
+            lines.append("%s { %s }" % (head, " ".join(images)))
+            home[name] = alg
+        elif what in ("conn", "zero_conn"):
+            dim = len(basis[alg])
+            if what == "zero_conn":
+                zero = "[%s]" % ", ".join(["[%s]" % ", ".join(["0"] * dim)] * dim)
+                maps = ["%s => %s ;" % (lab, zero) for lab in basis[alg]]
+                flat.append((name, alg, alg in abelian))
+            else:
+                m = draw(st.integers(1, 2))
+                maps = ["%s => %s ;" % (lab, _random_matrix_text(draw, m)) for lab in basis[alg]]
+            lines.append("conn %s on %s { %s }" % (name, alg, " ".join(maps)))
+        elif what == "form":
+            kind = draw(st.sampled_from(("sym", "skew")))
+            lines.append("form %s on %s %s %s" % (
+                name, alg, kind, _random_matrix_text(draw, len(basis[alg]), kind == "skew")))
+        elif what == "decomp":
+            parts = [" , ".join(_combo_text(draw, basis[alg])
+                                for _ in range(draw(st.integers(0, 3)))) for _ in range(2)]
+            lines.append("decomp %s on %s { part0 : %s ; part1 : %s ; }" % (name, alg, *parts))
+        elif what == "check":
+            lines.append(draw(_check_text(alg, named, basis, home)))
+        else:
+            lines.append("construct %s = %s" % (
+                name.upper(), draw(_construct_call(flat, named("assoc"), unextended))))
+            ws = parse("\n".join(lines))  # learn what the construct defined
+            for n in ws.order[len(kinds):]:
+                kind, payload = ws.definitions[n]
+                kinds[n] = kind
+                if kind == "algebra":
+                    basis[n] = tuple(payload.labels)
+                    if not payload.table:
+                        abelian.add(n)
+                elif kind == "endo":
+                    home[n] = payload[0]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _construct_call(draw, flat, assocs, unextended):
+    calls = {fn: ["%s(%s, %s)" % (fn, alg, conn) for conn, alg, _ in flat]
+             for fn in ("tangent", "cotangent", "semidirect")}
+    calls["tower"] = ["tower(%s, %s, 1)" % (alg, conn) for conn, alg, tf in flat if tf]
+    calls["aff"] = ["aff(%s)" % a for a in assocs]
+    calls["central_ext"] = ["central_ext(%s)" % a for a in unextended]
+    fn = draw(st.sampled_from(tuple(fn for fn in calls if calls[fn])))
+    return draw(st.sampled_from(tuple(calls[fn])))
+
+
+@st.composite
+def _check_text(draw, alg, named, basis, home):
+    endos, forms, conns = named("endo"), named("form"), named("conn")
+    calls = ["jacobi(%s)" % alg]
+    for J in endos:
+        calls += ["integrable(%s)" % J, "integrable(%s, %s)" % (J, basis[home[J]][0]),
+                  "reconstruct(%s, %s, %s)" % (alg, J, basis[alg][-1])]
+        calls += ["parallel(%s, %s)" % (c, J) for c in conns]
+    calls += ["flat(%s)" % c for c in conns]
+    calls += ["closed(%s)" % f for f in forms] + ["pseudo_kahler(%s, %s)" % (alg, f) for f in forms]
+    calls += ["metric(%s, %s)" % (c, f) for c in conns for f in forms]
+    calls += ["torsion_equivalence(%s, %s)" % (alg, c) for c in conns]
+    return "check " + draw(st.sampled_from(tuple(calls)))
+
+
+def _canonical(ws):
+    """What a parsed workspace holds, with spans left out."""
+    defs = []
+    for name in ws.order:
+        kind, p = ws.definitions[name]
+        if kind in ("algebra", "assoc"):
+            body = (p.labels, p.table)
+        elif kind == "endo":
+            body = (p[0], p[1].sparse_columns())
+        elif kind == "map":
+            body = (p[0], p[1], p[2].sparse_columns())
+        elif kind == "conn":
+            body = (p[0], [op.sparse_columns() for op in p[1].maps])
+        elif kind == "form":
+            body = (p[0], p[1].kind, p[1].gram.sparse_columns())
+        else:
+            body = (p[0], p[1].part0, p[1].part1)
+        defs.append((name, kind, body))
+
+    def strip(args):
+        return [(kind, value) for kind, value, _ in args]
+
+    return (
+        defs,
+        [(fn, strip(args)) for fn, args, _ in ws.checks],
+        [(t, fn, strip(args), names) for t, fn, args, names in ws.construct_stmts],
+    )
+
+
+@given(_workspace_texts())
+@settings(max_examples=80, deadline=None)
+def test_generated_workspaces_round_trip_through_emission(text):
+    ws = parse(text)
+    once = workspace_to_dsl(ws)
+    again = parse(once)
+    assert _canonical(again) == _canonical(ws)
+    assert workspace_to_dsl(again) == once
