@@ -7,6 +7,7 @@ errors or violated preconditions.
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import sys
@@ -70,7 +71,18 @@ def _cmd_check(args):
         return 2
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        ws = parse(raw.decode("utf-8"))
+        # utf-8-sig drops a leading byte-order mark, so spans count from after it
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        offset = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+        print(
+            "error: input is not UTF-8: cannot decode byte 0x%02x at byte offset %d (%s)"
+            % (raw[offset], offset, exc.reason),
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        ws = parse(text)
         certs = run(ws)
     except DslError as exc:
         print("error: %s" % exc, file=sys.stderr)

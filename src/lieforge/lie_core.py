@@ -9,6 +9,7 @@ witness list is empty.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -678,28 +679,53 @@ def check_abelian_complex(L, J, target=None):
 def check_representation(rho, target=None):
     """Defect of rho([b_i, b_j]) against the operator commutator.
 
-    This is simultaneously the flatness test for connections.
+    This is simultaneously the flatness test for connections.  Column k of
+    rho_i rho_j - rho_j rho_i - rho([b_i, b_j]) is nonzero only through an
+    operator entry or a table entry that meets it, so each term is streamed
+    from an index of the nonzero entries: ``cols[j]`` holds the nonzero
+    columns (k, col) of rho_j, ``by_row[l]`` the (j, k, a) with entry a of
+    rho_j at (l, k), and ``live[l]`` the (j, col) with column l of rho_j
+    nonzero.  Sums stream by i, one row of (j, k), j > i, at a time.
     """
     L = rho.algebra
     sweep = _Sweep("representation", target or L.name)
     n, m = L.dim, rho.module_dim
-    cols = [op.sparse_columns() for op in rho.maps]
-    for i in range(n):
-        icols = cols[i]
-        for j in range(i + 1, n):
-            jcols = cols[j]
-            bij = L.table.get((i, j), {})
-            for k in range(m):
-                # rho_i rho_j b_k - rho_j rho_i b_k - rho([b_i, b_j]) b_k
-                acc = {}
-                for l, a in jcols[k].items():
-                    _acc(acc, icols[l], a)
-                for l, a in icols[k].items():
-                    _acc(acc, jcols[l], -a)
-                for l, c in bij.items():
-                    _acc(acc, cols[l][k], -c)
-                if acc:
-                    sweep.fail((i, j, k), _dense(acc, m))
+    cols = [[(k, c) for k, c in enumerate(op.sparse_columns()) if c] for op in rho.maps]
+    by_row = [[] for _ in range(m)]
+    live = [[] for _ in range(m)]
+    for j, jcols in enumerate(cols):
+        for k, col in jcols:
+            live[k].append((j, col))
+            for l, a in col.items():
+                by_row[l].append((j, k, a))
+    rows = [[] for _ in range(n)]  # i -> table pairs (i, j), i < j
+    for (i, j), coeffs in L.table.items():
+        rows[i].append((j, coeffs))
+    # The three terms are added in turn, so each entry sums them in one
+    # fixed order: a Gaussian sum that cancels to a real number ends as a
+    # GaussScalar or a rational depending on that order, and the two print
+    # differently in a certificate.
+    for i, icols in enumerate(cols):
+        sums = defaultdict(dict)
+        # rho_i rho_j b_k through the entries of row l of rho_j
+        for l, col in icols:
+            for j, k, a in by_row[l]:
+                if j > i:
+                    _acc(sums[j, k], col, a)
+        # - rho_j rho_i b_l through the nonzero columns of rho_j
+        for l, col in icols:
+            for r, a in col.items():
+                for j, jcol in live[r]:
+                    if j > i:
+                        _acc(sums[j, l], jcol, -a)
+        # - rho([b_i, b_j]) b_k through the nonzero columns of each rho_l
+        for j, coeffs in rows[i]:
+            for l, c in coeffs.items():
+                for k, col in cols[l]:
+                    _acc(sums[j, k], col, -c)
+        for jk in sorted(sums):
+            if sums[jk]:
+                sweep.fail((i,) + jk, _dense(sums[jk], m))
     return sweep.done()
 
 
@@ -715,16 +741,24 @@ def torsion(conn, i, j):
 
 
 def check_torsion_free(conn, target=None):
+    """Vanishing torsion on the basis pairs i < j where it can be nonzero.
+
+    torsion(i, j) is nonzero only through a table entry (i, j), column j
+    of rho_i or column i of rho_j, so only those pairs are visited.
+    """
     L = conn.algebra
     if conn.module_dim != L.dim:
         raise DimensionMismatchError("torsion needs a connection on the algebra itself")
     sweep = _Sweep("torsion_free", target or L.name)
-    n = L.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = torsion(conn, i, j)
-            if any(t):
-                sweep.fail((i, j), t)
+    pairs = set(L.table)
+    for i, op in enumerate(conn.maps):
+        for j, col in enumerate(op.sparse_columns()):
+            if col and i != j:
+                pairs.add((min(i, j), max(i, j)))
+    for i, j in sorted(pairs):
+        t = torsion(conn, i, j)
+        if any(t):
+            sweep.fail((i, j), t)
     return sweep.done()
 
 
@@ -769,29 +803,44 @@ def check_symplectic(L, form, target=None):
 
 
 def check_parallel(conn, tensor, target=None):
-    """Vanishing covariant derivative of an endomorphism or a bilinear form."""
+    """Vanishing covariant derivative of an endomorphism or a bilinear form.
+
+    Both derivatives are linear in the operator rho_i, so only what meets
+    its nonzero columns is visited: for an endomorphism T, column k of
+    rho_i T - T rho_i is summed from the rows of T and the nonzero columns
+    of rho_i; for a form, the pair (j, k) needs column j or column k of
+    rho_i to be nonzero.
+    """
     sweep = _Sweep("parallel", target or conn.algebra.name)
     m = conn.module_dim
     if isinstance(tensor, LinearMap):
         if tensor.rows != m or tensor.cols != m:
             raise DimensionMismatchError("endomorphism does not match the module")
-        tcols = tensor.sparse_columns()
+        trows = tensor.transpose().sparse_columns()
         for i, op in enumerate(conn.maps):
-            ocols = op.sparse_columns()
-            for k in range(m):
-                acc = dict(op.apply_sparse(tcols[k]))
-                _acc(acc, tensor.apply_sparse(ocols[k]), -_ONE)
-                if acc:
-                    sweep.fail((i, k), _dense(acc, m))
+            sums = defaultdict(dict)
+            nonzero = [(l, col) for l, col in enumerate(op.sparse_columns()) if col]
+            for l, col in nonzero:
+                for k, t in trows[l].items():
+                    _acc(sums[k], col, t)
+            # T rho_i b_l is summed on its own, then subtracted (see
+            # check_representation on the order of the terms)
+            for l, col in nonzero:
+                _acc(sums[l], tensor.apply_sparse(col), -_ONE)
+            for k in sorted(sums):
+                if sums[k]:
+                    sweep.fail((i, k), _dense(sums[k], m))
         return sweep.done()
     if isinstance(tensor, BilinearForm):
         if tensor.dim != m:
             raise DimensionMismatchError("form does not match the module")
         for i, op in enumerate(conn.maps):
             ocols = op.sparse_columns()
-            for j in range(m):
+            live = [j for j, c in enumerate(ocols) if c]
+            for j in range(live[-1] + 1 if live else 0):
                 cj = ocols[j]
-                for k in range(j, m):
+                ks = range(j, m) if cj else live[bisect_left(live, j):]
+                for k in ks:
                     s = _ZERO
                     for l, c in cj.items():
                         e = tensor.value_basis(l, k)

@@ -157,13 +157,55 @@ def naive_representation_defect(rho):
         for j in range(i + 1, n):
             comm = naive_commutator(mats[i], mats[j])
             image = [
-                [sum((c[i][j][l] * mats[l][r][q] for l in range(n)), Fraction(0)) for q in range(m)]
+                [sum(c[i][j][l] * mats[l][r][q] for l in range(n)) for q in range(m)]
                 for r in range(m)
             ]
             for k in range(m):
                 d = [comm[r][k] - image[r][k] for r in range(m)]
                 if any(d):
                     fails.append(((i, j, k), d))
+    return fails
+
+
+def naive_torsion_free_sweep(conn):
+    """Every failing pair i < j with rho_i b_j - rho_j b_i - [b_i, b_j]."""
+    L = conn.algebra
+    c = dense_constants(L)
+    n = L.dim
+    mats = [op.matrix.data for op in conn.maps]
+    fails = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = [mats[i][r][j] - mats[j][r][i] - c[i][j][r] for r in range(n)]
+            if any(d):
+                fails.append(((i, j), d))
+    return fails
+
+
+def naive_parallel_sweep(conn, tensor):
+    """Every failing tuple of the covariant derivative of an endomorphism or a form.
+
+    For an endomorphism T (a ``LinearMap``): (i, k) with column k of
+    rho_i T - T rho_i.  For a bilinear form B: (i, j, k), j <= k, with
+    [B(rho_i b_j, b_k) + B(b_j, rho_i b_k)].
+    """
+    m = conn.module_dim
+    mats = [op.matrix.data for op in conn.maps]
+    t = tensor.matrix.data
+    fails = []
+    for i, a in enumerate(mats):
+        if hasattr(tensor, "kind"):
+            for j in range(m):
+                for k in range(j, m):
+                    s = sum(a[l][j] * t[l][k] + t[j][l] * a[l][k] for l in range(m))
+                    if s:
+                        fails.append(((i, j, k), [s]))
+        else:
+            comm = naive_commutator(a, t)
+            for k in range(m):
+                d = [comm[r][k] for r in range(m)]
+                if any(d):
+                    fails.append(((i, k), d))
     return fails
 
 
@@ -189,11 +231,11 @@ def naive_differential(L, omega, i, j, k, c=None):
 def naive_commutator(a, b):
     n = len(a)
     ab = [
-        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
     ba = [
-        [sum((b[i][k] * a[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+        [sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
     return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]

@@ -1,5 +1,8 @@
+import codecs
+import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -85,6 +88,59 @@ def test_check_unreadable_literal_exits_two_with_span(fixture, message, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == "error: %s (line 1, column 34)\n" % message
+
+
+def test_check_input_that_is_not_utf8_exits_two_with_byte_offset(capsys):
+    rc = main(["check", os.path.join(FIXTURES, "not_utf8.lie")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "error: input is not UTF-8: cannot decode byte 0xe9 at byte offset 29 "
+        "(invalid continuation byte)\n"
+    )
+
+
+def test_check_byte_offset_after_a_byte_order_mark_counts_the_mark(tmp_path, capsys):
+    path = tmp_path / "bad.lie"
+    path.write_bytes(codecs.BOM_UTF8 + b"algebra g { basis x ; }\n# caf\xe9\n")
+    assert main(["check", str(path)]) == 2
+    assert "cannot decode byte 0xe9 at byte offset 32 " in capsys.readouterr().err
+
+
+def _check_outcome(path, report, capsys):
+    rc = main(["check", path, "--json", str(report)])
+    captured = capsys.readouterr()
+    with open(report) as fh:
+        rep = json.load(fh)
+    for c in rep["certificates"]:
+        c["elapsed_ms"] = 0
+    return rc, rep, re.sub(r"\(\d+\.\d ms\)", "", captured.out), captured.err
+
+
+def test_check_byte_order_mark_is_skipped(tmp_path, capsys):
+    bom = os.path.join(FIXTURES, "bom.lie")
+    with open(bom, "rb") as fh:
+        raw = fh.read()
+    assert raw.startswith(codecs.BOM_UTF8)
+    plain = tmp_path / "plain.lie"
+    plain.write_bytes(raw[len(codecs.BOM_UTF8):])
+    rc, rep, out, err = _check_outcome(bom, tmp_path / "bom.json", capsys)
+    rc0, rep0, out0, err0 = _check_outcome(str(plain), tmp_path / "plain.json", capsys)
+    assert rc == rc0 == 0 and out == out0 and err == err0 == ""
+    assert rep["certificates"] == rep0["certificates"] and len(rep["certificates"]) == 1
+    # the digest covers the raw bytes, mark included
+    assert rep["input_hash"] == hashlib.sha256(raw).hexdigest() != rep0["input_hash"]
+
+
+def test_check_spans_count_from_after_a_byte_order_mark(tmp_path, capsys):
+    text = b"algebra g { basis x ; ]\n"
+    errs = []
+    for name, data in (("bom.lie", codecs.BOM_UTF8 + text), ("plain.lie", text)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "error: expected '}', found ']' (line 1, column 23)\n"
 
 
 def test_check_missing_file(capsys):

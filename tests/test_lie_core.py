@@ -50,7 +50,9 @@ from oracles import (
     naive_jacobi_defect,
     naive_jacobi_sweep,
     naive_nijenhuis,
+    naive_parallel_sweep,
     naive_representation_defect,
+    naive_torsion_free_sweep,
     naive_square,
     is_minus_identity,
     naive_rank,
@@ -780,18 +782,93 @@ CONNECTIONS = [L.adjoint_connection() for L in SMALL_LIE] + [
 ]
 
 
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_representation_matches_oracle_on_perturbed_connections(data):
-    rho = data.draw(st.sampled_from(CONNECTIONS))
+def _perturbed(data, rho):
+    """rho with up to three operator entries shifted."""
     m = rho.module_dim
     mats = [op.matrix.copy() for op in rho.maps]
     for _ in range(data.draw(st.integers(0, 3))):
         op = mats[data.draw(st.integers(0, len(mats) - 1))]
         r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
         op.data[r][c] += data.draw(nonzero_rationals)
-    pert = Connection(rho.algebra, [LinearMap(mt) for mt in mats])
+    return Connection(rho.algebra, [LinearMap(mt) for mt in mats])
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_representation_matches_oracle_on_perturbed_connections(data):
+    pert = _perturbed(data, data.draw(st.sampled_from(CONNECTIONS)))
     _matches_oracle(check_representation(pert), naive_representation_defect(pert))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_torsion_free_matches_oracle_on_perturbed_connections(data):
+    on_algebra = [rho for rho in CONNECTIONS if rho.module_dim == rho.algebra.dim]
+    conn = _perturbed(data, data.draw(st.sampled_from(on_algebra)))
+    _matches_oracle(check_torsion_free(conn), naive_torsion_free_sweep(conn))
+
+
+def _sparse_square(data, m):
+    """A dense m x m rational matrix with at most 2m entries set."""
+    mat = [[Fraction(0)] * m for _ in range(m)]
+    for _ in range(data.draw(st.integers(0, 2 * m))):
+        r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        mat[r][c] = data.draw(small_rationals)
+    return mat
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_parallel_matches_oracle_on_random_endomorphisms_and_forms(data):
+    conn = _perturbed(data, data.draw(st.sampled_from(CONNECTIONS)))
+    m = conn.module_dim
+    if data.draw(st.booleans()):
+        T = LinearMap(_sparse_square(data, m))
+    else:  # a multiple of the identity is parallel for every connection
+        T = LinearMap(Matrix.identity(m)).scale(data.draw(small_rationals))
+    _matches_oracle(check_parallel(conn, T), naive_parallel_sweep(conn, T))
+    a = _sparse_square(data, m)
+    kind = data.draw(st.sampled_from([BilinearForm.SYMMETRIC, BilinearForm.SKEW]))
+    sign = 1 if kind == BilinearForm.SYMMETRIC else -1
+    B = BilinearForm([[a[r][c] + sign * a[c][r] for c in range(m)] for r in range(m)], kind)
+    _matches_oracle(check_parallel(conn, B), naive_parallel_sweep(conn, B))
+
+
+def _perturbed_tower():
+    """The level-2 tower connection over gl(2) (dimension 16) with two entries
+    of every operator shifted, and its two tower structures."""
+    from lieforge.structures import clifford_tower
+
+    gl2 = catalog.gl(2)
+    _, conn, family = clifford_tower(gl2.algebra, gl2.structures["left_mult"], 2)
+    assert check_representation(conn).passed and check_torsion_free(conn).passed
+    m = conn.module_dim
+    cols = [[dict(c) for c in op.sparse_columns()] for op in conn.maps]
+    for i in range(m):
+        for c in ((i + 1) % m, (i + 6) % m):
+            r = (3 * i + c) % m
+            cols[i][c][r] = cols[i][c].get(r, 0) + 1
+    maps = [LinearMap.from_sparse_columns(m, m, c) for c in cols]
+    return Connection(conn.algebra, maps), family.maps
+
+
+def test_representation_witness_cap_and_order_past_sixteen_failures():
+    pert, _ = _perturbed_tower()
+    fails = naive_representation_defect(pert)
+    assert len(fails) > MAX_WITNESSES
+    cert = check_representation(pert)
+    assert len(cert.witnesses) == MAX_WITNESSES
+    _matches_oracle(cert, fails)
+
+
+def test_torsion_free_and_parallel_witness_cap_and_order_past_sixteen_failures():
+    pert, structures = _perturbed_tower()
+    cases = [(check_torsion_free(pert), naive_torsion_free_sweep(pert))]
+    cases += [(check_parallel(pert, J), naive_parallel_sweep(pert, J)) for J in structures]
+    for cert, fails in cases:
+        assert len(fails) > MAX_WITNESSES
+        assert len(cert.witnesses) == MAX_WITNESSES
+        _matches_oracle(cert, fails)
 
 
 @given(st.data())
