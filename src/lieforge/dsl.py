@@ -758,17 +758,17 @@ def _ck_jacobi(ws, args):
 def _ck_integrable(ws, args):
     alg, lm = _endo_with_algebra(ws, args[0])
     split = _split_from_labels(alg, args[1:]) if len(args) > 1 else None
-    return [check_integrable(alg, AlmostComplex(lm), split=split, target=args[0][1])]
+    return [check_integrable(alg, lm, split=split, target=args[0][1])]
 
 
 def _ck_complex_lie(ws, args):
     alg, lm = _endo_with_algebra(ws, args[0])
-    return [check_complex_lie(alg, AlmostComplex(lm), target=args[0][1])]
+    return [check_complex_lie(alg, lm, target=args[0][1])]
 
 
 def _ck_abelian_complex(ws, args):
     alg, lm = _endo_with_algebra(ws, args[0])
-    return [check_abelian_complex(alg, AlmostComplex(lm), target=args[0][1])]
+    return [check_abelian_complex(alg, lm, target=args[0][1])]
 
 
 def _ck_representation(ws, args):

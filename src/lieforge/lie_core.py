@@ -8,6 +8,7 @@ witness list is empty.
 
 from __future__ import annotations
 
+import heapq
 import time
 from bisect import bisect_left
 from collections import defaultdict
@@ -602,15 +603,62 @@ def _bracket_pairs(L, vectors):
             yield a, b
 
 
+def _orbit_sweep(sweep, L, J):
+    """Full sweep of a signed pairing J b_p = s_p b_sigma(p) from its
+    representative pairs; False, sweeping nothing, for any other J.
+
+    As b_sigma(p) = s_p J b_p and N(Jx, y) = N(x, Jy) = -J N(x, y), each pair
+    of the orbit {p, sigma p} x {q, sigma q} has torsion +-T or +-J T, where
+    T = N(b_p, b_q) at the representatives p = min(p, sigma p), q alike, and
+    (J T)[sigma k] = s_k T[k].  Orbits with p = q vanish; each other holds 4
+    pairs.  Failing orbits are kept as keys; witness torsions are recomputed.
+    """
+    cols = J.sparse_columns()
+    if not all(len(c) == 1 and next(iter(c.values())) in (1, -1) for c in cols):
+        return False
+    sigma = [next(iter(c)) for c in cols]
+    signs = [c[q] for c, q in zip(cols, sigma)]
+    reps = [p for p in range(L.dim) if p < sigma[p]]
+    units = [{p: _ONE} for p in reps]
+    torsions = _torsions(L, J, units, [cols[p] for p in reps])
+    failing = [(reps[a], reps[b]) for (a, b), _ in torsions]
+    orbits = (
+        ((x, y) if x < y else (y, x), p, q, x, y)
+        for p, q in failing
+        for x in (p, sigma[p])
+        for y in (q, sigma[q])
+    )
+    for key, p, q, x, y in heapq.nsmallest(MAX_WITNESSES, orbits):
+        t = nijenhuis(L, J, L.basis_vector(p), L.basis_vector(q))
+        c, turns = (-1 if x > y else 1), 0  # negate when sorting swaps the slots
+        if x != p:
+            c, turns = -signs[p] * c, turns + 1
+        if y != q:
+            c, turns = -signs[q] * c, turns + 1
+        if turns == 1:
+            t = [signs[sigma[m]] * t[sigma[m]] for m in range(L.dim)]
+        elif turns == 2:
+            c = -c  # J^2 = -1
+        sweep.fail(key, [c * v for v in t])
+    sweep.total = 4 * len(failing)
+    return True
+
+
 def check_integrable(L, J, split=None, target=None):
     """Vanishing of the structure torsion on basis pairs.
 
     With ``split`` given (a half basis u whose union with Ju spans the
     algebra, verified here), only pairs inside the half basis are swept;
     that suffices because vanishing there forces identical vanishing.
+
+    Without it, a signed pairing J (one entry +-1 per column) sweeps only
+    its representative pairs and derives the others (:func:`_orbit_sweep`);
+    any other J sweeps every pair.  The certificate is the same either way.
     """
     sweep = _Sweep("integrable", target or L.name)
     _require_almost_complex(L, J)
+    if split is None and _orbit_sweep(sweep, L, J):
+        return sweep.done()
     n = L.dim
     if split is None:
         vectors = [{i: _ONE} for i in range(n)]

@@ -201,10 +201,13 @@ def scalar_to_str(s):
     """Serialize a scalar: "p/q" with the /q omitted when q is 1.
 
     Gaussian scalars serialize as "p/q+r/s*i" (the sign of the imaginary
-    part folds into r).
+    part folds into r), or as their real part when the imaginary part is
+    zero, so equal values print the same text.
     """
     if isinstance(s, GaussScalar):
-        return "%s+%s*i" % (s.re, s.im)
+        if s.im:
+            return "%s+%s*i" % (s.re, s.im)
+        s = s.re
     return str(Fraction(s))
 
 

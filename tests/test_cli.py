@@ -68,6 +68,17 @@ def test_check_precondition_exit_two(tmp_path, capsys):
     assert "precondition" in out
 
 
+def test_check_endo_squaring_to_plus_one_exits_two_once_per_check(capsys):
+    rc = main(["check", os.path.join(FIXTURES, "squares_to_plus_one.lie")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == ""
+    assert captured.out == "".join(
+        "FAIL %s P (0.0 ms)  witness ['precondition'] defect []  "
+        "precondition: map squared is not minus the identity\n" % check
+        for check in ("integrable", "complex_lie", "abelian_complex")
+    )
+
+
 def test_check_zero_denominator_exits_two_with_span(capsys):
     rc = main(["check", ZERO_DENOMINATOR])
     err = capsys.readouterr().err

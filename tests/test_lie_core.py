@@ -1,10 +1,12 @@
 import json
+import os
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieforge import catalog
@@ -15,7 +17,9 @@ from lieforge.scalar_linear import (
     PreconditionError,
     Q,
     SingularMatrixError,
+    scalar_to_str,
 )
+from lieforge import lie_core
 from lieforge.lie_core import (
     AlmostComplex,
     BilinearForm,
@@ -23,6 +27,9 @@ from lieforge.lie_core import (
     LieAlgebra,
     LinearMap,
     MAX_WITNESSES,
+    Witness,
+    _acc,
+    _dense,
     check_abelian_complex,
     check_closed,
     check_complex_lie,
@@ -989,6 +996,99 @@ def test_integrable_and_complex_lie_match_oracles_on_wide_sparse_tables(data):
 
 
 # ---------------------------------------------------------------------------
+# the orbit-reduced full sweep of a signed pairing against the dense oracle
+
+E4 = catalog.euclidean(4).algebra
+PAIRING_POOL = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "answers", "pairings.json"
+)
+
+
+def _is_signed_pairing(jmat):
+    cols = [[row[j] for row in jmat if row[j]] for j in range(len(jmat))]
+    return all(len(c) == 1 and c[0] in (1, -1) for c in cols)
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_integrable_orbit_sweep_matches_oracle_past_sixteen_failures(data):
+    """Random pairs and signs on a rescaled, corrupted e(4): each derived
+    branch and each slot swap lands among the capped witnesses."""
+    L = _corrupted(data, _rescaled(data, E4))
+    n = L.dim
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    jmat = _pairing_matrix(perm, signs)
+    fails = naive_integrable_sweep(L, jmat, _units(n))
+    assume(len(fails) > MAX_WITNESSES)
+    _matches_oracle(check_integrable(L, LinearMap(jmat)), fails)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_integrable_orbit_sweep_matches_oracle_on_gaussian_tables(data):
+    """A Gaussian table and a signed pairing, with rational or Gaussian +-1
+    entries: same values and same text as the oracle."""
+    L = _table(data, even=True)
+    n = L.dim
+    table = {
+        pair: {k: GaussScalar(v, data.draw(small_rationals)) for k, v in coeffs.items()}
+        for pair, coeffs in L.table.items()
+    }
+    L = LieAlgebra(L.labels, table, field="gaussian", check=False)
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    jmat = _pairing_matrix(perm, signs)
+    if data.draw(st.booleans()):
+        jmat = [[GaussScalar(v) for v in row] for row in jmat]
+    fails = naive_integrable_sweep(L, jmat, _units(n))
+    cert = check_integrable(L, LinearMap(jmat))
+    _matches_oracle(cert, fails)
+    assert [[scalar_to_str(x) for x in w.defect] for w in cert.witnesses] == [
+        [scalar_to_str(x) for x in d] for _, d in fails[:MAX_WITNESSES]
+    ]
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_integrable_derives_from_representatives_exactly_for_signed_pairings(data):
+    """A conjugated structure, or a pairing rescaled to entries other than
+    +-1, is no signed pairing and sweeps every basis pair."""
+    L = _table(data, even=True)
+    n = L.dim
+    jmat = _structure(data, n)
+    if data.draw(st.booleans()):
+        d = [data.draw(nonzero_rationals) for _ in range(n)]
+        jmat = [[d[i] * v / d[j] for j, v in enumerate(row)] for i, row in enumerate(jmat)]
+    with mock.patch.object(lie_core, "_torsions", wraps=lie_core._torsions) as spy:
+        cert = check_integrable(L, LinearMap(jmat))
+    swept = spy.call_args.args[2]
+    assert len(swept) == (n // 2 if _is_signed_pairing(jmat) else n)
+    _matches_oracle(cert, naive_integrable_sweep(L, jmat, _units(n)))
+
+
+def test_integrable_reproduces_the_frozen_pairing_pool():
+    """The recorded full-sweep answers for 16 random pairings of e(15)."""
+    with open(PAIRING_POOL, encoding="utf-8") as fh:
+        pool = json.load(fh)
+    L = catalog.euclidean(15).algebra
+    assert L.labels == pool["labels"] and len(pool["pairings"]) == 16
+    for pairs, want in zip(pool["pairings"], pool["answers"]):
+        cert = check_integrable(L, AlmostComplex.from_pairs(L.dim, pairs), target="rand")
+        got = {
+            "check": cert.check_name,
+            "target": cert.target,
+            "pass": cert.passed,
+            "total_failures": cert.total_failures,
+            "witnesses": [
+                [list(w.indices), [scalar_to_str(x) for x in w.defect]] for w in cert.witnesses
+            ],
+        }
+        assert got == want
+        assert cert.total_failures % 4 == 0
+
+
+# ---------------------------------------------------------------------------
 # the sparse eigenspace sweeps against the dense realified oracle
 
 INTEGRABLE = [
@@ -1140,3 +1240,20 @@ def test_linear_map_matches_dense_oracle(mats):
     assert (lm == lm2) == (A == A2)
     if lm == lm2:
         assert hash(lm) == hash(lm2)
+
+
+mixed_scalars = st.one_of(small_rationals, gauss_scalars, st.builds(GaussScalar, small_rationals))
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), mixed_scalars), max_size=8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_certificate_text_ignores_the_order_of_mixed_terms(terms, data):
+    """Sums of rational and Gaussian terms, some cancelling, added in two orders."""
+    terms = terms + [(k, -v) for k, v in terms[: data.draw(st.integers(0, len(terms)))]]
+    texts = set()
+    for order in (terms, data.draw(st.permutations(terms))):
+        acc = {}
+        for k, v in order:
+            _acc(acc, {k: v})
+        texts.add(json.dumps(Witness((0,), tuple(_dense(acc, 3))).to_json()))
+    assert len(texts) == 1
