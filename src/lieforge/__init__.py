@@ -11,8 +11,6 @@ from .scalar_linear import (
     Q,
     Scalar,
     SingularMatrixError,
-    rank,
-    solve_in_span,
 )
 from .lie_core import (
     AlmostComplex,

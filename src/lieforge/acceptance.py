@@ -88,18 +88,6 @@ def complex_numbers_algebra():
     )
 
 
-def matrix_assoc_algebra(n):
-    """n x n real matrices as an associative algebra on the unit basis."""
-    pos = {(i, j): n * i + j for i in range(n) for j in range(n)}
-    labels = ["a%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-    table = {}
-    for (i, j), p in pos.items():
-        for (k, l), q in pos.items():
-            if j == k:
-                table[(p, q)] = {pos[(i, l)]: Fraction(1)}
-    return AssociativeAlgebra(labels, table, name="M%d" % n)
-
-
 def left_symmetric_aff1():
     """The affine line with the product x*y = y, all other products zero."""
     alg = catalog.affine(1).algebra

@@ -100,7 +100,6 @@ def so(n):
     entry = CatalogEntry("so_%d" % n, alg, realization=real)
     entry.structures["standard_rep"] = Connection(alg, real)
     if n % 4 in (0, 1) and n >= 4:
-        _require_even_rank(n)
         jp = _rotation_pairs(n, {pq: k for k, pq in enumerate(pairs)})
         entry.structures["j"] = AlmostComplex.from_pairs(alg.dim, jp)
         entry.structures["split"] = [p[0] for p in jp]
@@ -252,11 +251,6 @@ def galilean():
     return entry
 
 
-def _require_even_rank(n):
-    if (n // 2) % 2:
-        raise PreconditionError("rotation structure needs even rank")
-
-
 def _rotation_pairs(n, fidx):
     """Index pairs of the structure on the rotation part so(n).
 
@@ -279,16 +273,30 @@ def _root_vectors(dim, fidx, r):
     for j in range(1, r + 1):
         for l in range(j + 1, r + 1):
             for tag, (p, q, sign) in {
-                "u+": (fidx(2 * j - 1, 2 * l - 1), fidx(2 * j, 2 * l), _ONE),
-                "u-": (fidx(2 * j - 1, 2 * l - 1), fidx(2 * j, 2 * l), -_ONE),
-                "v+": (fidx(2 * j - 1, 2 * l), fidx(2 * j, 2 * l - 1), _ONE),
-                "v-": (fidx(2 * j - 1, 2 * l), fidx(2 * j, 2 * l - 1), -_ONE),
+                "u+": (fidx[(2 * j - 1, 2 * l - 1)], fidx[(2 * j, 2 * l)], _ONE),
+                "u-": (fidx[(2 * j - 1, 2 * l - 1)], fidx[(2 * j, 2 * l)], -_ONE),
+                "v+": (fidx[(2 * j - 1, 2 * l)], fidx[(2 * j, 2 * l - 1)], _ONE),
+                "v-": (fidx[(2 * j - 1, 2 * l)], fidx[(2 * j, 2 * l - 1)], -_ONE),
             }.items():
                 v = [0] * dim
                 v[p] = _ONE
                 v[q] = sign
                 vecs[tag].append(v)
     return vecs
+
+
+def _compat(g, rho, jg, n, fidx, extra0=(), extra1=()):
+    """Compatibility data for so(n), extended or not, acting on R^n.
+
+    part0 is f_(2i-1)(2i) for i <= n/2, u+ and v- then ``extra0``; part1
+    is u- and v+ then ``extra1``.
+    """
+    r = n // 2
+    vecs = _root_vectors(g.dim, fidx, r)
+    part0 = [_basis_vec(g.dim, fidx[(2 * i - 1, 2 * i)]) for i in range(1, r + 1)]
+    part0 += vecs["u+"] + vecs["v-"] + list(extra0)
+    part1 = vecs["u-"] + vecs["v+"] + list(extra1)
+    return CompatData(g, rho, jg, _identity_on(n), Decomposition(part0, part1))
 
 
 def _basis_vec(dim, i):
@@ -347,15 +355,8 @@ def _euclidean(n):
     if n % 4 == 0:
         g = soa
         rho = so_entry.structures["standard_rep"]
-        _require_even_rank(n)
         jg = AlmostComplex.from_pairs(g.dim, _rotation_pairs(n, fidx))
-        vecs = _root_vectors(g.dim, lambda a, b: fidx[(a, b)], r)
-        part0 = [_basis_vec(g.dim, fidx[(2 * i - 1, 2 * i)]) for i in range(1, r + 1)]
-        part0 += vecs["u+"] + vecs["v-"]
-        part1 = vecs["u-"] + vecs["v+"]
-        entry.structures["compat"] = CompatData(
-            g, rho, jg, _identity_on(n), Decomposition(part0, part1)
-        )
+        entry.structures["compat"] = _compat(g, rho, jg, n, fidx)
     elif n % 4 == 2:
         g = central_extension(soa, name="Rz+so_%d" % n)
         zero = LinearMap.zero(n)
@@ -363,12 +364,8 @@ def _euclidean(n):
         jp = _rotation_pairs(n, fidx)
         jp.append((fidx[(2 * r - 1, 2 * r)], g.dim - 1))
         jg = AlmostComplex.from_pairs(g.dim, jp)
-        vecs = _root_vectors(g.dim, lambda a, b: fidx[(a, b)], r)
-        part0 = [_basis_vec(g.dim, fidx[(2 * i - 1, 2 * i)]) for i in range(1, r + 1)]
-        part0 += vecs["u+"] + vecs["v-"] + [_basis_vec(g.dim, g.dim - 1)]
-        part1 = vecs["u-"] + vecs["v+"]
-        entry.structures["compat"] = CompatData(
-            g, rho, jg, _identity_on(n), Decomposition(part0, part1)
+        entry.structures["compat"] = _compat(
+            g, rho, jg, n, fidx, extra0=[_basis_vec(g.dim, g.dim - 1)]
         )
     if n == 3:
         gal = galilean()
@@ -433,13 +430,10 @@ def poincare(k):
     for i in range(1, q + 1, 2):
         jp.append((s_index(i), s_index(i + 1)))
     jg = AlmostComplex.from_pairs(g.dim, jp)
-    vecs = _root_vectors(g.dim, lambda a, b: fidx[(a, b)], r)
-    part0 = [_basis_vec(g.dim, fidx[(2 * i - 1, 2 * i)]) for i in range(1, r + 1)]
-    part0 += vecs["u+"] + vecs["v-"] + [_basis_vec(g.dim, g.dim - 1)]
-    part1 = vecs["u-"] + vecs["v+"]
-    part1 += [_basis_vec(g.dim, s_index(i)) for i in range(1, q + 1)]
-    entry.structures["compat"] = CompatData(
-        g, rho, jg, _identity_on(q), Decomposition(part0, part1)
+    entry.structures["compat"] = _compat(
+        g, rho, jg, q, fidx,
+        extra0=[_basis_vec(g.dim, g.dim - 1)],
+        extra1=[_basis_vec(g.dim, s_index(i)) for i in range(1, q + 1)],
     )
     return entry
 

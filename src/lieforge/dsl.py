@@ -26,6 +26,7 @@ optional ``/`` and denominator.
 from __future__ import annotations
 
 import re
+import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -926,7 +927,10 @@ _CHECKS = {
 
 
 def _run_one(ws, fname, args, span):
+    """Run one check; a violated precondition becomes a failing certificate
+    whose ``elapsed_ms`` is the time spent up to the exception."""
     runner = _CHECKS[fname][1]
+    t0 = time.perf_counter()
     try:
         return runner(ws, args)
     except DslError:
@@ -939,7 +943,7 @@ def _run_one(ws, fname, args, span):
                 passed=False,
                 witnesses=[Witness(("precondition",), ())],
                 total_failures=1,
-                elapsed_ms=0.0,
+                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
                 notes={"precondition": str(exc)},
             )
         ]

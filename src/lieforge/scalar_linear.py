@@ -1,4 +1,4 @@
-"""Exact scalars and dense exact linear algebra.
+"""Exact scalars, dense matrix inversion and sparse span solving.
 
 Scalars are arbitrary-precision rationals or Gaussian rationals.  A rational
 is stored as an ``int`` while it is integral and as a ``fractions.Fraction``
@@ -20,8 +20,6 @@ __all__ = [
     "GAUSS_I",
     "Matrix",
     "SpanSolver",
-    "solve_in_span",
-    "rank",
     "LieforgeError",
     "DimensionMismatchError",
     "SingularMatrixError",
@@ -243,81 +241,8 @@ class Matrix:
                 raise DimensionMismatchError("ragged rows in matrix")
         self.data = data
 
-    @classmethod
-    def zeros(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return cls([[_ZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n):
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = _ONE
-        return m
-
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def copy(self):
-        return Matrix([row[:] for row in self.data])
-
-    def transpose(self):
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
-        )
-
     def __repr__(self):
         return "Matrix(%r)" % (self.data,)
-
-    def is_zero(self):
-        return all(not e for row in self.data for e in row)
-
-    def __neg__(self):
-        return Matrix([[-e for e in row] for row in self.data])
-
-    def scale(self, s):
-        return Matrix([[s * e for e in row] for row in self.data])
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise DimensionMismatchError(
-                    "cannot multiply %dx%d by %dx%d"
-                    % (self.rows, self.cols, other.rows, other.cols)
-                )
-            od = other.data
-            out = []
-            for row in self.data:
-                acc = [_ZERO] * other.cols
-                for k, a in enumerate(row):
-                    if not a:
-                        continue
-                    orow = od[k]
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] = acc[j] + a * b
-                out.append(acc)
-            return Matrix(out)
-        return self.scale(other)
-
-    def matvec(self, vec):
-        if len(vec) != self.cols:
-            raise DimensionMismatchError("vector length does not match columns")
-        out = []
-        for row in self.data:
-            s = _ZERO
-            for a, v in zip(row, vec):
-                if a and v:
-                    s = s + a * v
-            out.append(s)
-        return out
 
     def invert(self):
         """Exact inverse by Gauss-Jordan elimination.
@@ -438,42 +363,3 @@ class SpanSolver:
         _, _, p = self._reduce(vec)
         return p is None
 
-
-def _dense_to_sparse(vec):
-    return {i: e for i, e in enumerate(vec) if e}
-
-
-def solve_in_span(vectors, target):
-    """Express target in the span of the given column vectors.
-
-    Returns the coefficient list (one per input vector) or None when the
-    target lies outside the span.  All columns must share one dimension.
-    """
-    vectors = [list(v) for v in vectors]
-    target = list(target)
-    n = len(target)
-    for v in vectors:
-        if len(v) != n:
-            raise DimensionMismatchError("columns of unequal length")
-    solver = SpanSolver(n)
-    for v in vectors:
-        solver.add(_dense_to_sparse(v))
-    combo = solver.solve(_dense_to_sparse(target))
-    if combo is None:
-        return None
-    return [combo.get(j, _ZERO) for j in range(len(vectors))]
-
-
-def rank(vectors):
-    """Rank of the spanned subspace, by exact elimination."""
-    vectors = [list(v) for v in vectors]
-    if not vectors:
-        return 0
-    n = len(vectors[0])
-    for v in vectors:
-        if len(v) != n:
-            raise DimensionMismatchError("columns of unequal length")
-    solver = SpanSolver(n)
-    for v in vectors:
-        solver.add(_dense_to_sparse(v))
-    return solver.rank

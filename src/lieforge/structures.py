@@ -365,6 +365,17 @@ class CliffordFamily:
         return sweep.done(notes=notes)
 
 
+def _require_flat_torsion_free(conn):
+    """PreconditionError, with the failing certificate, unless conn is flat
+    and torsion-free."""
+    rep = check_representation(conn)
+    if not rep.passed:
+        raise PreconditionError("connection is not flat", details=rep)
+    tf = check_torsion_free(conn)
+    if not tf.passed:
+        raise PreconditionError("connection has torsion", details=tf)
+
+
 def clifford_tower(g, conn, m, name=None):
     """Iterated tangent doubling carrying one new structure per level.
 
@@ -374,12 +385,7 @@ def clifford_tower(g, conn, m, name=None):
     """
     if m < 1:
         raise PreconditionError("tower needs m >= 1")
-    rep = check_representation(conn)
-    if not rep.passed:
-        raise PreconditionError("connection is not flat", details=rep)
-    tf = check_torsion_free(conn)
-    if not tf.passed:
-        raise PreconditionError("connection has torsion", details=tf)
+    _require_flat_torsion_free(conn)
     alg, cur = g, conn
     members = []
     for level in range(m):
@@ -408,12 +414,7 @@ def hypercomplex_pair(g, conn, J, target=None):
     certificate; the lifted connection is the unique torsion-free
     connection parallelizing the pair, recorded in the notes.
     """
-    rep = check_representation(conn)
-    if not rep.passed:
-        raise PreconditionError("connection is not flat", details=rep)
-    tf = check_torsion_free(conn)
-    if not tf.passed:
-        raise PreconditionError("connection has torsion", details=tf)
+    _require_flat_torsion_free(conn)
     par = check_parallel(conn, J)
     if not par.passed:
         raise PreconditionError("structure is not parallel", details=par)

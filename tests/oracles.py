@@ -9,6 +9,7 @@ arithmetic.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from lieforge.constructions import AssociativeAlgebra
 from lieforge.dsl import DslSyntaxError, SourceSpan
 
 
@@ -272,11 +273,12 @@ def naive_row_basis(rows):
 
 
 def naive_product(a, b):
-    """Dense a * b by the textbook triple loop, for any scalar type."""
-    n = len(a)
+    """Dense a * b by the textbook triple loop, for any scalar type and any
+    shapes where a has as many columns as b has rows."""
+    inner, cols = len(b), len(b[0]) if b else 0
     return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
+        [sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+        for row in a
     ]
 
 
@@ -370,3 +372,15 @@ def naive_tokenize(text):
         raise DslSyntaxError("unexpected character %r" % ch, span)
     toks.append(Token("end", "", SourceSpan(line, col, 0)))
     return toks
+
+
+def matrix_assoc_algebra(n):
+    """n x n real matrices as an associative algebra on the unit basis."""
+    pos = {(i, j): n * i + j for i in range(n) for j in range(n)}
+    labels = ["a%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
+    table = {}
+    for (i, j), p in pos.items():
+        for (k, l), q in pos.items():
+            if j == k:
+                table[(p, q)] = {pos[(i, l)]: Fraction(1)}
+    return AssociativeAlgebra(labels, table, name="M%d" % n)

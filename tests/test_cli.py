@@ -79,6 +79,16 @@ def test_check_endo_squaring_to_plus_one_exits_two_once_per_check(capsys):
     )
 
 
+def test_precondition_certificates_report_time_spent(capsys):
+    rc = main(["check", os.path.join(FIXTURES, "squares_to_plus_one.lie"), "--json", "-"])
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    assert rc == 2
+    assert [c["check"] for c in certs] == ["integrable", "complex_lie", "abelian_complex"]
+    for c in certs:
+        assert c["witnesses"] == [{"indices": ["precondition"], "defect": []}]
+        assert c["elapsed_ms"] > 0
+
+
 def test_check_zero_denominator_exits_two_with_span(capsys):
     rc = main(["check", ZERO_DENOMINATOR])
     err = capsys.readouterr().err

@@ -139,7 +139,7 @@ def test_catalog_emission_reparses_identically():
     ws = parse(text)
     assert ws.definitions[entry.name][1].same_constants(entry.algebra)
     _, (alg_name, j) = ws.definitions["euclidean_3_j"]
-    assert j.matrix == entry.structures["j"].matrix
+    assert j == entry.structures["j"]
 
 
 def test_roundtrip_byte_stability_catalog():
@@ -384,7 +384,7 @@ def test_roundtrip_keeps_declarations_on_constructed_algebras():
     ws = parse(text)
     once = workspace_to_dsl(ws)
     again = parse(once)
-    assert again.definitions["K2"][1][1].matrix == ws.definitions["K2"][1][1].matrix
+    assert again.definitions["K2"][1][1] == ws.definitions["K2"][1][1]
     assert workspace_to_dsl(again) == once
     assert [c.passed for c in run(again)] == [c.passed for c in run(ws)]
 

@@ -56,8 +56,10 @@ from oracles import (
     naive_integrable_sweep,
     naive_jacobi_defect,
     naive_jacobi_sweep,
+    naive_matvec,
     naive_nijenhuis,
     naive_parallel_sweep,
+    naive_product,
     naive_representation_defect,
     naive_torsion_free_sweep,
     naive_square,
@@ -245,7 +247,7 @@ def test_integrable_broken_structure_fails(e3):
 
 
 def test_integrable_precondition_distinct(e3):
-    not_complex = LinearMap(Matrix.identity(6))
+    not_complex = LinearMap.identity(6)
     with pytest.raises(PreconditionError):
         check_integrable(e3.algebra, not_complex)
 
@@ -333,8 +335,8 @@ def test_representation_standard_so3():
 
 def test_representation_perturbed_fails(e3):
     conn = e3.algebra.adjoint_connection()
-    bad = [m.matrix.copy() for m in conn.maps]
-    bad[0].data[0][0] = Q(1)
+    bad = [m.matrix.data for m in conn.maps]
+    bad[0][0][0] = Q(1)
     cert = check_representation(Connection(e3.algebra, [LinearMap(m) for m in bad]))
     assert not cert.passed
     assert cert.witnesses
@@ -376,7 +378,7 @@ def test_form_stores_its_gram_matrix_as_sparse_columns():
     assert (om.value_basis(0, 1), om.value_basis(1, 0), om.value_basis(1, 1)) == (
         Q(1, 2), Q(-1, 2), 0,
     )
-    assert om.matrix == Matrix([[0, Q(1, 2)], [Q(-1, 2), 0]])
+    assert om.matrix.data == [[0, Q(1, 2)], [Q(-1, 2), 0]]
     assert BilinearForm(om.gram, BilinearForm.SKEW).gram is om.gram
     with pytest.raises(PreconditionError):
         BilinearForm(om.gram, BilinearForm.SYMMETRIC)
@@ -406,7 +408,7 @@ def test_closed_matches_naive_differential():
 def test_parallel_zero_connection():
     L = abelian(3)
     conn = Connection(L, [LinearMap.zero(3)] * 3)
-    anymap = LinearMap(Matrix.identity(3))
+    anymap = LinearMap.identity(3)
     assert check_parallel(conn, anymap).passed
 
 
@@ -424,7 +426,7 @@ def test_parallel_swap_structure_on_tangent():
 def test_metric_abelian_identity():
     L = abelian(2)
     conn = Connection(L, [LinearMap.zero(2)] * 2)
-    B = BilinearForm(Matrix.identity(2), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(2), BilinearForm.SYMMETRIC)
     cert = check_metric(conn, B)
     assert cert.passed
     assert cert.notes == {"compatible": True, "torsion_free": True, "flat": True}
@@ -433,7 +435,7 @@ def test_metric_abelian_identity():
 def test_metric_left_symmetric_not_metric():
     aff = catalog.affine(1).algebra
     ls = Connection(aff, [LinearMap([[Q(0), Q(0)], [Q(0), Q(1)]]), LinearMap.zero(2)])
-    B = BilinearForm(Matrix.identity(2), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(2), BilinearForm.SYMMETRIC)
     cert = check_metric(ls, B)
     assert not cert.passed
     assert not cert.notes["compatible"]
@@ -443,7 +445,7 @@ def test_metric_witnesses_name_their_sub_check():
     # torsion-free on the abelian plane, but neither flat nor skew
     L = abelian(2)
     conn = Connection(L, [LinearMap([[1, 0], [0, 0]]), LinearMap([[0, 1], [0, 0]])])
-    B = BilinearForm(Matrix.identity(2), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(2), BilinearForm.SYMMETRIC)
     cert = check_metric(conn, B)
     subs = {
         "compatible": check_parallel(conn, B),
@@ -472,7 +474,7 @@ def test_product_structure_tangent_swap():
 
 def test_product_structure_identity_degenerate():
     L = abelian(2)
-    cert = check_product_structure(L, LinearMap(Matrix.identity(2)))
+    cert = check_product_structure(L, LinearMap.identity(2))
     assert cert.passed
     assert cert.notes["degenerate"]
 
@@ -480,7 +482,7 @@ def test_product_structure_identity_degenerate():
 def test_product_structure_requires_involution():
     L = abelian(2)
     with pytest.raises(PreconditionError):
-        check_product_structure(L, LinearMap(Matrix.identity(2).scale(Q(2))))
+        check_product_structure(L, LinearMap.identity(2).scale(Q(2)))
 
 
 def test_flat_torsion_free_connection_rebuilds_a_lie_bracket():
@@ -564,12 +566,11 @@ def _pairing_matrix(perm, signs):
 
 def _conjugate(m, p):
     """p m p^-1, or None when p is singular."""
-    P = Matrix(p)
     try:
-        Pinv = P.invert()
+        pinv = Matrix(p).invert().data
     except SingularMatrixError:
         return None
-    return (P * Matrix(m) * Pinv).data
+    return naive_product(naive_product(p, m), pinv)
 
 
 def _agrees_with_oracle(jmat):
@@ -679,7 +680,7 @@ def test_elapsed_ms_includes_the_precondition(e3, monkeypatch):
 def test_elapsed_ms_includes_the_form_inversion(monkeypatch):
     L = abelian(2)
     om = BilinearForm([[Q(0), Q(1)], [Q(-1), Q(0)]], BilinearForm.SKEW)
-    g = BilinearForm(Matrix.identity(2), BilinearForm.SYMMETRIC)
+    g = BilinearForm(LinearMap.identity(2), BilinearForm.SYMMETRIC)
     conn = Connection(L, [LinearMap.zero(2)] * 2)
     real = Matrix.invert
 
@@ -792,11 +793,11 @@ CONNECTIONS = [L.adjoint_connection() for L in SMALL_LIE] + [
 def _perturbed(data, rho):
     """rho with up to three operator entries shifted."""
     m = rho.module_dim
-    mats = [op.matrix.copy() for op in rho.maps]
+    mats = [op.matrix.data for op in rho.maps]
     for _ in range(data.draw(st.integers(0, 3))):
         op = mats[data.draw(st.integers(0, len(mats) - 1))]
         r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
-        op.data[r][c] += data.draw(nonzero_rationals)
+        op[r][c] += data.draw(nonzero_rationals)
     return Connection(rho.algebra, [LinearMap(mt) for mt in mats])
 
 
@@ -832,7 +833,7 @@ def test_parallel_matches_oracle_on_random_endomorphisms_and_forms(data):
     if data.draw(st.booleans()):
         T = LinearMap(_sparse_square(data, m))
     else:  # a multiple of the identity is parallel for every connection
-        T = LinearMap(Matrix.identity(m)).scale(data.draw(small_rationals))
+        T = LinearMap.identity(m).scale(data.draw(small_rationals))
     _matches_oracle(check_parallel(conn, T), naive_parallel_sweep(conn, T))
     a = _sparse_square(data, m)
     kind = data.draw(st.sampled_from([BilinearForm.SYMMETRIC, BilinearForm.SKEW]))
@@ -1128,19 +1129,19 @@ def _eigen_sweeps_match_oracle(L, jmat):
 
 def _in_basis(L, jmat, p):
     """L and J in the basis given by the columns of p, or None when p is singular."""
-    P = Matrix(p)
     try:
-        Pinv = P.invert()
+        pinv = Matrix(p).invert().data
     except SingularMatrixError:
         return None
-    n, c, cols = L.dim, dense_constants(L), P.transpose().data
+    n, c = L.dim, dense_constants(L)
+    cols = [[row[j] for row in p] for j in range(n)]
     table = {}
     for i in range(n):
         for j in range(i + 1, n):
-            coeffs = Pinv.matvec(naive_bracket(c, cols[i], cols[j]))
+            coeffs = naive_matvec(pinv, naive_bracket(c, cols[i], cols[j]))
             if any(coeffs):
                 table[(i, j)] = {k: v for k, v in enumerate(coeffs) if v}
-    return LieAlgebra(L.labels, table, check=False), (Pinv * Matrix(jmat) * P).data
+    return LieAlgebra(L.labels, table, check=False), naive_product(naive_product(pinv, jmat), p)
 
 
 @given(st.data())
@@ -1177,12 +1178,12 @@ def test_eigenspace_witness_cap_and_order_past_sixteen_failures():
 
 
 # ---------------------------------------------------------------------------
-# LinearMap's sparse columns against the dense Matrix oracle
+# LinearMap's sparse columns against dense list oracles
 
 
 def test_is_identity_ignores_explicit_zeros():
     m = LinearMap.from_sparse_columns(2, 2, [{0: 1, 1: 0}, {1: 1}])
-    assert m.matrix == Matrix.identity(2)
+    assert m.matrix.data == [[1, 0], [0, 1]]
     assert m.is_identity()
     assert m.sparse_columns() == [{0: 1}, {1: 1}]
 
@@ -1216,28 +1217,29 @@ def dense_triples(draw):
     if draw(st.booleans()):
         a2[draw(st.integers(0, r - 1))][draw(st.integers(0, k - 1))] = draw(entry)
     b = [[draw(entry) for _ in range(c)] for _ in range(k)]
-    return Matrix(a), Matrix(a2), Matrix(b), [draw(entry) for _ in range(k)], draw(entry)
+    return a, a2, b, [draw(entry) for _ in range(k)], draw(entry)
 
 
 @given(dense_triples())
 @settings(max_examples=150, deadline=None)
 def test_linear_map_matches_dense_oracle(mats):
-    A, A2, B, vec, s = mats
-    lm, lm2, lb = LinearMap(A), LinearMap(A2), LinearMap(B)
-    assert (lm.rows, lm.cols, lb.rows, lb.cols) == (A.rows, A.cols, B.rows, B.cols)
+    a, a2, b, vec, s = mats
+    lm, lm2, lb = LinearMap(a), LinearMap(a2), LinearMap(b)
+    r, k, c = len(a), len(b), len(b[0])
+    assert (lm.rows, lm.cols, lb.rows, lb.cols) == (r, k, k, c)
     for m in (lm, lb):
         for col in m.sparse_columns():
             assert all(v and not (type(v) is Fraction and v.denominator == 1) for v in col.values())
-    assert lm.matrix == A and lb.matrix == B
-    cols = [{i: e for i, e in enumerate(A.column(j))} for j in range(A.cols)]
-    assert LinearMap.from_sparse_columns(A.rows, A.cols, cols) == lm
-    assert lm.compose(lb).matrix == A * B
-    assert lm.transpose().matrix == A.transpose()
+    assert lm.matrix.data == a and lb.matrix.data == b
+    cols = [{i: row[j] for i, row in enumerate(a)} for j in range(k)]
+    assert LinearMap.from_sparse_columns(r, k, cols) == lm
+    assert lm.compose(lb).matrix.data == naive_product(a, b)
+    assert lm.transpose().matrix.data == [[row[j] for row in a] for j in range(k)]
     assert lm.transpose().transpose() == lm
-    assert (-lm).matrix == -A
-    assert lm.scale(s).matrix == A.scale(s)
-    assert lm.apply(vec) == A.matvec(vec)
-    assert (lm == lm2) == (A == A2)
+    assert (-lm).matrix.data == [[-e for e in row] for row in a]
+    assert lm.scale(s).matrix.data == [[s * e for e in row] for row in a]
+    assert lm.apply(vec) == naive_matvec(a, vec)
+    assert (lm == lm2) == (a == a2)
     if lm == lm2:
         assert hash(lm) == hash(lm2)
 

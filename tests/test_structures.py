@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lieforge import catalog
-from lieforge.scalar_linear import Matrix, PreconditionError, Q
+from lieforge.scalar_linear import PreconditionError, Q
 from lieforge.lie_core import (
     AlmostComplex,
     BilinearForm,
@@ -38,11 +38,10 @@ from lieforge.structures import (
 from lieforge.acceptance import (
     complex_numbers_algebra,
     left_symmetric_aff1,
-    matrix_assoc_algebra,
     zero_connection,
 )
 
-from oracles import naive_product, naive_rank
+from oracles import matrix_assoc_algebra, naive_product, naive_rank
 
 
 def heisenberg_with_affine_structure():
@@ -147,7 +146,7 @@ def equivalence_corpus():
         module_labels=["e1", "e2"],
         check_rep=False,
     )
-    B = BilinearForm(Matrix.identity(3), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
     return [
         (aff1, ls, True),
         (aff1, ad1, False),
@@ -183,7 +182,7 @@ def test_reconstruct_round_trips_corpus():
         assert cert.passed, g.name
         assert cert.notes["k_image_abelian"]
         for i in range(g.dim):
-            assert rec.maps[i].matrix == conn.maps[i].matrix
+            assert rec.maps[i] == conn.maps[i]
 
 
 def test_reconstruct_rejects_non_ideal_image():
@@ -218,9 +217,9 @@ def test_tower_base_case_matches_components():
     talg = tangent(aff1, ls, check_rep=False)
     assert alg.same_constants(talg)
     assert len(fam.maps) == 1
-    assert fam.maps[0].matrix == canonical_complex_structure(talg).matrix
+    assert fam.maps[0] == canonical_complex_structure(talg)
     lifted = lifted_connection(ls, talg)
-    assert all(conn.maps[i].matrix == lifted.maps[i].matrix for i in range(alg.dim))
+    assert all(conn.maps[i] == lifted.maps[i] for i in range(alg.dim))
 
 
 def test_tower_members_anticommute_and_are_parallel():
@@ -238,14 +237,15 @@ def test_tower_rank_matches_naive_product_span():
     # oracle: flatten all products of subsets of the three members
     import itertools
 
-    mats = [m.matrix for m in fam.maps]
+    n = alg.dim
+    mats = [m.matrix.data for m in fam.maps]
     rows = []
     for picks in itertools.product((0, 1), repeat=3):
-        prod = Matrix.identity(alg.dim)
+        prod = [[int(i == j) for j in range(n)] for i in range(n)]
         for k, on in enumerate(picks):
             if on:
-                prod = prod * mats[k]
-        rows.append([prod.data[i][j] for i in range(alg.dim) for j in range(alg.dim)])
+                prod = naive_product(prod, mats[k])
+        rows.append([prod[i][j] for i in range(n) for j in range(n)])
     assert naive_rank(rows) == 8
     assert fam.generated_rank == 8
 
@@ -319,12 +319,12 @@ def test_hypercomplex_pair_abelian_any_structure():
 def test_self_dual_abelian_identity():
     ab = catalog.abelian(2).algebra
     conn = zero_connection(ab)
-    assert check_self_dual(conn, LinearMap(Matrix.identity(2))).passed
+    assert check_self_dual(conn, LinearMap.identity(2)).passed
 
 
 def test_self_dual_fails_on_affine_line_with_identity():
     aff1, ls = left_symmetric_aff1()
-    cert = check_self_dual(ls, LinearMap(Matrix.identity(2)))
+    cert = check_self_dual(ls, LinearMap.identity(2))
     assert not cert.passed
     # frozen defect: psi nabla_x - nabla*_x psi = diag(0, 2) read columnwise
     assert cert.witnesses[0].indices == (0, 1)
@@ -334,20 +334,20 @@ def test_self_dual_fails_on_affine_line_with_identity():
 def test_self_dual_rejects_singular_map():
     ab = catalog.abelian(2).algebra
     with pytest.raises(PreconditionError):
-        check_self_dual(zero_connection(ab), LinearMap(Matrix.zeros(2)))
+        check_self_dual(zero_connection(ab), LinearMap.zero(2))
 
 
 def test_symplectic_from_duality_shape():
     ab = catalog.abelian(2).algebra
-    om = symplectic_from_duality(zero_connection(ab), LinearMap(Matrix.identity(2)))
+    om = symplectic_from_duality(zero_connection(ab), LinearMap.identity(2))
     assert om.kind == BilinearForm.SKEW
-    expect = Matrix(
+    expect = LinearMap(
         [[Q(0), Q(0), Q(-1), Q(0)],
          [Q(0), Q(0), Q(0), Q(-1)],
          [Q(1), Q(0), Q(0), Q(0)],
          [Q(0), Q(1), Q(0), Q(0)]]
     )
-    assert om.matrix == expect
+    assert om.gram == expect
 
 
 def test_symplectic_transfer_closed_iff_self_dual_torsion_free():
@@ -355,45 +355,44 @@ def test_symplectic_transfer_closed_iff_self_dual_torsion_free():
     so2 = catalog.so(2)
     e2 = semidirect(so2.algebra, so2.structures["standard_rep"],
                     module_labels=["e1", "e2"], check_rep=False)
-    B = BilinearForm(Matrix.identity(3), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
     conn = levi_civita(e2, B)
     talg = tangent(e2, conn, check_rep=False)
     om = symplectic_from_duality(conn, LinearMap(B.matrix))
     assert check_symplectic(talg, om).passed
     aff1, ls = left_symmetric_aff1()
     talg1 = tangent(aff1, ls, check_rep=False)
-    om1 = symplectic_from_duality(ls, LinearMap(Matrix.identity(2)))
+    om1 = symplectic_from_duality(ls, LinearMap.identity(2))
     assert not check_closed(talg1, om1).passed
 
 
 def test_levi_civita_abelian_zero():
     ab = catalog.abelian(3).algebra
-    B = BilinearForm(Matrix.identity(3), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
     conn = levi_civita(ab, B)
-    assert all(m.matrix.is_zero() for m in conn.maps)
+    assert all(m == LinearMap.zero(3) for m in conn.maps)
 
 
 def test_levi_civita_euclidean_plane_frozen_values():
     so2 = catalog.so(2)
     e2 = semidirect(so2.algebra, so2.structures["standard_rep"],
                     module_labels=["e1", "e2"], check_rep=False)
-    B = BilinearForm(Matrix.identity(3), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
     conn = levi_civita(e2, B)
     # hand Koszul solve: the rotation generator acts by the rotation matrix
     # on translations, everything else is zero
-    rot = Matrix(
+    rot = LinearMap(
         [[Q(0), Q(0), Q(0)], [Q(0), Q(0), Q(1)], [Q(0), Q(-1), Q(0)]]
     )
-    assert conn.maps[0].matrix == rot
-    assert conn.maps[1].matrix.is_zero()
-    assert conn.maps[2].matrix.is_zero()
+    assert conn.maps[0] == rot
+    assert conn.maps[1] == conn.maps[2] == LinearMap.zero(3)
     assert check_representation(conn).passed
     assert check_torsion_free(conn).passed
 
 
 def test_levi_civita_so3_torsion_free_not_flat():
     so3 = catalog.so(3).algebra
-    B = BilinearForm(Matrix.identity(3), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
     conn = levi_civita(so3, B)
     assert check_torsion_free(conn).passed
     assert not check_representation(conn).passed
@@ -401,14 +400,14 @@ def test_levi_civita_so3_torsion_free_not_flat():
 
 def test_levi_civita_is_metric_compatible():
     so3 = catalog.so(3).algebra
-    B = BilinearForm(Matrix.identity(3), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
     conn = levi_civita(so3, B)
     assert check_parallel(conn, B).passed
 
 
 def test_pseudo_kahler_abelian_plane():
     ab = catalog.abelian(2).algebra
-    B = BilinearForm(Matrix.identity(2), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(2), BilinearForm.SYMMETRIC)
     cert = check_pseudo_kahler(ab, B)
     assert cert.passed
 
@@ -417,7 +416,7 @@ def test_pseudo_kahler_euclidean_plane():
     so2 = catalog.so(2)
     e2 = semidirect(so2.algebra, so2.structures["standard_rep"],
                     module_labels=["e1", "e2"], check_rep=False)
-    B = BilinearForm(Matrix.identity(3), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
     cert = check_pseudo_kahler(e2, B)
     assert cert.passed
     for key in ("self_dual", "omega_symplectic", "omega_parallel",
@@ -427,7 +426,7 @@ def test_pseudo_kahler_euclidean_plane():
 
 def test_pseudo_kahler_precondition_failure_itemized():
     aff1, _ = left_symmetric_aff1()
-    B = BilinearForm(Matrix.identity(2), BilinearForm.SYMMETRIC)
+    B = BilinearForm(LinearMap.identity(2), BilinearForm.SYMMETRIC)
     cert = check_pseudo_kahler(aff1, B)
     assert not cert.passed
     assert cert.notes["precondition"] == "metric is not flat"
@@ -435,7 +434,7 @@ def test_pseudo_kahler_precondition_failure_itemized():
 
 def test_check_holomorphic_identity():
     e3 = catalog.euclidean(3)
-    ident = LinearMap(Matrix.identity(6))
+    ident = LinearMap.identity(6)
     cert = check_holomorphic(
         e3.algebra, e3.algebra, ident, e3.structures["j"], e3.structures["j"]
     )
@@ -444,7 +443,7 @@ def test_check_holomorphic_identity():
 
 def test_check_holomorphic_detects_structure_mismatch():
     e3 = catalog.euclidean(3)
-    ident = LinearMap(Matrix.identity(6))
+    ident = LinearMap.identity(6)
     other = AlmostComplex.from_pairs(6, [(0, 2), (1, 5), (3, 4)])
     cert = check_holomorphic(e3.algebra, e3.algebra, ident, e3.structures["j"], other)
     assert not cert.passed
@@ -455,7 +454,7 @@ def test_check_holomorphic_rejects_non_injective():
     e3 = catalog.euclidean(3)
     with pytest.raises(PreconditionError):
         check_holomorphic(
-            e3.algebra, e3.algebra, LinearMap(Matrix.zeros(6)),
+            e3.algebra, e3.algebra, LinearMap.zero(6),
             e3.structures["j"], e3.structures["j"],
         )
 
