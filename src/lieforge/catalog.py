@@ -187,9 +187,7 @@ def affine(n):
 
 
 def abelian(n):
-    alg = LieAlgebra(
-        ["a%d" % (i + 1) for i in range(n)], {}, check=False, name="abelian_%d" % n
-    )
+    alg = LieAlgebra._normalized(["a%d" % (i + 1) for i in range(n)], {}, name="abelian_%d" % n)
     return CatalogEntry("abelian_%d" % n, alg)
 
 

@@ -153,11 +153,12 @@ def _cmd_tower(args):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     cert = family.certify(lifted, target="tower %s m=%d" % (args.base, args.m))
-    print(
-        "tower over %s: dim %d, members %d, generated rank %d"
-        % (entry.name, alg.dim, len(family.maps), family.generated_rank)
-    )
-    emit_text([cert])
+    if args.json != "-":
+        print(
+            "tower over %s: dim %d, members %d, generated rank %d"
+            % (entry.name, alg.dim, len(family.maps), family.generated_rank)
+        )
+        emit_text([cert])
     if args.json:
         emit_json(_report([cert]), args.json)
     return _exit_code([cert])
@@ -169,6 +170,9 @@ def _cmd_acceptance(args):
     results = run_all()
     certs = []
     for r in results:
+        certs.extend(r.certificates)
+        if args.json == "-":
+            continue
         status = "PASS" if r.passed else "FAIL"
         print(
             "%s criterion-%s %s [%.2f s]%s"
@@ -180,7 +184,6 @@ def _cmd_acceptance(args):
                 (" - " + r.details) if r.details else "",
             )
         )
-        certs.extend(r.certificates)
     if args.json:
         emit_json(_report(certs), args.json)
     return 0 if all(r.passed for r in results) else 1

@@ -145,13 +145,8 @@ def semidirect(g, rho, module_labels=None, name=None, check_rep=True):
             col = cols[a]
             if col:
                 table[(i, n + a)] = {n + k: v for k, v in col.items()}
-    return LieAlgebra(
-        list(g.labels) + list(module_labels),
-        table,
-        field=g.field,
-        check=False,
-        name=name or ("%s|x" % g.name),
-    )
+    labels = list(g.labels) + list(module_labels)
+    return LieAlgebra._normalized(labels, table, field=g.field, name=name or ("%s|x" % g.name))
 
 
 def tangent(g, conn, name=None, check_rep=True):
@@ -194,13 +189,8 @@ def central_extension(g, label="z", name=None):
     if label in g.labels:
         raise PreconditionError("label %r already used in the algebra" % label)
     table = {pair: dict(coeffs) for pair, coeffs in g.table.items()}
-    return LieAlgebra(
-        list(g.labels) + [label],
-        table,
-        field=g.field,
-        check=False,
-        name=name or ("Rz+%s" % g.name),
-    )
+    labels = list(g.labels) + [label]
+    return LieAlgebra._normalized(labels, table, field=g.field, name=name or ("Rz+%s" % g.name))
 
 
 def complexify(L):
@@ -211,9 +201,7 @@ def complexify(L):
         pair: {k: GaussScalar(v) for k, v in coeffs.items()}
         for pair, coeffs in L.table.items()
     }
-    return LieAlgebra(
-        list(L.labels), table, field="gaussian", check=False, name=L.name + "^C"
-    )
+    return LieAlgebra._normalized(list(L.labels), table, field="gaussian", name=L.name + "^C")
 
 
 def holomorphic_eigenbasis(L, J):
@@ -250,7 +238,7 @@ def eigenspace_split(L, J):
     for sweep, vecs in zip(sweeps, (plus, minus)):
         solver = SpanSolver(L.dim)
         for v in vecs:
-            solver.add(dict(v))
+            solver.add(v)
         for a, b in _bracket_pairs(L, vecs):
             w = LC.bracket_sparse(vecs[a], vecs[b])
             if w and not solver.contains(w):
@@ -270,7 +258,7 @@ def from_matrix_basis(mats, labels=None, name="matrix_algebra"):
     """
     mats = [m if isinstance(m, LinearMap) else LinearMap(m) for m in mats]
     if not mats:
-        return LieAlgebra([], {}, check=False, name=name), []
+        return LieAlgebra._normalized([], {}, name=name), []
     n = mats[0].rows
     if n != mats[0].cols:
         raise PreconditionError("matrix realization needs square matrices")
@@ -279,6 +267,8 @@ def from_matrix_basis(mats, labels=None, name="matrix_algebra"):
             raise DimensionMismatchError("realization matrices of unequal shape")
     if labels is None:
         labels = ["m%d" % (i + 1) for i in range(len(mats))]
+    if len(labels) != len(mats):
+        raise DimensionMismatchError("need one label per basis matrix")
     # a matrix is flattened to the vector {r * n + c: entry}
     entries = [[(r, c, v) for c, col in enumerate(m.sparse_columns()) for r, v in col.items()]
                for m in mats]
@@ -331,8 +321,7 @@ def from_matrix_basis(mats, labels=None, name="matrix_algebra"):
                     pair=(i, j),
                 )
             table[(i, j)] = combo
-    alg = LieAlgebra(labels, table, check=False, name=name)
-    return alg, mats
+    return LieAlgebra._normalized(labels, table, name=name), mats
 
 
 def aff_algebra(A, name=None):

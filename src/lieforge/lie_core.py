@@ -133,14 +133,7 @@ class LieAlgebra:
     """
 
     def __init__(self, labels, table, field="rational", check=True, name="algebra"):
-        self.labels = list(labels)
-        self.dim = len(self.labels)
-        if len(set(self.labels)) != self.dim:
-            raise PreconditionError("basis labels must be unique")
-        self.field = field
-        self.name = name
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        tab = {}
+        self._store(labels, {}, field, name)
         for (i, j), coeffs in table.items():
             if not (0 <= i < j < self.dim):
                 raise PreconditionError(
@@ -151,8 +144,7 @@ class LieAlgebra:
                 if not 0 <= k < self.dim:
                     raise DimensionMismatchError("coefficient index out of range")
             if cd:
-                tab[(i, j)] = cd
-        self.table = tab
+                self.table[(i, j)] = cd
         if check:
             cert = check_jacobi(self)
             if not cert.passed:
@@ -161,6 +153,31 @@ class LieAlgebra:
                     "Jacobi identity fails at basis triple %s" % (w.indices,),
                     details=cert,
                 )
+
+    @classmethod
+    def _normalized(cls, labels, table, field="rational", name="algebra"):
+        """An algebra over a table its builder made, stored without a copy.
+
+        Trusts the table to be what the constructor would store: keys i < j
+        inside the basis, sparse coefficient dicts indexed inside the basis,
+        every value integer-first (as :func:`exact` leaves it), and the
+        Jacobi identity.  Only the labels are tested.  Only builders whose
+        entries come from normalized tables, maps or solver combinations may
+        call it; text, JSON and caller input go through the constructor.
+        """
+        alg = object.__new__(cls)
+        alg._store(labels, table, field, name)
+        return alg
+
+    def _store(self, labels, table, field, name):
+        self.labels = list(labels)
+        self.dim = len(self.labels)
+        if len(set(self.labels)) != self.dim:
+            raise PreconditionError("basis labels must be unique")
+        self.field = field
+        self.name = name
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self.table = table
 
     def index(self, label):
         try:
@@ -669,7 +686,7 @@ def check_integrable(L, J, split=None, target=None):
         images = [J.apply_sparse(v) for v in vectors]
         solver = SpanSolver(n)
         for v in vectors + images:
-            solver.add(dict(v))
+            solver.add(v)
         if solver.rank != n:
             raise PreconditionError(
                 "half basis and its image span a %d-dimensional subspace of a "
@@ -962,7 +979,7 @@ def check_product_structure(L, E, target=None):
         basis = spaces[key]
         solver = SpanSolver(n)
         for v in basis:
-            solver.add(dict(v))
+            solver.add(v)
         closed = True
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):

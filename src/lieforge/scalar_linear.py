@@ -308,7 +308,8 @@ class SpanSolver:
         self.dim = dim
         self.rank = 0
         self.count = 0
-        # pivot coordinate -> (reduced vector, combination over the inputs)
+        # pivot coordinate -> (reduced vector with that entry 1, its combination
+        # over the inputs), so a reduction step needs no division
         self._pivots = {}
 
     def _reduce(self, vec):
@@ -321,7 +322,7 @@ class SpanSolver:
             if hit is None:
                 return vec, combo, p
             pvec, pcombo = hit
-            f = div(vec[p], pvec[p])
+            f = vec[p]
             for k, val in pvec.items():
                 s = vec.get(k, _ZERO) - f * val
                 if s:
@@ -337,7 +338,7 @@ class SpanSolver:
         return vec, combo, None
 
     def add(self, vec):
-        """Add a vector to the span; returns True when it enlarged the span."""
+        """Add vec to the span, never changing vec; True when the span grew."""
         for k in vec:
             if k >= self.dim or k < 0:
                 raise DimensionMismatchError("coordinate outside ambient dimension")
@@ -346,7 +347,11 @@ class SpanSolver:
         residue, combo, p = self._reduce(vec)
         if p is None:
             return False
-        combo[idx] = combo.get(idx, _ZERO) + _ONE
+        combo[idx] = _ONE
+        c = residue[p]
+        if c != 1:
+            residue = {k: div(v, c) for k, v in residue.items()}
+            combo = {k: div(v, c) for k, v in combo.items()}
         # invariant: residue = sum_j combo[j] * input_j
         self._pivots[p] = (residue, combo)
         self.rank += 1
@@ -357,7 +362,7 @@ class SpanSolver:
         _, combo, p = self._reduce(vec)
         if p is not None:
             return None
-        return {k: -v for k, v in combo.items()}
+        return {k: exact(-v) for k, v in combo.items()}
 
     def contains(self, vec):
         _, _, p = self._reduce(vec)

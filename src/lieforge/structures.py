@@ -55,7 +55,7 @@ def dual_structure(J):
 def _span_of(dim, vectors):
     solver = SpanSolver(dim)
     for v in vectors:
-        solver.add(dict(_sparse(v)))
+        solver.add(_sparse(v))
     return solver
 
 
@@ -192,9 +192,7 @@ def reconstruct_connection(u, K, part, target=None):
                 w = {k: -v for k, v in w.items()}
             if w:
                 sub_table[(ai, bj)] = {pos[k]: v for k, v in w.items()}
-    sub = LieAlgebra(
-        [u.labels[i] for i in part], sub_table, check=False, name="%s|sub" % u.name
-    )
+    sub = LieAlgebra._normalized([u.labels[i] for i in part], sub_table, name="%s|sub" % u.name)
 
     maps = []
     for i in part:

@@ -374,6 +374,13 @@ def naive_tokenize(text):
     return toks
 
 
+def is_integer_first(v):
+    """An ``int``, a non-integral ``Fraction``, or a Gaussian scalar of such parts."""
+    if hasattr(v, "re"):
+        return is_integer_first(v.re) and is_integer_first(v.im)
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
 def matrix_assoc_algebra(n):
     """n x n real matrices as an associative algebra on the unit basis."""
     pos = {(i, j): n * i + j for i in range(n) for j in range(n)}

@@ -1,9 +1,17 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieforge import catalog
-from lieforge.scalar_linear import Matrix, PreconditionError, Q, SingularMatrixError
+from lieforge.scalar_linear import (
+    DimensionMismatchError,
+    Matrix,
+    PreconditionError,
+    Q,
+    SingularMatrixError,
+)
 from lieforge.lie_core import (
     AlmostComplex,
     Connection,
@@ -28,7 +36,15 @@ from lieforge.constructions import (
     tangent,
 )
 
-from oracles import matrix_assoc_algebra, naive_commutator, naive_product, naive_rank
+from lieforge.structures import reconstruct_connection
+
+from oracles import (
+    is_integer_first,
+    matrix_assoc_algebra,
+    naive_commutator,
+    naive_product,
+    naive_rank,
+)
 
 
 def unit(n, r, c):
@@ -233,6 +249,84 @@ def test_complexify_preserves_table():
     assert check_jacobi(c).passed
     for pair, coeffs in e3.table.items():
         assert set(c.table[pair]) == set(coeffs)
+
+
+def _layout(table):
+    return [(pair, [(k, type(v), v) for k, v in coeffs.items()]) for pair, coeffs in table.items()]
+
+
+def _assert_normalized(alg):
+    """The table is what the public constructor stores for it, integer-first."""
+    again = LieAlgebra(alg.labels, alg.table, field=alg.field, check=False)
+    assert _layout(again.table) == _layout(alg.table), alg.name
+    for coeffs in alg.table.values():
+        assert all(is_integer_first(v) for v in coeffs.values()), (alg.name, coeffs)
+
+
+def _fraction_m2():
+    """2 x 2 matrices on the basis 1, h/2, e, f, so products carry halves."""
+    h = Q(1, 2)
+    table = {
+        (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
+        (1, 0): {1: 1}, (1, 1): {0: Q(1, 4)}, (1, 2): {2: h}, (1, 3): {3: -h},
+        (2, 0): {2: 1}, (2, 1): {2: -h}, (2, 3): {0: h, 1: 1},
+        (3, 0): {3: 1}, (3, 1): {3: h}, (3, 2): {0: h, 1: -1},
+    }
+    return AssociativeAlgebra(["one", "h", "e", "f"], table, name="M2'")
+
+
+_BUILDER_PARAMS = {
+    "so": [3, 4, 5, 6],
+    "lorentz": [2, 3, 4],
+    "gl": [1, 2, 3],
+    "affine": [1, 2, 3],
+    "abelian": [0, 2],
+    "euclidean": [3, 4, 5, 6, 7, 8],
+    "poincare": [0, 1],
+}
+
+
+def test_builders_store_normalized_tables():
+    """Builder tables match the constructor's normalization exactly.
+
+    Builders store their tables without a second normalization, so each
+    must already hold what the constructor would: the same entries in the
+    same key order with the same scalar types, and no integral Fraction.
+    """
+    algebras = []
+    for name, (fn, arity) in catalog._BUILDERS.items():
+        entries = [fn(n) for n in _BUILDER_PARAMS[name]] if arity else [fn()]
+        for entry in entries:
+            algebras.append(entry.algebra)
+            algebras += [v for v in entry.structures.values() if isinstance(v, LieAlgebra)]
+    sl2 = [
+        [[Q(1, 2), 0], [0, Q(-1, 2)]],
+        [[0, Q(2, 3)], [0, 0]],
+        [[0, 0], [Q(3, 7), 0]],
+    ]
+    g, mats = from_matrix_basis(sl2, labels=["h", "e", "f"], name="sl2'")
+    rho = Connection(g, mats)
+    ad = g.adjoint_connection()
+    A = _fraction_m2()
+    aff, K, _ = aff_algebra(A)
+    sub, _, _ = reconstruct_connection(aff, K, list(range(A.dim)))
+    algebras += [
+        g,
+        semidirect(g, rho),
+        tangent(g, ad),
+        cotangent(g, ad)[0],
+        central_extension(g),
+        complexify(g),
+        complexify(semidirect(g, rho)),
+        aff,
+        aff_algebra(matrix_assoc_algebra(2))[0],
+        sub,
+    ]
+    assert any(
+        type(v) is Fraction for alg in algebras for c in alg.table.values() for v in c.values()
+    )
+    for alg in algebras:
+        _assert_normalized(alg)
 
 
 def test_eigenspace_split_abelian():
@@ -466,6 +560,13 @@ def test_from_matrix_basis_dependent_rejected():
     m = Matrix(unit(2, 0, 1))
     with pytest.raises(PreconditionError):
         from_matrix_basis([m, m])
+
+
+@pytest.mark.parametrize("labels", [["h"], ["h", "e", "f"]])
+def test_from_matrix_basis_needs_one_label_per_matrix(labels):
+    mats = [unit(2, 0, 0), unit(2, 0, 1)]
+    with pytest.raises(DimensionMismatchError):
+        from_matrix_basis(mats, labels=labels)
 
 
 def test_assoc_requires_associativity():

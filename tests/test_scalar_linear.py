@@ -19,7 +19,7 @@ from lieforge.scalar_linear import (
 )
 from lieforge.lie_core import LinearMap
 
-from oracles import naive_matvec, naive_product, naive_rank
+from oracles import is_integer_first, naive_matvec, naive_product, naive_rank
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussScalar, rationals, rationals)
@@ -135,9 +135,18 @@ def test_rank_invariance_under_scaling_and_permutation():
 )
 @settings(max_examples=100, deadline=None)
 def test_span_solver_matches_naive_elimination(case):
-    """Rank, membership and coefficients agree with dense Gauss-Jordan."""
+    """Rank, membership and coefficients agree with dense Gauss-Jordan.
+
+    ``add`` leaves the caller's dicts unchanged, and every coefficient
+    ``solve`` returns is nonzero and integer-first.
+    """
     vecs, target = case
-    solver = _solver(len(target), vecs)
+    sparse = [{i: e for i, e in enumerate(v) if e} for v in vecs]
+    frozen = [list(v.items()) for v in sparse]
+    solver = SpanSolver(len(target))
+    for v in sparse:
+        solver.add(v)
+    assert [list(v.items()) for v in sparse] == frozen
     r = naive_rank(vecs)
     assert solver.rank == r
     combo = solver.solve({i: e for i, e in enumerate(target) if e})
@@ -145,6 +154,7 @@ def test_span_solver_matches_naive_elimination(case):
     assert solver.contains({i: e for i, e in enumerate(target) if e}) == (combo is not None)
     if combo is not None:
         assert set(combo) <= set(range(len(vecs)))
+        assert all(v and is_integer_first(v) for v in combo.values()), combo
         got = [sum(combo.get(j, 0) * v[i] for j, v in enumerate(vecs)) for i in range(len(target))]
         assert got == target
 
