@@ -10,7 +10,6 @@ from .scalar_linear import (
     PreconditionError,
     Q,
     Scalar,
-    SingularMatrixError,
 )
 from .lie_core import (
     AlmostComplex,

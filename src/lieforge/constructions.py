@@ -59,10 +59,12 @@ class AssociativeAlgebra:
         self.name = name
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self.table = {}
-        for pair, coeffs in table.items():
+        for (i, j), coeffs in table.items():
             cd = {k: exact(v) for k, v in _sparse(coeffs).items() if v}
+            if not all(0 <= x < self.dim for x in (i, j, *cd)):
+                raise DimensionMismatchError("product table index outside the basis")
             if cd:
-                self.table[pair] = cd
+                self.table[(i, j)] = cd
         bad = self._associativity_defect()
         if bad is not None:
             raise PreconditionError(

@@ -794,15 +794,8 @@ def _ck_symplectic(ws, args):
 
 def _ck_parallel(ws, args):
     _, conn = _arg_object(ws, args[0], ("conn",))
-    _, payload = _arg_object_any(ws, args[1], ("endo", "form"))
-    return [check_parallel(conn, payload[1], target=args[1][1])]
-
-
-def _arg_object_any(ws, arg, kinds):
-    kind, value, span = arg
-    if kind != "ident":
-        raise ShapeError("expected a name", span)
-    return ws.get(value, span, kinds=kinds)
+    _, tensor = _arg_object(ws, args[1], ("endo", "form"))
+    return [check_parallel(conn, tensor, target=args[1][1])]
 
 
 def _ck_metric(ws, args):

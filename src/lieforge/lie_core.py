@@ -18,8 +18,8 @@ from .scalar_linear import (
     DimensionMismatchError,
     Matrix,
     PreconditionError,
-    SingularMatrixError,
     SpanSolver,
+    div,
     exact,
     scalar_to_str,
 )
@@ -251,7 +251,7 @@ class LinearMap:
 
     Column j maps a row index to the entry there; entries are normalized
     by :func:`exact` and zeros are never stored.  ``matrix`` is a dense
-    view built on demand, for inversion and emission.
+    view built on demand, for emission.
     """
 
     def __init__(self, matrix):
@@ -466,12 +466,25 @@ class BilinearForm:
         return "BilinearForm(%s, dim=%d)" % (self.kind, self.dim)
 
 
-def _inverse(lm, message):
-    """Exact inverse of a square map; PreconditionError with a kernel vector if singular."""
-    try:
-        return LinearMap(lm.matrix.invert())
-    except SingularMatrixError as exc:
-        raise PreconditionError(message, details=exc.kernel)
+def _require_invertible(lm, message):
+    """A SpanSolver over the columns of a square map, raising if it is singular.
+
+    At the first column j in the span of the columns before it, the
+    PreconditionError carries the kernel vector e_j minus the coefficients
+    of column j over them, scaled so that its first nonzero entry is 1.
+    """
+    if lm.rows != lm.cols:
+        raise DimensionMismatchError("only square matrices invert")
+    solver = SpanSolver(lm.rows)
+    for j, col in enumerate(lm.sparse_columns()):
+        if not solver.add(col):
+            kernel = [_ZERO] * lm.cols
+            kernel[j] = _ONE
+            for k, c in solver.solve(col).items():
+                kernel[k] = -c
+            lead = next(e for e in kernel if e)
+            raise PreconditionError(message, details=[div(e, lead) for e in kernel])
+    return solver
 
 
 # ---------------------------------------------------------------------------
@@ -854,12 +867,12 @@ def check_symplectic(L, form, target=None):
     notes = dict(cert.notes)
     notes["closed"] = cert.total_failures == 0
     try:
-        form.matrix.invert()
+        _require_invertible(form.gram, "form is degenerate")
         notes["nondegenerate"] = True
-    except SingularMatrixError as exc:
+    except PreconditionError as exc:
         notes["nondegenerate"] = False
         cert.witnesses = list(cert.witnesses)
-        cert.witnesses.append(Witness(("kernel",), tuple(exc.kernel)))
+        cert.witnesses.append(Witness(("kernel",), tuple(exc.details)))
         cert.total_failures += 1
     cert.passed = cert.total_failures == 0
     cert.notes = notes
@@ -931,7 +944,7 @@ def check_metric(conn, form, target=None):
     if form.kind != BilinearForm.SYMMETRIC:
         raise PreconditionError("metric check needs a symmetric form")
     sweep = _Sweep("metric", target or conn.algebra.name)
-    _inverse(form.gram, "metric check needs an invertible form")
+    _require_invertible(form.gram, "metric check needs an invertible form")
     subs = {
         "compatible": check_parallel(conn, form),
         "torsion_free": check_torsion_free(conn),
@@ -963,23 +976,19 @@ def check_product_structure(L, E, target=None):
         solver = SpanSolver(n)
         basis = []
         # kernel of (E - sign id) = column span of (E + sign id)
-        shifted = [dict(c) for c in E.sparse_columns()]
-        for j in range(n):
-            col = dict(shifted[j])
+        for j, c in enumerate(E.sparse_columns()):
+            col = dict(c)
             _acc(col, {j: sign})
             if solver.add(col):
                 basis.append(col)
-        spaces[key] = basis
+        spaces[key] = solver, basis
     notes = {
-        "dim_plus": len(spaces["plus"]),
-        "dim_minus": len(spaces["minus"]),
-        "degenerate": not spaces["plus"] or not spaces["minus"],
+        "dim_plus": len(spaces["plus"][1]),
+        "dim_minus": len(spaces["minus"][1]),
+        "degenerate": not spaces["plus"][1] or not spaces["minus"][1],
     }
     for key in ("plus", "minus"):
-        basis = spaces[key]
-        solver = SpanSolver(n)
-        for v in basis:
-            solver.add(v)
+        solver, basis = spaces[key]
         closed = True
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):
@@ -1000,7 +1009,7 @@ def check_product_structure(L, E, target=None):
         notes["%s_closed" % key] = closed
         notes["%s_ideal" % key] = ideal
     abelian = True
-    basis = spaces["minus"]
+    basis = spaces["minus"][1]
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             if L.bracket_sparse(basis[a], basis[b]):

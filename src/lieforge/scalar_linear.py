@@ -1,4 +1,4 @@
-"""Exact scalars, dense matrix inversion and sparse span solving.
+"""Exact scalars, dense matrix input and sparse span solving.
 
 Scalars are arbitrary-precision rationals or Gaussian rationals.  A rational
 is stored as an ``int`` while it is integral and as a ``fractions.Fraction``
@@ -22,7 +22,6 @@ __all__ = [
     "SpanSolver",
     "LieforgeError",
     "DimensionMismatchError",
-    "SingularMatrixError",
     "PreconditionError",
     "scalar_to_str",
     "scalar_from_str",
@@ -47,14 +46,6 @@ class PreconditionError(LieforgeError):
     def __init__(self, message, details=None):
         super().__init__(message)
         self.details = details
-
-
-class SingularMatrixError(LieforgeError):
-    """Inversion failed; ``kernel`` holds a nonzero kernel vector as witness."""
-
-    def __init__(self, message, kernel):
-        super().__init__(message)
-        self.kernel = kernel
 
 
 Scalar = Fraction
@@ -226,8 +217,8 @@ class Matrix:
     """Dense exact matrix with rational or GaussScalar entries, row major.
 
     The library stores every matrix as a sparse-column ``LinearMap``; a
-    ``Matrix`` is only dense input and the view that inversion and
-    emission read.
+    ``Matrix`` is only dense input and the view that emission reads.  Every
+    elimination goes through :class:`SpanSolver`.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -243,57 +234,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r)" % (self.data,)
-
-    def invert(self):
-        """Exact inverse by Gauss-Jordan elimination.
-
-        Raises SingularMatrixError carrying a kernel vector when singular.
-        """
-        if self.rows != self.cols:
-            raise DimensionMismatchError("only square matrices invert")
-        n = self.rows
-        a = [row[:] for row in self.data]
-        inv = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        # record the elimination so a kernel witness can be reconstructed
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if a[r][col]:
-                    piv = r
-                    break
-            if piv is None:
-                raise SingularMatrixError(
-                    "matrix is singular", kernel=self._kernel_vector(a, col)
-                )
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                inv[col], inv[piv] = inv[piv], inv[col]
-            f = a[col][col]
-            if f != 1:
-                a[col] = [div(e, f) for e in a[col]]
-                inv[col] = [div(e, f) for e in inv[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = a[r][col]
-                if f:
-                    a[r] = [e - f * p for e, p in zip(a[r], a[col])]
-                    inv[r] = [e - f * p for e, p in zip(inv[r], inv[col])]
-        return Matrix(inv)
-
-    def _kernel_vector(self, echelon, dead_col):
-        # echelon[:dead_col] is reduced with unit pivots on the diagonal;
-        # column dead_col has no pivot, so back-substitution gives a kernel
-        # vector of the original matrix with 1 in the dead coordinate.
-        v = [_ZERO] * self.cols
-        v[dead_col] = _ONE
-        for r in range(dead_col - 1, -1, -1):
-            v[r] = -echelon[r][dead_col]
-        # normalize so the first nonzero coordinate is 1
-        for e in v:
-            if e:
-                return [div(x, e) for x in v]
-        return v
 
 
 class SpanSolver:

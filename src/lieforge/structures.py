@@ -21,7 +21,7 @@ from .lie_core import (
     _Sweep,
     _acc,
     _dense,
-    _inverse,
+    _require_invertible,
     _sparse,
     check_integrable,
     check_parallel,
@@ -444,7 +444,7 @@ def hypercomplex_pair(g, conn, J, target=None):
 
 def check_self_dual(conn, psi, target=None):
     """Whether psi intertwines the family with its contragredient."""
-    _inverse(psi, "duality map is singular")
+    _require_invertible(psi, "duality map is singular")
     n = conn.module_dim
     if psi.rows != n or psi.cols != n:
         raise DimensionMismatchError("duality map does not match the module")
@@ -483,14 +483,16 @@ def levi_civita(g, B):
     """
     if B.kind != BilinearForm.SYMMETRIC:
         raise PreconditionError("metric must be symmetric")
-    binv = _inverse(B.gram, "metric must be invertible")
+    if B.dim != g.dim:
+        raise DimensionMismatchError("metric does not match algebra dimension")
+    solver = _require_invertible(B.gram, "metric must be invertible")
     n = g.dim
     half = Fraction(1, 2)
     maps = []
     for i in range(n):
         cols = []
         for j in range(n):
-            rhs = []
+            rhs = {}
             bij = g.bracket_basis(i, j)
             for k in range(n):
                 s = _ZERO
@@ -506,8 +508,11 @@ def levi_civita(g, B):
                     e = B.value_basis(l, j)
                     if e:
                         s = s + c * e
-                rhs.append(half * s)
-            cols.append(_sparse(binv.apply(rhs)))
+                if s:
+                    rhs[k] = half * s
+            # rows in increasing order, which check_representation's
+            # summation order relies on
+            cols.append(dict(sorted(solver.solve(rhs).items())))
         maps.append(LinearMap.from_sparse_columns(n, n, cols))
     return Connection(g, maps)
 

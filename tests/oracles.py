@@ -272,6 +272,29 @@ def naive_row_basis(rows):
     return m[:row]
 
 
+def naive_inverse(rows):
+    """The inverse of a square matrix of rational or Gaussian entries, by
+    Gauss-Jordan on an augmented list copy, or None when it is singular."""
+    n = len(rows)
+    m = [
+        [e if hasattr(e, "re") else Fraction(e) for e in r]
+        + [Fraction(int(i == j)) for j in range(n)]
+        for i, r in enumerate(rows)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        f = m[col][col]
+        m[col] = [e / f for e in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                g = m[r][col]
+                m[r] = [e - g * p for e, p in zip(m[r], m[col])]
+    return [r[n:] for r in m]
+
+
 def naive_product(a, b):
     """Dense a * b by the textbook triple loop, for any scalar type and any
     shapes where a has as many columns as b has rows."""

@@ -122,6 +122,22 @@ def test_check_input_that_is_not_utf8_exits_two_with_byte_offset(capsys):
     )
 
 
+def test_check_degenerate_form_fails_with_its_kernel(capsys):
+    rc = main(["check", os.path.join(FIXTURES, "degenerate_form.lie"), "--json", "-"])
+    (cert,) = json.loads(capsys.readouterr().out)["certificates"]
+    assert rc == 1
+    assert cert["notes"] == {"closed": True, "nondegenerate": False}
+    assert cert["witnesses"] == [{"indices": ["kernel"], "defect": ["1", "0", "1"]}]
+
+
+def test_check_levi_civita_of_a_form_of_another_size_exits_two(capsys):
+    rc = main(["check", os.path.join(FIXTURES, "metric_size_mismatch.lie")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and line.endswith(" (line 5, column 15)")
+
+
 def test_check_byte_offset_after_a_byte_order_mark_counts_the_mark(tmp_path, capsys):
     path = tmp_path / "bad.lie"
     path.write_bytes(codecs.BOM_UTF8 + b"algebra g { basis x ; }\n# caf\xe9\n")

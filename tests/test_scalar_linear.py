@@ -9,17 +9,17 @@ from lieforge.scalar_linear import (
     DimensionMismatchError,
     GaussScalar,
     Matrix,
+    PreconditionError,
     Q,
-    SingularMatrixError,
     SpanSolver,
     div,
     exact,
     scalar_from_str,
     scalar_to_str,
 )
-from lieforge.lie_core import LinearMap
+from lieforge.lie_core import LinearMap, _require_invertible
 
-from oracles import is_integer_first, naive_matvec, naive_product, naive_rank
+from oracles import is_integer_first, naive_inverse, naive_matvec, naive_rank
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussScalar, rationals, rationals)
@@ -159,46 +159,56 @@ def test_span_solver_matches_naive_elimination(case):
         assert got == target
 
 
-def test_invert_identity():
-    ident = [[Q(int(i == j)) for j in range(3)] for i in range(3)]
-    assert Matrix(ident).invert().data == ident
+small_entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(2, 3)])
 
 
-def test_invert_rotation():
-    m = Matrix([[Q(0), Q(-1)], [Q(1), Q(0)]])
-    assert m.invert().data == [[Q(0), Q(1)], [Q(-1), Q(0)]]
+@st.composite
+def square_maps(draw):
+    """Rows of a square rational or Gaussian map, often singular."""
+    n = draw(st.integers(1, 5))
+    entry = small_entries
+    if draw(st.booleans()):
+        entry = st.builds(GaussScalar, small_entries, small_entries)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # column j a multiple of the sum of the columns before it
+        j, c = draw(st.integers(0, n - 1)), draw(entry)
+        for r in rows:
+            r[j] = c * sum(r[:j], 0)
+    return rows
 
 
-def test_invert_singular_kernel_witness():
-    m = Matrix([[Q(1), Q(1)], [Q(2), Q(2)]])
-    with pytest.raises(SingularMatrixError) as exc:
-        m.invert()
-    assert exc.value.kernel == [Q(1), Q(-1)]
-    # the witness really is in the kernel
-    assert naive_matvec(m.data, exc.value.kernel) == [Q(0), Q(0)]
+@given(square_maps())
+@settings(max_examples=300, deadline=None)
+def test_require_invertible_matches_naive_inverse(rows):
+    n = len(rows)
+    inv = naive_inverse(rows)
+    if inv is None:
+        with pytest.raises(PreconditionError) as exc:
+            _require_invertible(LinearMap(rows), "singular")
+        kernel = exc.value.details
+        assert len(kernel) == n and all(is_integer_first(e) for e in kernel)
+        assert next(e for e in kernel if e) == 1
+        assert naive_matvec(rows, kernel) == [0] * n
+    else:
+        solver = _require_invertible(LinearMap(rows), "singular")
+        for j in range(n):
+            col = solver.solve({j: 1})
+            assert [col.get(i, 0) for i in range(n)] == [row[j] for row in inv]
 
 
-def test_invert_times_original_is_identity():
-    import random
-
-    rng = random.Random(7)
-    for _ in range(10):
-        n = rng.randint(1, 4)
-        m = [[Q(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-        try:
-            inv = Matrix(m).invert().data
-        except SingularMatrixError:
-            continue
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        assert naive_product(inv, m) == ident
-        assert naive_product(m, inv) == ident
+def test_require_invertible_kernel_witness():
+    with pytest.raises(PreconditionError) as exc:
+        _require_invertible(LinearMap([[Q(1), Q(1)], [Q(2), Q(2)]]), "singular")
+    assert exc.value.details == [1, -1]
+    assert [type(e) for e in exc.value.details] == [int, int]
 
 
 def test_matrix_shape_errors():
     with pytest.raises(DimensionMismatchError):
         Matrix([[Q(1)], [Q(1), Q(2)]])
     with pytest.raises(DimensionMismatchError):
-        Matrix([[Q(1), Q(2)]]).invert()
+        _require_invertible(LinearMap([[Q(1), Q(2)]]), "singular")
     with pytest.raises(DimensionMismatchError):
         LinearMap([[Q(1)]]).compose(LinearMap([[Q(1), Q(2)], [Q(3), Q(4)]]))
 

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lieforge import catalog
-from lieforge.scalar_linear import PreconditionError, Q
+from lieforge.scalar_linear import DimensionMismatchError, PreconditionError, Q
 from lieforge.lie_core import (
     AlmostComplex,
     BilinearForm,
@@ -41,7 +43,14 @@ from lieforge.acceptance import (
     zero_connection,
 )
 
-from oracles import matrix_assoc_algebra, naive_product, naive_rank
+from oracles import (
+    dense_constants,
+    matrix_assoc_algebra,
+    naive_inverse,
+    naive_matvec,
+    naive_product,
+    naive_rank,
+)
 
 
 def heisenberg_with_affine_structure():
@@ -403,6 +412,46 @@ def test_levi_civita_is_metric_compatible():
     B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
     conn = levi_civita(so3, B)
     assert check_parallel(conn, B).passed
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_levi_civita_rejects_a_form_of_another_size(shift):
+    so3 = catalog.so(3).algebra
+    B = BilinearForm(LinearMap.identity(3 + shift), BilinearForm.SYMMETRIC)
+    with pytest.raises(DimensionMismatchError):
+        levi_civita(so3, B)
+
+
+KOSZUL_ALGEBRAS = [
+    catalog.so(3).algebra,
+    catalog.gl(2).algebra,
+    catalog.affine(1).algebra,
+    catalog.euclidean(3).algebra,
+]
+
+
+@given(st.sampled_from(KOSZUL_ALGEBRAS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_levi_civita_matches_the_koszul_oracle(g, data):
+    """Each column is B^-1 of the Koszul right-hand side, keyed by increasing row."""
+    n, c = g.dim, dense_constants(g)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = data.draw(st.sampled_from([0, 0, 1, -1, Fraction(1, 3)]))
+    binv = naive_inverse(gram)
+    assume(binv is not None)
+    conn = levi_civita(g, BilinearForm(gram, BilinearForm.SYMMETRIC))
+
+    def pair(i, j, k):  # B([b_i, b_j], b_k)
+        return sum(c[i][j][l] * gram[l][k] for l in range(n))
+
+    for i, op in enumerate(conn.maps):
+        for j, col in enumerate(op.sparse_columns()):
+            rhs = [Fraction(pair(i, j, k) - pair(j, k, i) + pair(k, i, j), 2) for k in range(n)]
+            assert list(col) == sorted(col)
+            assert [col.get(k, 0) for k in range(n)] == naive_matvec(binv, rhs)
 
 
 def test_pseudo_kahler_abelian_plane():
