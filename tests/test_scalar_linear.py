@@ -19,7 +19,13 @@ from lieforge.scalar_linear import (
 )
 from lieforge.lie_core import LinearMap, _require_invertible
 
-from oracles import is_integer_first, naive_inverse, naive_matvec, naive_rank
+from oracles import (
+    is_integer_first,
+    naive_inverse,
+    naive_matvec,
+    naive_product,
+    naive_rank,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussScalar, rationals, rationals)
@@ -195,6 +201,43 @@ def test_require_invertible_matches_naive_inverse(rows):
         for j in range(n):
             col = solver.solve({j: 1})
             assert [col.get(i, 0) for i in range(n)] == [row[j] for row in inv]
+
+
+def _inverse(rows):
+    """The inverse of ``rows`` assembled column by column from the invertibility solver."""
+    n = len(rows)
+    solver = _require_invertible(LinearMap(rows), "singular")
+    cols = [solver.solve({j: 1}) for j in range(n)]
+    return [[cols[j].get(i, 0) for j in range(n)] for i in range(n)]
+
+
+def test_invert_identity():
+    ident = [[Q(int(i == j)) for j in range(3)] for i in range(3)]
+    assert _inverse(ident) == ident
+
+
+def test_invert_rotation():
+    m = [[Q(0), Q(-1)], [Q(1), Q(0)]]
+    assert _inverse(m) == [[Q(0), Q(1)], [Q(-1), Q(0)]]
+
+
+def test_invert_times_original_is_identity():
+    import random
+
+    rng = random.Random(7)
+    inverted = 0
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        m = [[Q(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+        try:
+            inv = _inverse(m)
+        except PreconditionError:
+            continue
+        inverted += 1
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert naive_product(inv, m) == ident
+        assert naive_product(m, inv) == ident
+    assert inverted
 
 
 def test_require_invertible_kernel_witness():
