@@ -30,6 +30,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .scalar_linear import LieforgeError, PreconditionError, exact
 from .lie_core import (
@@ -192,6 +193,7 @@ class Workspace:
         self.definitions = {}  # name -> (kind, payload)
         self.order = []
         self.checks = []  # (fname, [raw args], span)
+        self.calls = []  # per queued check: its library call on the resolved arguments
         self.construct_stmts = []  # (target name, fname, [raw args], [names defined])
 
     def define(self, name, kind, payload, span):
@@ -570,13 +572,25 @@ class _Parser:
         self.expect("=")
         fn = self.expect_ident()
         args = self._call_args()
-        start = len(self.ws.order)
+        if fn.text not in _CONSTRUCTS:
+            raise UnknownNameError("unknown construction %r" % fn.text, fn.span)
+        sig, call = _CONSTRUCTS[fn.text]
+        values = _resolve(self.ws, sig, args)
+        if values is None:
+            raise ArityError("%r takes %d argument(s)" % (fn.text, len(sig.split())), fn.span)
         try:
-            _run_construct(self.ws, name.text, fn.text, args, fn.span)
-        except DslError:
-            raise
+            products = call(name.text, *values)
+        except _Misfit as exc:
+            raise ShapeError(str(exc), fn.span)
         except LieforgeError as exc:
             raise ConstructionError(str(exc), fn.span)
+        # the products live on the algebra the construct makes, if it makes
+        # one, and otherwise on the algebra of its first argument
+        home = name.text if products[0][1] == "algebra" else args[0][1]
+        start = len(self.ws.order)
+        for suffix, kind, obj in products:
+            payload = obj if kind == "algebra" else (home, obj)
+            self.ws.define(name.text + suffix, kind, payload, fn.span)
         self.ws.construct_stmts.append((name.text, fn.text, args, self.ws.order[start:]))
 
     def _stmt_check(self):
@@ -584,37 +598,12 @@ class _Parser:
         args = self._call_args()
         if fn.text not in _CHECKS:
             raise UnknownNameError("unknown check %r" % fn.text, fn.span)
-        arity_ok, _, sig = _CHECKS[fn.text]
-        if not arity_ok(len(args)):
+        sig, target, call = _CHECKS[fn.text]
+        values = _resolve(self.ws, sig, args)
+        if values is None:
             raise ArityError("wrong number of arguments for %r" % fn.text, fn.span)
-        # resolve names and kinds now: single pass, no forward references
-        positional, trailing = sig
-        if len(positional) > len(args):
-            positional = positional[-len(args):]  # optional leading argument
-        for idx, (kind, value, span) in enumerate(args):
-            want = positional[idx] if idx < len(positional) else trailing
-            if want == "label":
-                if kind != "ident" or not _is_label_of_args(self.ws, args, value):
-                    raise ShapeError("expected a basis label", span)
-            elif want is not None:
-                if kind != "ident":
-                    raise ShapeError("expected a name", span)
-                self.ws.get(value, span, kinds=want)
         self.ws.checks.append((fn.text, args, fn.span))
-
-
-def _is_label_of_args(ws, args, value):
-    for kind, v, _ in args:
-        if kind == "ident" and v in ws.definitions:
-            k, payload = ws.definitions[v]
-            alg = None
-            if k == "algebra":
-                alg = payload
-            elif k in ("endo", "conn", "form", "decomp"):
-                alg = ws.definitions[payload[0]][1]
-            if alg is not None and value in alg._index:
-                return True
-    return False
+        self.ws.calls.append(partial(call, *values, target=args[target][1]))
 
 
 def parse(text):
@@ -623,316 +612,183 @@ def parse(text):
 
 
 # --------------------------------------------------------------------------
+# statement signatures
+#
+# A signature lists the kind of each argument of a check or construct:
+#   algebra, assoc, endo, conn, form, map, decomp   a name of that kind
+#   endo|form       a name of either kind
+#   @endo, @form    the algebra the endo or form is on, then the endo or form;
+#   @map            the map's domain and codomain, then the map
+#   label           a basis label of the first argument's algebra
+#   sign            + or -
+#   level           a positive integer
+#   [algebra]       an optional leading algebra; it must be the algebra of
+#                   the next argument, and the call does not receive it
+#   label*          any number of labels, ending the signature
+# Names, kinds and labels are resolved when the statement is parsed.
+
+
+def _resolve(ws, sig, args):
+    """The values of ``args`` under ``sig``, or None when ``sig`` takes
+    another number of arguments; raises at the first argument that does not
+    fit."""
+    kinds = sig.split()
+    optional = kinds[0].startswith("[")
+    if optional:
+        kinds[0] = kinds[0][1:-1]
+        if len(args) < len(kinds):
+            kinds, optional = kinds[1:], False
+    if kinds[-1].endswith("*"):
+        kinds[-1:] = [kinds[-1][:-1]] * (len(args) - len(kinds) + 1)
+    if len(kinds) != len(args):
+        return None
+    values = []
+    for want, (kind, value, span) in zip(kinds, args):
+        if want == "label":
+            first, payload = ws.definitions[args[0][1]]
+            home = payload if first == "algebra" else ws.definitions[payload[0]][1]
+            if kind != "ident" or value not in home._index:
+                raise ShapeError("expected a basis label", span)
+            values.append(home._index[value])
+        elif want == "sign":
+            if kind != "sign":
+                raise ShapeError("expected + or -", span)
+            values.append(value)
+        elif want == "level":
+            if kind != "number" or value != int(value) or value < 1:
+                raise ShapeError("tower level must be a positive integer", span)
+            values.append(int(value))
+        else:
+            if kind != "ident":
+                raise ShapeError("expected a name", span)
+            found, payload = ws.get(value, span, kinds=tuple(want.lstrip("@").split("|")))
+            if found in ("algebra", "assoc"):
+                values.append(payload)
+                continue
+            if want.startswith("@"):
+                values.extend(ws.definitions[alg][1] for alg in payload[:-1])
+            values.append(payload[-1])
+    if optional:
+        if ws.definitions[args[1][1]][1][0] != args[0][1]:
+            raise ShapeError("%r is not the algebra of %r" % (args[0][1], args[1][1]), args[0][2])
+        del values[0]
+    return values
+
+
+# --------------------------------------------------------------------------
 # constructions reachable from the DSL
 
 
-def _arg_object(ws, arg, kinds):
-    kind, value, span = arg
-    if kind != "ident":
-        raise ShapeError("expected a name", span)
-    return ws.get(value, span, kinds=kinds)[1]
+class _Misfit(LieforgeError):
+    """Arguments of a construct whose sizes do not fit together."""
 
 
-def _arg_algebra(ws, arg):
-    return _arg_object(ws, arg, ("algebra",))
+def _fit(ok, message):
+    if not ok:
+        raise _Misfit(message)
 
 
-def _run_construct(ws, name, fn, args, span):
-    def need(k):
-        if len(args) != k:
-            raise ArityError("%r takes %d argument(s)" % (fn, k), span)
+def _tangent(name, g, conn):
+    _fit(conn.module_dim == g.dim, "connection module does not match the algebra")
+    return [("", "algebra", tangent(g, conn, name=name))]
 
-    if fn == "semidirect":
-        need(2)
-        g = _arg_algebra(ws, args[0])
-        _, conn = _arg_object(ws, args[1], ("conn",))
-        alg = semidirect(g, conn, name=name)
-        ws.define(name, "algebra", alg, span)
-    elif fn == "tangent":
-        need(2)
-        g = _arg_algebra(ws, args[0])
-        _, conn = _arg_object(ws, args[1], ("conn",))
-        if conn.module_dim != g.dim:
-            raise ShapeError("connection module does not match the algebra", span)
-        alg = tangent(g, conn, name=name)
-        ws.define(name, "algebra", alg, span)
-    elif fn == "cotangent":
-        need(2)
-        g = _arg_algebra(ws, args[0])
-        _, conn = _arg_object(ws, args[1], ("conn",))
-        alg, omega = cotangent(g, conn, name=name)
-        ws.define(name, "algebra", alg, span)
-        ws.define(name + "_omega", "form", (name, omega), span)
-    elif fn == "central_ext":
-        need(1)
-        g = _arg_algebra(ws, args[0])
-        ws.define(name, "algebra", central_extension(g, name=name), span)
-    elif fn == "aff":
-        need(1)
-        A = _arg_object(ws, args[0], ("assoc",))
-        alg, K, conn = aff_algebra(A, name=name)
-        ws.define(name, "algebra", alg, span)
-        ws.define(name + "_K", "endo", (name, K), span)
-        ws.define(name + "_conn", "conn", (name, conn), span)
-    elif fn == "tower":
-        need(3)
-        g = _arg_algebra(ws, args[0])
-        _, conn = _arg_object(ws, args[1], ("conn",))
-        kind, m, aspan = args[2]
-        if kind != "number" or m != int(m) or int(m) < 1:
-            raise ShapeError("tower level must be a positive integer", aspan)
-        alg, lifted, family = st.clifford_tower(g, conn, int(m), name=name)
-        ws.define(name, "algebra", alg, span)
-        ws.define(name + "_conn", "conn", (name, lifted), span)
-        for i, J in enumerate(family.maps):
-            ws.define(name + "_J%d" % (i + 1), "endo", (name, J), span)
-    elif fn == "canonical_K":
-        need(1)
-        g = _arg_algebra(ws, args[0])
-        K = st.canonical_complex_structure(g)
-        ws.define(name, "endo", (args[0][1], K), span)
-    elif fn == "nabla1":
-        need(2)
-        talg_name = args[0][1]
-        talg = _arg_algebra(ws, args[0])
-        _, conn = _arg_object(ws, args[1], ("conn",))
-        if talg.dim != 2 * conn.module_dim:
-            raise ShapeError("algebra is not the double of the connection base", span)
-        ws.define(name, "conn", (talg_name, st.lifted_connection(conn, talg)), span)
-    elif fn == "levi_civita":
-        need(2)
-        g = _arg_algebra(ws, args[0])
-        alg_name = args[0][1]
-        _, form = _arg_object(ws, args[1], ("form",))
-        ws.define(name, "conn", (alg_name, st.levi_civita(g, form)), span)
-    elif fn == "jplus":
-        need(4)
-        alg_name = args[0][1]
-        alg = _arg_algebra(ws, args[0])
-        _, J = _arg_object(ws, args[1], ("endo",))
-        _, I = _arg_object(ws, args[2], ("endo",))
-        kind, sign, aspan = args[3]
-        if kind != "sign":
-            raise ShapeError("expected + or -", aspan)
-        Jm, Im = J, I
-        if Jm.rows + Im.rows != alg.dim:
-            raise ShapeError("block sizes do not sum to the algebra dimension", span)
-        ws.define(
-            name, "endo", (alg_name, st.block_complex_structure(Jm, Im, sign)), span
-        )
-    elif fn == "omega_psi":
-        need(3)
-        alg_name = args[0][1]
-        alg = _arg_algebra(ws, args[0])
-        _, conn = _arg_object(ws, args[1], ("conn",))
-        _, psi = _arg_object(ws, args[2], ("endo",))
-        if alg.dim != 2 * conn.module_dim:
-            raise ShapeError("algebra is not the double of the connection base", span)
-        omega = st.symplectic_from_duality(conn, psi)
-        ws.define(name, "form", (alg_name, omega), span)
-    else:
-        raise UnknownNameError("unknown construction %r" % fn, span)
+
+def _cotangent(name, g, conn):
+    alg, omega = cotangent(g, conn, name=name)
+    return [("", "algebra", alg), ("_omega", "form", omega)]
+
+
+def _aff(name, A):
+    alg, K, conn = aff_algebra(A, name=name)
+    return [("", "algebra", alg), ("_K", "endo", K), ("_conn", "conn", conn)]
+
+
+def _tower(name, g, conn, m):
+    alg, lifted, family = st.clifford_tower(g, conn, m, name=name)
+    members = [("_J%d" % i, "endo", J) for i, J in enumerate(family.maps, 1)]
+    return [("", "algebra", alg), ("_conn", "conn", lifted)] + members
+
+
+def _nabla1(name, talg, conn):
+    _fit(talg.dim == 2 * conn.module_dim, "algebra is not the double of the connection base")
+    return [("", "conn", st.lifted_connection(conn, talg))]
+
+
+def _jplus(name, alg, J, I, sign):
+    _fit(J.rows + I.rows == alg.dim, "block sizes do not sum to the algebra dimension")
+    return [("", "endo", st.block_complex_structure(J, I, sign))]
+
+
+def _omega_psi(name, alg, conn, psi):
+    _fit(alg.dim == 2 * conn.module_dim, "algebra is not the double of the connection base")
+    return [("", "form", st.symplectic_from_duality(conn, psi))]
+
+
+# name: (signature, call on the construct's name and resolved arguments,
+# giving its products as (name suffix, kind, object) triples)
+_CONSTRUCTS = {
+    "semidirect": ("algebra conn", lambda n, g, c: [("", "algebra", semidirect(g, c, name=n))]),
+    "tangent": ("algebra conn", _tangent),
+    "cotangent": ("algebra conn", _cotangent),
+    "central_ext": ("algebra", lambda n, g: [("", "algebra", central_extension(g, name=n))]),
+    "aff": ("assoc", _aff),
+    "tower": ("algebra conn level", _tower),
+    "canonical_K": ("algebra", lambda n, g: [("", "endo", st.canonical_complex_structure(g))]),
+    "nabla1": ("algebra conn", _nabla1),
+    "levi_civita": ("algebra form", lambda n, g, B: [("", "conn", st.levi_civita(g, B))]),
+    "jplus": ("algebra endo endo sign", _jplus),
+    "omega_psi": ("algebra conn endo", _omega_psi),
+}
 
 
 # --------------------------------------------------------------------------
 # checks reachable from the DSL
 
-
-def _endo_with_algebra(ws, arg):
-    alg_name, lm = _arg_object(ws, arg, ("endo",))
-    return ws.definitions[alg_name][1], lm
-
-
-def _split_from_labels(alg, args):
-    vecs = []
-    for kind, value, span in args:
-        if kind != "ident" or value not in alg.labels:
-            raise ShapeError("expected a basis label of the target algebra", span)
-        vecs.append({alg.index(value): 1})
-    return vecs
-
-
-def _ck_jacobi(ws, args):
-    return [check_jacobi(_arg_algebra(ws, args[0]), target=args[0][1])]
-
-
-def _ck_integrable(ws, args):
-    alg, lm = _endo_with_algebra(ws, args[0])
-    split = _split_from_labels(alg, args[1:]) if len(args) > 1 else None
-    return [check_integrable(alg, lm, split=split, target=args[0][1])]
-
-
-def _ck_complex_lie(ws, args):
-    alg, lm = _endo_with_algebra(ws, args[0])
-    return [check_complex_lie(alg, lm, target=args[0][1])]
-
-
-def _ck_abelian_complex(ws, args):
-    alg, lm = _endo_with_algebra(ws, args[0])
-    return [check_abelian_complex(alg, lm, target=args[0][1])]
-
-
-def _ck_representation(ws, args):
-    _, conn = _arg_object(ws, args[0], ("conn",))
-    return [check_representation(conn, target=args[0][1])]
-
-
-def _ck_torsion_free(ws, args):
-    _, conn = _arg_object(ws, args[0], ("conn",))
-    return [check_torsion_free(conn, target=args[0][1])]
-
-
-def _ck_closed(ws, args):
-    alg_name, form = _arg_object(ws, args[0], ("form",))
-    return [check_closed(ws.definitions[alg_name][1], form, target=args[0][1])]
-
-
-def _ck_symplectic(ws, args):
-    alg_name, form = _arg_object(ws, args[0], ("form",))
-    return [check_symplectic(ws.definitions[alg_name][1], form, target=args[0][1])]
-
-
-def _ck_parallel(ws, args):
-    _, conn = _arg_object(ws, args[0], ("conn",))
-    _, tensor = _arg_object(ws, args[1], ("endo", "form"))
-    return [check_parallel(conn, tensor, target=args[1][1])]
-
-
-def _ck_metric(ws, args):
-    _, conn = _arg_object(ws, args[0], ("conn",))
-    _, form = _arg_object(ws, args[1], ("form",))
-    return [check_metric(conn, form, target=args[0][1])]
-
-
-def _ck_product_structure(ws, args):
-    alg, lm = _endo_with_algebra(ws, args[0])
-    return [check_product_structure(alg, lm, target=args[0][1])]
-
-
-def _ck_eigensplit(ws, args):
-    alg, lm = _endo_with_algebra(ws, args[0])
-    _, _, certs = eigenspace_split(alg, AlmostComplex(lm))
-    return list(certs)
-
-
-def _ck_action_compatibility(ws, args):
-    _, conn = _arg_object(ws, args[0], ("conn",))
-    _, J = _endo_with_algebra(ws, args[1])
-    _, I = _arg_object(ws, args[2], ("endo",))
-    _, decomp = _arg_object(ws, args[3], ("decomp",))
-    g = conn.algebra
-    return [
-        st.check_action_compatibility(
-            g, conn, AlmostComplex(J), AlmostComplex(I), decomp, target=args[0][1]
-        )
-    ]
-
-
-def _ck_torsion_equivalence(ws, args):
-    arg = args[-1]
-    _, conn = _arg_object(ws, arg, ("conn",))
-    return [
-        st.check_torsion_integrability_equivalence(
-            conn.algebra, conn, target=arg[1]
-        )
-    ]
-
-
-def _ck_reconstruct(ws, args):
-    alg = _arg_algebra(ws, args[0])
-    _, K = _endo_with_algebra(ws, args[1])
-    part = []
-    for kind, value, span in args[2:]:
-        if kind != "ident" or value not in alg.labels:
-            raise ShapeError("expected a basis label of the algebra", span)
-        part.append(alg.index(value))
-    _, _, cert = st.reconstruct_connection(alg, AlmostComplex(K), part, target=args[0][1])
-    return [cert]
-
-
-def _ck_self_dual(ws, args):
-    _, conn = _arg_object(ws, args[0], ("conn",))
-    _, psi = _arg_object(ws, args[1], ("endo",))
-    return [st.check_self_dual(conn, psi, target=args[0][1])]
-
-
-def _ck_pseudo_kahler(ws, args):
-    g = _arg_algebra(ws, args[0])
-    _, form = _arg_object(ws, args[1], ("form",))
-    return [st.check_pseudo_kahler(g, form, target=args[0][1])]
-
-
-def _ck_holomorphic(ws, args):
-    dom_name, cod_name, iota = _arg_object(ws, args[0], ("map",))
-    dom = ws.definitions[dom_name][1]
-    cod = ws.definitions[cod_name][1]
-    _, Jd = _arg_object(ws, args[1], ("endo",))
-    _, Jc = _arg_object(ws, args[2], ("endo",))
-    return [
-        st.check_holomorphic(
-            dom, cod, iota, AlmostComplex(Jd), AlmostComplex(Jc), target=args[0][1]
-        )
-    ]
-
-
-def _ck_hypercomplex(ws, args):
-    _, conn = _arg_object(ws, args[0], ("conn",))
-    _, J = _arg_object(ws, args[1], ("endo",))
-    _, _, cert = st.hypercomplex_pair(conn.algebra, conn, AlmostComplex(J), target=args[0][1])
-    return [cert]
-
-
-_A = ("algebra",)
-_E = ("endo",)
-_C = ("conn",)
-_F = ("form",)
-
+# name: (signature, index of the target argument, library call on the
+# resolved arguments); AlmostComplex raises at run time, so that a map that
+# does not square to -1 gives a failing precondition certificate
 _CHECKS = {
-    "jacobi": (lambda n: n == 1, _ck_jacobi, ([_A], None)),
-    "integrable": (lambda n: n >= 1, _ck_integrable, ([_E], "label")),
-    "complex_lie": (lambda n: n == 1, _ck_complex_lie, ([_E], None)),
-    "abelian_complex": (lambda n: n == 1, _ck_abelian_complex, ([_E], None)),
-    "representation": (lambda n: n == 1, _ck_representation, ([_C], None)),
-    "flat": (lambda n: n == 1, _ck_representation, ([_C], None)),
-    "torsion_free": (lambda n: n == 1, _ck_torsion_free, ([_C], None)),
-    "closed": (lambda n: n == 1, _ck_closed, ([_F], None)),
-    "symplectic": (lambda n: n == 1, _ck_symplectic, ([_F], None)),
-    "parallel": (lambda n: n == 2, _ck_parallel, ([_C, ("endo", "form")], None)),
-    "metric": (lambda n: n == 2, _ck_metric, ([_C, _F], None)),
-    "product_structure": (lambda n: n == 1, _ck_product_structure, ([_E], None)),
-    "eigensplit": (lambda n: n == 1, _ck_eigensplit, ([_E], None)),
-    "action_compatibility": (
-        lambda n: n == 4,
-        _ck_action_compatibility,
-        ([_C, _E, _E, ("decomp",)], None),
-    ),
-    "torsion_equivalence": (
-        lambda n: n in (1, 2),
-        _ck_torsion_equivalence,
-        ([_A, _C], None),
-    ),
-    "reconstruct": (lambda n: n >= 3, _ck_reconstruct, ([_A, _E], "label")),
-    "self_dual": (lambda n: n == 2, _ck_self_dual, ([_C, _E], None)),
-    "pseudo_kahler": (lambda n: n == 2, _ck_pseudo_kahler, ([_A, _F], None)),
-    "holomorphic": (lambda n: n == 3, _ck_holomorphic, ([("map",), _E, _E], None)),
-    "hypercomplex": (lambda n: n == 2, _ck_hypercomplex, ([_C, _E], None)),
+    "jacobi": ("algebra", 0, check_jacobi),
+    "integrable": ("@endo label*", 0, lambda g, J, *split, target: check_integrable(
+        g, J, split=[{i: 1} for i in split] or None, target=target)),
+    "complex_lie": ("@endo", 0, check_complex_lie),
+    "abelian_complex": ("@endo", 0, check_abelian_complex),
+    "representation": ("conn", 0, check_representation),
+    "flat": ("conn", 0, check_representation),
+    "torsion_free": ("conn", 0, check_torsion_free),
+    "closed": ("@form", 0, check_closed),
+    "symplectic": ("@form", 0, check_symplectic),
+    "parallel": ("conn endo|form", 1, check_parallel),
+    "metric": ("conn form", 0, check_metric),
+    "product_structure": ("@endo", 0, check_product_structure),
+    "eigensplit": ("@endo", 0, lambda g, J, target: eigenspace_split(g, AlmostComplex(J))[2]),
+    "action_compatibility": ("conn endo endo decomp", 0, lambda c, J, I, d, target: (
+        st.check_action_compatibility(
+            c.algebra, c, AlmostComplex(J), AlmostComplex(I), d, target=target))),
+    "torsion_equivalence": ("[algebra] conn", -1, lambda c, target: (
+        st.check_torsion_integrability_equivalence(c.algebra, c, target=target))),
+    "reconstruct": ("algebra endo label label*", 0, lambda g, K, *part, target: (
+        st.reconstruct_connection(g, AlmostComplex(K), part, target=target)[2])),
+    "self_dual": ("conn endo", 0, st.check_self_dual),
+    "pseudo_kahler": ("algebra form", 0, st.check_pseudo_kahler),
+    "holomorphic": ("@map endo endo", 0, lambda dom, cod, f, Jd, Jc, target: (
+        st.check_holomorphic(dom, cod, f, AlmostComplex(Jd), AlmostComplex(Jc), target=target))),
+    "hypercomplex": ("conn endo", 0, lambda c, J, target: (
+        st.hypercomplex_pair(c.algebra, c, AlmostComplex(J), target=target)[2])),
 }
 
 
-def _run_one(ws, fname, args, span):
+def _run_one(call, fname, target):
     """Run one check; a violated precondition becomes a failing certificate
     whose ``elapsed_ms`` is the time spent up to the exception."""
-    runner = _CHECKS[fname][1]
     t0 = time.perf_counter()
     try:
-        return runner(ws, args)
-    except DslError:
-        raise
+        certs = call()
     except LieforgeError as exc:
         return [
             Certificate(
                 check_name=fname,
-                target=args[0][1] if args else "",
+                target=target,
                 passed=False,
                 witnesses=[Witness(("precondition",), ())],
                 total_failures=1,
@@ -940,6 +796,7 @@ def _run_one(ws, fname, args, span):
                 notes={"precondition": str(exc)},
             )
         ]
+    return [certs] if isinstance(certs, Certificate) else list(certs)
 
 
 def run(workspace):
@@ -949,8 +806,8 @@ def run(workspace):
     certificates flagged in the notes rather than crashes.
     """
     results = []
-    for f, a, s in workspace.checks:
-        results.extend(_run_one(workspace, f, a, s))
+    for (fname, args, _), call in zip(workspace.checks, workspace.calls):
+        results.extend(_run_one(call, fname, args[0][1]))
     return results
 
 

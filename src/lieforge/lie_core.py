@@ -224,12 +224,6 @@ class LieAlgebra:
                         del out[k]
         return out
 
-    def bracket(self, x, y):
-        """Bilinear antisymmetric extension of the structure constants."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatchError("vectors must have length %d" % self.dim)
-        return _dense(self.bracket_sparse(_sparse(x), _sparse(y)), self.dim)
-
     def ad(self, i):
         """Adjoint map of the i-th basis element."""
         cols = [self.bracket_basis(i, j) for j in range(self.dim)]
@@ -300,11 +294,6 @@ class LinearMap:
         for j, a in vec.items():
             _acc(out, cols[j], a)
         return out
-
-    def apply(self, vec):
-        if len(vec) != self.cols:
-            raise DimensionMismatchError("vector length does not match map domain")
-        return _dense(self.apply_sparse(_sparse(vec)), self.rows)
 
     def compose(self, other):
         """self after other."""

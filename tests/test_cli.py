@@ -6,10 +6,11 @@ import re
 
 import pytest
 
-from lieforge import catalog
+from lieforge import catalog, dsl
 from lieforge.cli import main
 
 GOLDEN_CATALOG = os.path.join(os.path.dirname(__file__), "golden", "catalog.lie")
+GOLDEN_EVERY_CHECK = os.path.join(os.path.dirname(__file__), "golden", "every_check.json")
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 ZERO_DENOMINATOR = os.path.join(FIXTURES, "zero_denominator.lie")
 
@@ -338,3 +339,25 @@ def test_catalog_emission_matches_golden(capsys):
         assert main(["catalog", *args]) == 0
         chunks.append("# lieforge catalog %s\n%s" % (" ".join(args), capsys.readouterr().out))
     assert "\n".join(chunks) == golden
+
+
+def test_every_check_fixture_calls_every_check_and_construct():
+    with open(os.path.join(FIXTURES, "every_check.lie"), encoding="utf-8") as fh:
+        ws = dsl.parse(fh.read())
+    assert {fn for fn, _, _ in ws.checks} == set(dsl._CHECKS)
+    assert {fn for _, fn, _, _ in ws.construct_stmts} == set(dsl._CONSTRUCTS)
+
+
+def test_every_check_report_matches_golden(capsys):
+    """`lieforge check --json -` on a file that calls every check and every
+    construct matches the committed report, with each ``elapsed_ms`` set to
+    0.  One check of the file fails its precondition, so the status is 2."""
+    rc = main(["check", "--json", "-", os.path.join(FIXTURES, "every_check.lie")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == ""
+    report = json.loads(
+        captured.out,
+        object_hook=lambda d: {k: 0 if k == "elapsed_ms" else v for k, v in d.items()},
+    )
+    with open(GOLDEN_EVERY_CHECK, encoding="utf-8") as fh:
+        assert json.dumps(report, indent=2) + "\n" == fh.read()

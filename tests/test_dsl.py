@@ -195,11 +195,57 @@ def test_unknown_check_rejected():
 def test_check_arity_enforced():
     with pytest.raises(ArityError):
         parse(AFF1 + "check jacobi(aff1, ls)\n")
+    endo = "endo J on aff1 { x -> y ; y -> - x ; }\n"
+    for call in ("integrable()", "reconstruct(aff1, J)", "torsion_equivalence()",
+                 "torsion_equivalence(aff1, ls, ls)"):
+        with pytest.raises(ArityError):
+            parse(AFF1 + endo + "check %s\n" % call)
 
 
 def test_check_wrong_kind_rejected():
     with pytest.raises(ShapeError):
         parse(AFF1 + "check jacobi(ls)\n")
+
+
+def _span_of(text, needle, line):
+    """The span of the last ``needle`` on 1-based ``line`` of ``text``."""
+    row = text.splitlines()[line - 1]
+    return SourceSpan(line, row.rindex(needle) + 1, len(needle))
+
+
+def test_integrable_label_of_another_algebra_is_rejected_at_parse():
+    # h names an algebra with a label h, but J is on aff1
+    text = (
+        "algebra aff1 { basis x y ; [x, y] = y ; }\n"
+        "algebra h { basis h k ; }\n"
+        "endo J on aff1 { x -> y ; y -> - x ; }\n"
+        "check integrable(J, h)\n"
+    )
+    with pytest.raises(ShapeError) as exc:
+        parse(text)
+    assert exc.value.span == _span_of(text, "h", 4)
+
+
+def test_reconstruct_label_of_the_structure_algebra_is_rejected_at_parse():
+    # x_a is a label of K's algebra T, not of aff1
+    text = (
+        AFF1
+        + "construct T = tangent(aff1, ls)\n"
+        + "construct K = canonical_K(T)\n"
+        + "check reconstruct(aff1, K, x_a)\n"
+    )
+    with pytest.raises(ShapeError) as exc:
+        parse(text)
+    assert exc.value.span == _span_of(text, "x_a", text.count("\n"))
+
+
+def test_torsion_equivalence_rejects_an_algebra_the_connection_is_not_on():
+    text = AFF1 + "algebra q { basis u ; }\ncheck torsion_equivalence(q, ls)\n"
+    with pytest.raises(ShapeError) as exc:
+        parse(text)
+    assert exc.value.span == _span_of(text, "q", text.count("\n"))
+    certs = run(parse(text.replace("(q, ls)", "(aff1, ls)")))
+    assert certs[0].passed and certs[0].target == "ls"
 
 
 def test_empty_queue_empty_report():
@@ -296,6 +342,30 @@ def test_construct_rejects_bad_preconditions_at_parse():
     )
     with pytest.raises(ConstructionError):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("tangent(aff1, c1)", "connection module does not match the algebra"),
+        ("nabla1(aff1, ls)", "algebra is not the double of the connection base"),
+        ("omega_psi(aff1, ls, J)", "algebra is not the double of the connection base"),
+        ("jplus(aff1, J, J, +)", "block sizes do not sum to the algebra dimension"),
+    ],
+    ids=["tangent", "nabla1", "omega_psi", "jplus"],
+)
+def test_construct_of_misfitting_sizes_is_a_shape_error_at_the_function(call, message):
+    text = (
+        AFF1
+        + "conn c1 on aff1 { x => [[0]] ; y => [[0]] ; }\n"
+        + "endo J on aff1 { x -> y ; y -> - x ; }\n"
+        + "construct N = %s\n" % call
+    )
+    with pytest.raises(ShapeError) as exc:
+        parse(text)
+    span = _span_of(text, call.split("(")[0], text.count("\n"))
+    assert exc.value.span == span
+    assert str(exc.value) == "%s (%s)" % (message, span)
 
 
 def test_map_and_holomorphic_check():
@@ -697,7 +767,7 @@ def _random_matrix_text(draw, n, skew=None):
 @st.composite
 def _workspace_texts(draw):
     lines, flat = [], []  # flat: (conn, algebra, torsion free) for zero connections
-    kinds, basis, home = {}, {}, {}  # name -> kind; algebra -> labels; endo -> algebra
+    kinds, basis, home = {}, {}, {}  # name -> kind; algebra -> labels; endo, conn -> algebra
     abelian = set()
     names = iter("n%d" % k for k in range(100))
 
@@ -753,6 +823,7 @@ def _workspace_texts(draw):
                 m = draw(st.integers(1, 2))
                 maps = ["%s => %s ;" % (lab, _random_matrix_text(draw, m)) for lab in basis[alg]]
             lines.append("conn %s on %s { %s }" % (name, alg, " ".join(maps)))
+            home[name] = alg
         elif what == "form":
             kind = draw(st.sampled_from(("sym", "skew")))
             lines.append("form %s on %s %s %s" % (
@@ -774,7 +845,7 @@ def _workspace_texts(draw):
                     basis[n] = tuple(payload.labels)
                     if not payload.table:
                         abelian.add(n)
-                elif kind == "endo":
+                elif kind in ("endo", "conn"):
                     home[n] = payload[0]
     return "\n".join(lines) + "\n"
 
@@ -801,7 +872,7 @@ def _check_text(draw, alg, named, basis, home):
     calls += ["flat(%s)" % c for c in conns]
     calls += ["closed(%s)" % f for f in forms] + ["pseudo_kahler(%s, %s)" % (alg, f) for f in forms]
     calls += ["metric(%s, %s)" % (c, f) for c in conns for f in forms]
-    calls += ["torsion_equivalence(%s, %s)" % (alg, c) for c in conns]
+    calls += ["torsion_equivalence(%s, %s)" % (alg, c) for c in conns if home[c] == alg]
     return "check " + draw(st.sampled_from(tuple(calls)))
 
 

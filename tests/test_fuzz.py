@@ -9,6 +9,7 @@ from lieforge.lie_core import (
     AlmostComplex,
     BilinearForm,
     LieAlgebra,
+    _dense,
     check_closed,
     check_integrable,
     check_jacobi,
@@ -54,7 +55,9 @@ def test_random_brackets_match_oracle():
     for _ in range(20):
         x = [Q(rng.randint(-4, 4)) for _ in range(L.dim)]
         y = [Q(rng.randint(-4, 4)) for _ in range(L.dim)]
-        assert L.bracket(x, y) == naive_bracket(c, x, y)
+        sx = {i: v for i, v in enumerate(x) if v}
+        sy = {i: v for i, v in enumerate(y) if v}
+        assert _dense(L.bracket_sparse(sx, sy), L.dim) == naive_bracket(c, x, y)
 
 
 def test_random_skew_forms_match_differential_oracle():

@@ -75,8 +75,8 @@ def test_block_structure_shape():
     J = AlmostComplex.from_pairs(2, [(0, 1)])
     I = AlmostComplex.from_pairs(2, [(0, 1)])
     jm = block_complex_structure(J, I, -1)
-    assert jm.apply([Q(1), Q(0), Q(0), Q(0)]) == [Q(0), Q(1), Q(0), Q(0)]
-    assert jm.apply([Q(0), Q(0), Q(1), Q(0)]) == [Q(0), Q(0), Q(0), Q(-1)]
+    assert jm.apply_sparse({0: Q(1)}) == {1: Q(1)}
+    assert jm.apply_sparse({2: Q(1)}) == {3: Q(-1)}
 
 
 def test_action_compatibility_passes_on_stored_data():
@@ -116,8 +116,8 @@ def test_canonical_structure_blocks():
     ab = catalog.abelian(2).algebra
     t = tangent(ab, zero_connection(ab))
     K = canonical_complex_structure(t)
-    assert K.apply([Q(1), Q(0), Q(0), Q(0)]) == [Q(0), Q(0), Q(-1), Q(0)]
-    assert K.apply([Q(0), Q(0), Q(1), Q(0)]) == [Q(1), Q(0), Q(0), Q(0)]
+    assert K.apply_sparse({0: Q(1)}) == {2: Q(-1)}
+    assert K.apply_sparse({2: Q(1)}) == {0: Q(1)}
 
 
 def test_equivalence_certificate_records_both_verdicts():
