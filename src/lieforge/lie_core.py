@@ -622,6 +622,31 @@ def _bracket_pairs(L, vectors):
             yield a, b
 
 
+def _escapes(L, solver, vectors):
+    """Pairs a < b of :func:`_bracket_pairs` whose bracket [u_a, u_b] leaves
+    the span of ``solver``, each with that bracket.  Against an empty solver
+    these are the nonzero brackets, so nothing is yielded exactly when
+    ``vectors`` span an abelian subalgebra."""
+    for a, b in _bracket_pairs(L, vectors):
+        w = L.bracket_sparse(vectors[a], vectors[b])
+        if w and not solver.contains(w):
+            yield (a, b), w
+
+
+def _is_ideal(L, solver, vectors):
+    """Whether [b_q, u] lies in the span of ``solver`` for every basis vector
+    b_q and u in ``vectors``; the brackets come off the ad rows."""
+    ad = _signed_rows(L.dim, L.table)
+    for u in vectors:
+        images = defaultdict(dict)  # q -> [b_q, u]
+        for p, x in u.items():
+            for q, c, s in ad[p]:
+                _acc(images[q], c, -s * x)
+        if not all(solver.contains(w) for w in images.values()):
+            return False
+    return True
+
+
 def _orbit_sweep(sweep, L, J):
     """Full sweep of a signed pairing J b_p = s_p b_sigma(p) from its
     representative pairs; False, sweeping nothing, for any other J.
@@ -728,18 +753,21 @@ def check_complex_lie(L, J, target=None):
 
 
 def check_abelian_complex(L, J, target=None):
-    """Whether both eigenspaces in the complexification are abelian."""
-    from .constructions import complexify, holomorphic_eigenbasis
+    """Whether both eigenspaces in the complexification are abelian.
+
+    L and J are real, so the ``eigen_minus`` failures are the ``eigen_plus``
+    ones with each defect conjugated, as in :func:`eigenspace_split`.
+    """
+    from .constructions import holomorphic_eigenbasis
 
     sweep = _Sweep("abelian_complex", target or L.name)
     _require_almost_complex(L, J)
-    LC = complexify(L)
-    plus, minus = holomorphic_eigenbasis(L, J)
-    for name, vecs in (("eigen_plus", plus), ("eigen_minus", minus)):
-        for a, b in _bracket_pairs(L, vecs):
-            acc = LC.bracket_sparse(vecs[a], vecs[b])
-            if acc:
-                sweep.fail((name, a, b), _dense(acc, LC.dim))
+    plus, _ = holomorphic_eigenbasis(L, J)
+    fails = [(ab, _dense(w, L.dim)) for ab, w in _escapes(L, SpanSolver(L.dim), plus)]
+    for ab, w in fails:
+        sweep.fail(("eigen_plus",) + ab, w)
+    for ab, w in fails:
+        sweep.fail(("eigen_minus",) + ab, [x.conjugate() for x in w])
     return sweep.done()
 
 
@@ -962,49 +990,20 @@ def check_product_structure(L, E, target=None):
     n = L.dim
     spaces = {}
     for sign, key in ((_ONE, "plus"), (-_ONE, "minus")):
-        solver = SpanSolver(n)
-        basis = []
         # kernel of (E - sign id) = column span of (E + sign id)
-        for j, c in enumerate(E.sparse_columns()):
-            col = dict(c)
+        cols = [dict(c) for c in E.sparse_columns()]
+        for j, col in enumerate(cols):
             _acc(col, {j: sign})
-            if solver.add(col):
-                basis.append(col)
-        spaces[key] = solver, basis
-    notes = {
-        "dim_plus": len(spaces["plus"][1]),
-        "dim_minus": len(spaces["minus"][1]),
-        "degenerate": not spaces["plus"][1] or not spaces["minus"][1],
-    }
-    for key in ("plus", "minus"):
-        solver, basis = spaces[key]
+        solver = SpanSolver(n)
+        spaces[key] = solver, [col for col in cols if solver.add(col)]
+    (_, plus), (_, minus) = spaces.values()
+    notes = {"dim_plus": len(plus), "dim_minus": len(minus), "degenerate": not plus or not minus}
+    for key, (solver, basis) in spaces.items():
         closed = True
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                w = L.bracket_sparse(basis[a], basis[b])
-                if w and not solver.contains(w):
-                    closed = False
-                    sweep.fail((key, a, b), _dense(w, n))
-        ideal = closed
-        if closed:
-            for i in range(n):
-                for b, v in enumerate(basis):
-                    w = L.bracket_sparse({i: _ONE}, v)
-                    if w and not solver.contains(w):
-                        ideal = False
-                        break
-                if not ideal:
-                    break
+        for ab, w in _escapes(L, solver, basis):
+            closed = False
+            sweep.fail((key,) + ab, _dense(w, n))
         notes["%s_closed" % key] = closed
-        notes["%s_ideal" % key] = ideal
-    abelian = True
-    basis = spaces["minus"][1]
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            if L.bracket_sparse(basis[a], basis[b]):
-                abelian = False
-                break
-        if not abelian:
-            break
-    notes["minus_abelian"] = abelian
+        notes["%s_ideal" % key] = closed and _is_ideal(L, solver, basis)
+    notes["minus_abelian"] = next(_escapes(L, SpanSolver(n), minus), None) is None
     return sweep.done(notes=notes)

@@ -118,6 +118,9 @@ class GaussScalar:
     def __neg__(self):
         return _gauss(-self.re, -self.im)
 
+    def conjugate(self):
+        return _gauss(self.re, -self.im)
+
     def __add__(self, other):
         if isinstance(other, GaussScalar):
             return _gauss(exact(self.re + other.re), exact(self.im + other.im))

@@ -21,6 +21,8 @@ from .lie_core import (
     _Sweep,
     _acc,
     _dense,
+    _escapes,
+    _is_ideal,
     _require_invertible,
     _sparse,
     check_integrable,
@@ -167,20 +169,16 @@ def reconstruct_connection(u, K, part, target=None):
     if not cert_int.passed:
         raise PreconditionError("structure is not integrable", details=cert_int)
     pset = set(part)
-    for ai, i in enumerate(part):
-        for j in part[ai + 1 :]:
-            w = u.bracket_basis(min(i, j), max(i, j))
-            if any(k not in pset for k in w):
-                raise PreconditionError("the given indices do not span a subalgebra")
+    units = [{i: _ONE} for i in part]
+    if next(_escapes(u, _span_of(n, units), units), None) is not None:
+        raise PreconditionError("the given indices do not span a subalgebra")
     kcols = K.sparse_columns()
     kg = [dict(kcols[i]) for i in part]
     span_kg = _span_of(n, kg)
-    if span_kg.rank != p or _span_of(n, kg + [{i: _ONE} for i in part]).rank != n:
+    if span_kg.rank != p or _span_of(n, kg + units).rank != n:
         raise PreconditionError("image of the subalgebra does not complement it")
-    for j in range(n):
-        for w in kg:
-            if not span_kg.contains(u.bracket_sparse({j: _ONE}, w)):
-                raise PreconditionError("image of the subalgebra is not an ideal")
+    if not _is_ideal(u, span_kg, kg):
+        raise PreconditionError("image of the subalgebra is not an ideal")
 
     pos = {i: a for a, i in enumerate(part)}
     sub_table = {}
@@ -215,11 +213,9 @@ def reconstruct_connection(u, K, part, target=None):
     flat = check_representation(conn)
     tf = check_torsion_free(conn)
     abelian = True
-    for a in range(p):
-        for b in range(a + 1, p):
-            if u.bracket_sparse(kg[a], kg[b]):
-                abelian = False
-                sweep.fail(("k_image", a, b), _dense(u.bracket_sparse(kg[a], kg[b]), n))
+    for ab, w in _escapes(u, SpanSolver(n), kg):
+        abelian = False
+        sweep.fail(("k_image",) + ab, _dense(w, n))
     talg = tangent(sub, conn, check_rep=False)
     frame = [{i: _ONE} for i in part] + kg
     for a in range(2 * p):

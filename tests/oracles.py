@@ -123,6 +123,52 @@ def naive_eigenspace_sweep(L, jmat):
     return out
 
 
+def naive_product_structure(L, emat):
+    """The failing pairs and the notes of a product structure, densely.
+
+    The eigenspace of sign s is spanned by the columns of E + s I; its basis
+    is the columns that raise the rank, in column order.  A pair a < b of
+    basis vectors fails when its bracket is outside the span.  Returns
+    (fails, notes), fails holding ((key, a, b), bracket) with the plus
+    pairs first, and notes the seven verdicts of the library's certificate.
+    """
+    c = dense_constants(L)
+    n = L.dim
+    e = lambda a: [1 if t == a else 0 for t in range(n)]
+    inside = lambda basis, w: naive_rank(basis + [w]) == len(basis)
+    spaces = {}
+    for key, sign in (("plus", 1), ("minus", -1)):
+        basis = []
+        for j in range(n):
+            col = [emat[r][j] + sign * int(r == j) for r in range(n)]
+            if not inside(basis, col):
+                basis.append(col)
+        spaces[key] = basis
+    notes = {
+        "dim_plus": len(spaces["plus"]),
+        "dim_minus": len(spaces["minus"]),
+        "degenerate": not spaces["plus"] or not spaces["minus"],
+    }
+    fails = []
+    for key, basis in spaces.items():
+        closed = True
+        for a in range(len(basis)):
+            for b in range(a + 1, len(basis)):
+                w = naive_bracket(c, basis[a], basis[b])
+                if not inside(basis, w):
+                    closed = False
+                    fails.append(((key, a, b), w))
+        notes[key + "_closed"] = closed
+        notes[key + "_ideal"] = closed and all(
+            inside(basis, naive_bracket(c, e(i), v)) for i in range(n) for v in basis
+        )
+    minus = spaces["minus"]
+    notes["minus_abelian"] = not any(
+        any(naive_bracket(c, u, v)) for a, u in enumerate(minus) for v in minus[a + 1 :]
+    )
+    return fails, notes
+
+
 def naive_jacobi_defect(L, i, j, k, c=None):
     c = c or dense_constants(L)
     n = L.dim

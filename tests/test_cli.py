@@ -11,6 +11,7 @@ from lieforge.cli import main
 
 GOLDEN_CATALOG = os.path.join(os.path.dirname(__file__), "golden", "catalog.lie")
 GOLDEN_EVERY_CHECK = os.path.join(os.path.dirname(__file__), "golden", "every_check.json")
+GOLDEN_EIGENSPLIT_FAIL = os.path.join(os.path.dirname(__file__), "golden", "eigensplit_fail.json")
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 ZERO_DENOMINATOR = os.path.join(FIXTURES, "zero_denominator.lie")
 
@@ -348,16 +349,27 @@ def test_every_check_fixture_calls_every_check_and_construct():
     assert {fn for _, fn, _, _ in ws.construct_stmts} == set(dsl._CONSTRUCTS)
 
 
-def test_every_check_report_matches_golden(capsys):
-    """`lieforge check --json -` on a file that calls every check and every
-    construct matches the committed report, with each ``elapsed_ms`` set to
-    0.  One check of the file fails its precondition, so the status is 2."""
-    rc = main(["check", "--json", "-", os.path.join(FIXTURES, "every_check.lie")])
+def _assert_report_matches_golden(capsys, fixture, golden, status):
+    """`lieforge check --json -` on a fixture matches the committed report,
+    with each ``elapsed_ms`` set to 0, and exits with ``status``."""
+    rc = main(["check", "--json", "-", os.path.join(FIXTURES, fixture)])
     captured = capsys.readouterr()
-    assert rc == 2 and captured.err == ""
+    assert rc == status and captured.err == ""
     report = json.loads(
         captured.out,
         object_hook=lambda d: {k: 0 if k == "elapsed_ms" else v for k, v in d.items()},
     )
-    with open(GOLDEN_EVERY_CHECK, encoding="utf-8") as fh:
+    with open(golden, encoding="utf-8") as fh:
         assert json.dumps(report, indent=2) + "\n" == fh.read()
+
+
+def test_every_check_report_matches_golden(capsys):
+    """A file that calls every check and every construct.  One check of the
+    file fails its precondition, so the status is 2."""
+    _assert_report_matches_golden(capsys, "every_check.lie", GOLDEN_EVERY_CHECK, 2)
+
+
+def test_eigensplit_fail_report_matches_golden(capsys):
+    """Failing eigenspace, abelian-complex and product-structure sweeps on
+    e(4), each past the witness cap: the status is 1."""
+    _assert_report_matches_golden(capsys, "eigensplit_fail.lie", GOLDEN_EIGENSPLIT_FAIL, 1)

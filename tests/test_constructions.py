@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lieforge import catalog
 from lieforge.scalar_linear import (
     DimensionMismatchError,
+    GaussScalar,
     Matrix,
     PreconditionError,
     Q,
@@ -16,6 +17,7 @@ from lieforge.lie_core import (
     Connection,
     LieAlgebra,
     LinearMap,
+    check_abelian_complex,
     check_closed,
     check_integrable,
     check_jacobi,
@@ -346,6 +348,29 @@ def test_eigenspace_split_matches_integrability():
     _, _, (bp, bm) = eigenspace_split(L, Jb)
     bad = check_integrable(L, Jb)
     assert bp.passed == bad.passed and bm.passed == bad.passed
+
+
+def test_eigenspace_split_checks_the_structure_size():
+    """A structure of the wrong size is a DimensionMismatchError: a larger one
+    used to pass both sweeps and a smaller one to raise IndexError."""
+    L = catalog.euclidean(3).algebra
+    for dim in (8, 4):
+        J = AlmostComplex.from_pairs(dim, [(k, k + 1) for k in range(0, dim, 2)])
+        with pytest.raises(DimensionMismatchError):
+            eigenspace_split(L, J)
+
+
+def test_eigenspace_sweeps_require_a_real_algebra():
+    """The -i eigenspace is the conjugate of the +i one only over a real
+    table and for a real structure: a complexified algebra, and i times the
+    identity, are refused."""
+    e3 = catalog.euclidean(3)
+    L, J = e3.algebra, e3.structures["j"]
+    iJ = LinearMap.identity(L.dim).scale(GaussScalar(0, 1))
+    for sweep in (eigenspace_split, check_abelian_complex):
+        for args in ((complexify(L), J), (L, iJ)):
+            with pytest.raises(PreconditionError, match="real"):
+                sweep(*args)
 
 
 def test_eigenspace_vectors_are_eigenvectors():

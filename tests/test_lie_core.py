@@ -60,6 +60,7 @@ from oracles import (
     naive_nijenhuis,
     naive_parallel_sweep,
     naive_product,
+    naive_product_structure,
     naive_representation_defect,
     naive_torsion_free_sweep,
     naive_square,
@@ -1172,6 +1173,78 @@ def test_eigenspace_witness_cap_and_order_past_sixteen_failures():
     perm = random.Random(7).sample(range(n), n)
     certs = _eigen_sweeps_match_oracle(L, _pairing_matrix(perm, [True] * n))
     assert all(cert.total_failures > MAX_WITNESSES for cert in certs)
+
+
+def _conjugated(defect):
+    return tuple(GaussScalar(x.re, -x.im) if isinstance(x, GaussScalar) else x for x in defect)
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_eigenspace_minus_is_the_conjugate_of_plus(data):
+    """On a real table the -i certificate is the +i one with each defect
+    conjugated: same verdict, same indices, same total."""
+    L = _table(data, even=True)
+    _, _, (cp, cm) = eigenspace_split(L, LinearMap(_structure(data, L.dim)))
+    assert (cm.passed, cm.total_failures) == (cp.passed, cp.total_failures)
+    assert [(w.indices, w.defect) for w in cm.witnesses] == [
+        (w.indices, _conjugated(w.defect)) for w in cp.witnesses
+    ]
+
+
+# ---------------------------------------------------------------------------
+# product structures against the dense oracle
+
+
+def _involution(data, n):
+    """P diag(+-1) P^-1, P a scaled permutation with one entry sheared or a
+    dense rational matrix; one draw in four has a single sign (degenerate)."""
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    if data.draw(st.integers(0, 3)) == 0:
+        signs = [signs[0]] * n
+    d = [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(n)))
+        p = [[0] * n for _ in range(n)]
+        for j in range(n):
+            p[perm[j]][j] = data.draw(nonzero_rationals)
+        p[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += data.draw(
+            small_rationals
+        )
+    else:
+        flat = data.draw(st.lists(small_rationals, min_size=n * n, max_size=n * n))
+        p = [flat[i * n : (i + 1) * n] for i in range(n)]
+    return _conjugate(d, p) or d
+
+
+def _product_structure_matches_oracle(L, emat):
+    fails, notes = naive_product_structure(L, emat)
+    cert = check_product_structure(L, LinearMap(emat))
+    _matches_oracle(cert, fails)
+    assert cert.notes == notes
+    return cert
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_product_structure_matches_oracle(data):
+    """Random involutions on random tables and on a rescaled, corrupted e(4):
+    verdict, witnesses, total and every note."""
+    L = _table(data) if data.draw(st.booleans()) else _corrupted(data, _rescaled(data, E4))
+    _product_structure_matches_oracle(L, _involution(data, L.dim))
+
+
+def test_product_structure_witness_cap_and_order_past_sixteen_failures():
+    """The involution swapping f12, f13, f14, f23 with e1..e4 on e(4), fixing
+    f24 and negating f34: neither eigenspace is a subalgebra."""
+    n = E4.dim
+    emat = [[0] * n for _ in range(n)]
+    for a, b in ((0, 6), (1, 7), (2, 8), (3, 9)):
+        emat[a][b] = emat[b][a] = 1
+    emat[4][4], emat[5][5] = 1, -1
+    cert = _product_structure_matches_oracle(E4, emat)
+    assert cert.total_failures > MAX_WITNESSES
+    assert {w.indices[0] for w in cert.witnesses} == {"plus", "minus"}
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,27 @@ def test_reconstruct_requires_subalgebra():
         reconstruct_connection(talg, K, [1, 2])
 
 
+@pytest.mark.parametrize(
+    "base, part, message",
+    [
+        ("aff1", [1, 2], "image of the subalgebra is not an ideal"),
+        ("aff1", [0, 2], "image of the subalgebra does not complement it"),
+        ("gl2", [0, 1, 2, 4], "the given indices do not span a subalgebra"),
+    ],
+)
+def test_reconstruct_preconditions_name_the_failing_condition(base, part, message):
+    """Each closure precondition of reconstruct_connection on an integrable
+    tangent algebra raises its own message."""
+    if base == "aff1":
+        g, conn = left_symmetric_aff1()
+    else:
+        entry = catalog.gl(2)
+        g, conn = entry.algebra, entry.structures["left_mult"]
+    talg = tangent(g, conn, check_rep=False)
+    with pytest.raises(PreconditionError, match="^%s$" % message):
+        reconstruct_connection(talg, canonical_complex_structure(talg), part)
+
+
 def test_lifted_connection_properties():
     aff1, ls = left_symmetric_aff1()
     talg = tangent(aff1, ls, check_rep=False)
