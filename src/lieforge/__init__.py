@@ -9,7 +9,6 @@ from .scalar_linear import (
     Matrix,
     PreconditionError,
     Q,
-    Scalar,
 )
 from .lie_core import (
     AlmostComplex,
@@ -43,8 +42,6 @@ from .constructions import (
     cotangent,
     eigenspace_split,
     from_matrix_basis,
-    iw_contraction,
-    matrices_from_json,
     semidirect,
     tangent,
 )
@@ -65,4 +62,3 @@ from .structures import (
     reconstruct_connection,
     symplectic_from_duality,
 )
-from . import catalog

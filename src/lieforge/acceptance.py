@@ -26,10 +26,10 @@ from .lie_core import (
 )
 from .constructions import (
     AssociativeAlgebra,
+    ContractionFamily,
     aff_algebra,
     cotangent,
     eigenspace_split,
-    iw_contraction,
     semidirect,
     tangent,
 )
@@ -197,7 +197,7 @@ def criterion_3():
 @_timed
 def criterion_4():
     lz = catalog.lorentz(3)
-    fam = iw_contraction(
+    fam = ContractionFamily(
         lz.algebra,
         lz.structures["rotation_indices"],
         lz.structures["boost_indices"],

@@ -17,16 +17,9 @@ from dataclasses import dataclass, field
 from .scalar_linear import PreconditionError
 from .lie_core import AlmostComplex, Connection, LieAlgebra, LinearMap
 from .constructions import central_extension, from_matrix_basis, semidirect
+from .structures import Decomposition
 
 _ONE = 1
-
-
-@dataclass
-class Decomposition:
-    """Two disjoint jointly-spanning vector lists of a stated subspace."""
-
-    part0: list
-    part1: list
 
 
 @dataclass
@@ -291,16 +284,10 @@ def _compat(g, rho, jg, n, fidx, extra0=(), extra1=()):
     """
     r = n // 2
     vecs = _root_vectors(g.dim, fidx, r)
-    part0 = [_basis_vec(g.dim, fidx[(2 * i - 1, 2 * i)]) for i in range(1, r + 1)]
+    part0 = [g.basis_vector(fidx[(2 * i - 1, 2 * i)]) for i in range(1, r + 1)]
     part0 += vecs["u+"] + vecs["v-"] + list(extra0)
     part1 = vecs["u-"] + vecs["v+"] + list(extra1)
     return CompatData(g, rho, jg, _identity_on(n), Decomposition(part0, part1))
-
-
-def _basis_vec(dim, i):
-    v = [0] * dim
-    v[i] = _ONE
-    return v
 
 
 def euclidean(n):
@@ -363,7 +350,7 @@ def _euclidean(n):
         jp.append((fidx[(2 * r - 1, 2 * r)], g.dim - 1))
         jg = AlmostComplex.from_pairs(g.dim, jp)
         entry.structures["compat"] = _compat(
-            g, rho, jg, n, fidx, extra0=[_basis_vec(g.dim, g.dim - 1)]
+            g, rho, jg, n, fidx, extra0=[g.basis_vector(g.dim - 1)]
         )
     if n == 3:
         gal = galilean()
@@ -430,8 +417,8 @@ def poincare(k):
     jg = AlmostComplex.from_pairs(g.dim, jp)
     entry.structures["compat"] = _compat(
         g, rho, jg, q, fidx,
-        extra0=[_basis_vec(g.dim, g.dim - 1)],
-        extra1=[_basis_vec(g.dim, s_index(i)) for i in range(1, q + 1)],
+        extra0=[g.basis_vector(g.dim - 1)],
+        extra1=[g.basis_vector(s_index(i)) for i in range(1, q + 1)],
     )
     return entry
 
@@ -497,7 +484,7 @@ def so3_on_c3():
     i_mod = AlmostComplex.from_pairs(6, [(0, 3), (1, 4), (2, 5)])
     entry = CatalogEntry("so3_c3", alg)
     entry.structures["compat"] = CompatData(
-        g, rho, jg, i_mod, Decomposition([_basis_vec(4, i) for i in range(4)], [])
+        g, rho, jg, i_mod, Decomposition([g.basis_vector(i) for i in range(4)], [])
     )
     return entry
 

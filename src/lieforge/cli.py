@@ -12,7 +12,7 @@ import hashlib
 import json
 import sys
 
-from . import __version__, catalog
+from . import __version__
 from .dsl import DslError, parse, run, entry_to_dsl
 from .lie_core import Connection, LinearMap
 from .scalar_linear import LieforgeError, scalar_to_str
@@ -95,6 +95,8 @@ def _cmd_check(args):
 
 
 def _cmd_catalog(args):
+    from . import catalog
+
     try:
         entry = catalog.build(args.name, *args.params)
     except (KeyError, LieforgeError, ValueError) as exc:
@@ -132,6 +134,7 @@ def _tower_connection(entry, name):
 
 
 def _cmd_tower(args):
+    from . import catalog
     from .structures import clifford_tower
 
     parts = args.base.split(":")

@@ -58,7 +58,6 @@ class AssociativeAlgebra:
         if len(set(self.labels)) != self.dim:
             raise PreconditionError("basis labels must be unique")
         self.name = name
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
         self.table = {}
         for (i, j), coeffs in table.items():
             cd = {k: exact(v) for k, v in _sparse(coeffs).items() if v}
@@ -71,9 +70,6 @@ class AssociativeAlgebra:
             raise PreconditionError(
                 "product table is not associative at triple %s" % (bad,)
             )
-
-    def index(self, label):
-        return self._index[label]
 
     def product_basis(self, i, j):
         return self.table.get((i, j), {})
@@ -417,46 +413,3 @@ class ContractionFamily:
             check=True,
             name="%s@t=%s" % (self.base.name, t),
         )
-
-
-def iw_contraction(base, subalgebra, complement):
-    """Contraction family for a reductive splitting of the basis."""
-    return ContractionFamily(base, subalgebra, complement)
-
-
-def matrices_from_json(data):
-    """Realization matrices from a JSON list of row-major rational matrices.
-
-    Entries may be integers or "p/q" strings; floats, booleans and other
-    JSON values are rejected to keep everything exact, and so are ragged or
-    empty matrices.  Malformed input raises :class:`PreconditionError`.
-    Feed the resulting ``LinearMap``s to :func:`from_matrix_basis`.
-    """
-    import json
-
-    if isinstance(data, (str, bytes)):
-        try:
-            data = json.loads(data)
-        except ValueError as exc:
-            raise PreconditionError("matrix import is not valid JSON: %s" % exc)
-    if not isinstance(data, list):
-        raise PreconditionError("matrix import needs a list of matrices")
-    mats = []
-    for m in data:
-        if not (isinstance(m, list) and m and all(isinstance(r, list) and r for r in m)):
-            raise PreconditionError("each imported matrix must be a list of nonempty rows")
-        if any(len(r) != len(m[0]) for r in m):
-            raise PreconditionError("ragged rows in matrix import")
-        mats.append(LinearMap([[_json_entry(e) for e in r] for r in m]))
-    return mats
-
-
-def _json_entry(e):
-    if isinstance(e, bool) or not isinstance(e, (int, str)):
-        raise PreconditionError(
-            "matrix entry %r is neither an integer nor a 'p/q' string" % (e,)
-        )
-    try:
-        return Fraction(e)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError("matrix entry %r is not a rational" % (e,))

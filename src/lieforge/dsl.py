@@ -64,7 +64,6 @@ from .constructions import (
     tangent,
 )
 from . import structures as st
-from .catalog import Decomposition
 
 __all__ = [
     "SourceSpan",
@@ -539,7 +538,7 @@ class _Parser:
         self.ws.define(
             name.text,
             "decomp",
-            (alg_name.text, Decomposition(parts["part0"], parts["part1"])),
+            (alg_name.text, st.Decomposition(parts["part0"], parts["part1"])),
             name.span,
         )
 

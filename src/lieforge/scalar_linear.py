@@ -12,12 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "Scalar",
     "Q",
     "exact",
     "div",
     "GaussScalar",
-    "GAUSS_I",
     "Matrix",
     "SpanSolver",
     "LieforgeError",
@@ -46,9 +44,6 @@ class PreconditionError(LieforgeError):
     def __init__(self, message, details=None):
         super().__init__(message)
         self.details = details
-
-
-Scalar = Fraction
 
 
 def Q(num, den=1):
@@ -184,9 +179,6 @@ def _gauss(re, im):
     g.re = re
     g.im = im
     return g
-
-
-GAUSS_I = GaussScalar(0, 1)
 
 
 def scalar_to_str(s):

@@ -9,6 +9,7 @@ symplectic forms and pseudo-Kahler verification.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalar_linear import DimensionMismatchError, PreconditionError, SpanSolver
@@ -23,6 +24,7 @@ from .lie_core import (
     _dense,
     _escapes,
     _is_ideal,
+    _require_almost_complex,
     _require_invertible,
     _sparse,
     check_integrable,
@@ -61,6 +63,14 @@ def _span_of(dim, vectors):
     return solver
 
 
+@dataclass
+class Decomposition:
+    """Two disjoint jointly-spanning vector lists of a stated subspace."""
+
+    part0: list
+    part1: list
+
+
 def check_action_compatibility(g, rho, J, I, split, target=None):
     """The two conditions letting a structure on g extend to g acting on (v, I).
 
@@ -72,6 +82,11 @@ def check_action_compatibility(g, rho, J, I, split, target=None):
     structure as well).
     """
     n, m = g.dim, rho.module_dim
+    if rho.algebra.dim != n:
+        raise DimensionMismatchError("representation does not live on the given algebra")
+    _require_almost_complex(g, J)
+    if I.rows != m or I.cols != m:
+        raise DimensionMismatchError("module structure does not match the module")
     part0 = [_sparse(v) for v in split.part0]
     part1 = [_sparse(v) for v in split.part1]
     s0 = _span_of(n, part0)
@@ -288,9 +303,6 @@ class CliffordFamily:
         self.maps = [m if isinstance(m, AlmostComplex) else AlmostComplex(m) for m in maps]
         self._rank = None
 
-    def __len__(self):
-        return len(self.maps)
-
     @property
     def generated_rank(self):
         if self._rank is None:
@@ -384,14 +396,7 @@ def clifford_tower(g, conn, m, name=None):
     members = []
     for level in range(m):
         talg = tangent(alg, cur, check_rep=False)
-        lifted = []
-        for A in members:
-            n = A.rows
-            cols = [dict(c) for c in A.sparse_columns()]
-            cols += [
-                {k + n: -v for k, v in c.items()} for c in A.sparse_columns()
-            ]
-            lifted.append(LinearMap.from_sparse_columns(2 * n, 2 * n, cols))
+        lifted = [block_complex_structure(A, A, sign=-1) for A in members]
         members = lifted + [canonical_complex_structure(talg)]
         cur = lifted_connection(cur, talg)
         alg = talg
@@ -573,6 +578,8 @@ def check_holomorphic(dom, cod, iota, J_dom, J_cod, target=None):
     """Injective homomorphism intertwining the two structures."""
     if iota.cols != dom.dim or iota.rows != cod.dim:
         raise DimensionMismatchError("map shape does not match the algebras")
+    _require_almost_complex(dom, J_dom)
+    _require_almost_complex(cod, J_cod)
     cols = iota.sparse_columns()
     if _span_of(cod.dim, cols).rank != dom.dim:
         raise PreconditionError("map is not injective")

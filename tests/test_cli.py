@@ -3,9 +3,12 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import lieforge
 from lieforge import catalog, dsl
 from lieforge.cli import main
 
@@ -138,6 +141,44 @@ def test_check_levi_civita_of_a_form_of_another_size_exits_two(capsys):
     assert rc == 2 and captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and line.endswith(" (line 5, column 15)")
+
+
+def test_check_structure_of_the_wrong_size_exits_two(capsys):
+    rc = main(["check", os.path.join(FIXTURES, "structure_size_mismatch.lie")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 2
+    assert all(
+        "precondition: endomorphism does not match algebra dimension" in line
+        for line in lines
+    )
+
+
+_CHECK_WITHOUT_CATALOG = """
+import sys
+from lieforge import cli
+rc = cli.main(["check", sys.argv[1]])
+assert "lieforge.catalog" not in sys.modules, "check loaded the catalog"
+from lieforge import catalog, structures
+assert catalog.Decomposition is structures.Decomposition
+sys.exit(rc)
+"""
+
+
+def test_check_does_not_load_the_catalog():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lieforge.__file__)))
+    tower = os.path.join(os.path.dirname(__file__), "..", "perfbench", "corpus", "tower.lie")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHECK_WITHOUT_CATALOG, tower],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS ")
 
 
 def test_check_byte_offset_after_a_byte_order_mark_counts_the_mark(tmp_path, capsys):

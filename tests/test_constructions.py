@@ -25,6 +25,7 @@ from lieforge.lie_core import (
 )
 from lieforge.constructions import (
     AssociativeAlgebra,
+    ContractionFamily,
     NotClosedError,
     aff_algebra,
     central_extension,
@@ -32,7 +33,6 @@ from lieforge.constructions import (
     cotangent,
     eigenspace_split,
     from_matrix_basis,
-    iw_contraction,
     semidirect,
     tangent,
 )
@@ -638,7 +638,7 @@ def test_aff_algebra_of_matrices_structure_integrable():
 
 def test_contraction_base_at_one():
     lz = catalog.lorentz(3)
-    fam = iw_contraction(
+    fam = ContractionFamily(
         lz.algebra, lz.structures["rotation_indices"], lz.structures["boost_indices"]
     )
     assert fam.at(1).same_constants(lz.algebra)
@@ -646,7 +646,7 @@ def test_contraction_base_at_one():
 
 def test_contraction_samples_satisfy_jacobi():
     lz = catalog.lorentz(3)
-    fam = iw_contraction(
+    fam = ContractionFamily(
         lz.algebra, lz.structures["rotation_indices"], lz.structures["boost_indices"]
     )
     for t in (Q(0), Q(1, 4), Q(1, 2), Q(3, 4), Q(1)):
@@ -655,70 +655,19 @@ def test_contraction_samples_satisfy_jacobi():
 
 def test_contraction_degenerates_to_euclidean():
     lz = catalog.lorentz(3)
-    fam = iw_contraction(
+    fam = ContractionFamily(
         lz.algebra, lz.structures["rotation_indices"], lz.structures["boost_indices"]
     )
     assert fam.at(0).same_constants(catalog.euclidean(3).algebra)
 
 
-def test_matrices_from_json_roundtrip():
-    from lieforge.constructions import matrices_from_json
-
-    text = '[[["1/2", "0"], ["0", "-1/2"]], [["0", "1"], ["0", "0"]]]'
-    mats = matrices_from_json(text)
-    assert mats[0].matrix.data[0][0] == Q(1, 2)
-    alg, _ = from_matrix_basis(mats, labels=["h", "e"])
-    assert alg.bracket_basis(0, 1) == {1: Q(1)}  # [h, e] = e at half weights
-    assert check_jacobi(alg).passed
-
-
-def test_matrices_from_json_rejects_floats():
-    from lieforge.constructions import matrices_from_json
-
-    with pytest.raises(PreconditionError):
-        matrices_from_json([[[0.5]]])
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        '[[["abc"]]]',  # not a rational
-        '[[["1/0"]]]',  # zero denominator
-        "[[[true]]]",  # a JSON boolean is not the integer 1
-        "[[[null]]]",
-        "[[[[1]]]]",  # a list where an entry belongs
-        "[[[1, 0], [0]]]",  # ragged rows
-        "[[1, 0]]",  # rows that are not lists
-        "[7]",  # a matrix that is not a list
-        "[[]]",  # an empty matrix
-        "[[[]]]",  # an empty row
-        '{"m": [[1]]}',  # not a list of matrices
-        "[[[1]",  # not JSON
-    ],
-)
-def test_matrices_from_json_rejects_malformed_input(data):
-    from lieforge.constructions import matrices_from_json
-
-    with pytest.raises(PreconditionError):
-        matrices_from_json(data)
-
-
-def test_matrices_from_json_gives_integer_first_maps():
-    from lieforge.constructions import matrices_from_json
-
-    (m,) = matrices_from_json('[[["2/2", 3], ["-1/2", 0]]]')
-    assert isinstance(m, LinearMap)
-    assert m.sparse_columns() == [{0: 1, 1: Q(-1, 2)}, {0: 3}]
-    assert type(m.sparse_columns()[0][0]) is int
-
-
 def test_contraction_rejects_non_reductive_split():
     lz = catalog.lorentz(3)
     with pytest.raises(PreconditionError):
-        iw_contraction(lz.algebra, [0, 1], [2, 3, 4, 5])
+        ContractionFamily(lz.algebra, [0, 1], [2, 3, 4, 5])
 
 
 def test_contraction_requires_partition():
     lz = catalog.lorentz(3)
     with pytest.raises(PreconditionError):
-        iw_contraction(lz.algebra, [0, 1, 2], [2, 3, 4, 5])
+        ContractionFamily(lz.algebra, [0, 1, 2], [2, 3, 4, 5])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from lieforge.lie_core import (
 from lieforge.constructions import aff_algebra, semidirect, tangent
 from lieforge.structures import (
     CliffordFamily,
+    Decomposition,
     block_complex_structure,
     canonical_complex_structure,
     check_action_compatibility,
@@ -89,8 +91,6 @@ def test_action_compatibility_passes_on_stored_data():
 
 
 def test_action_compatibility_swapped_parts_fail():
-    from lieforge.catalog import Decomposition
-
     e4 = catalog.euclidean(4)
     cd = e4.structures["compat"]
     swapped = Decomposition(cd.split.part1, cd.split.part0)
@@ -100,8 +100,6 @@ def test_action_compatibility_swapped_parts_fail():
 
 
 def test_action_compatibility_rejects_unstable_split():
-    from lieforge.catalog import Decomposition
-
     e4 = catalog.euclidean(4)
     cd = e4.structures["compat"]
     g = cd.g
@@ -194,20 +192,12 @@ def test_reconstruct_round_trips_corpus():
             assert rec.maps[i] == conn.maps[i]
 
 
-def test_reconstruct_rejects_non_ideal_image():
-    # inside so(3) the swap structure image of a line is not an ideal
+def test_reconstruct_rejects_non_integrable_structure():
+    # the swap structure on e(3) is not integrable, which is checked first
     e3 = catalog.euclidean(3).algebra
     K = canonical_complex_structure(e3)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^structure is not integrable$"):
         reconstruct_connection(e3, K, [0, 1, 2])
-
-
-def test_reconstruct_requires_subalgebra():
-    aff1, ls = left_symmetric_aff1()
-    talg = tangent(aff1, ls, check_rep=False)
-    K = canonical_complex_structure(talg)
-    with pytest.raises(PreconditionError):
-        reconstruct_connection(talg, K, [1, 2])
 
 
 @pytest.mark.parametrize(
@@ -527,6 +517,48 @@ def test_check_holomorphic_rejects_non_injective():
             e3.algebra, e3.algebra, LinearMap.zero(6),
             e3.structures["j"], e3.structures["j"],
         )
+
+
+def _wrong_size_pieces():
+    """A 2-dimensional a and a 4-dimensional abelian b, with structures,
+    maps, decompositions and zero representations on each."""
+    a = LieAlgebra(["x", "y"], {(0, 1): {1: Q(1)}}, name="a")
+    b = LieAlgebra(["p", "q", "r", "s"], {}, name="b")
+    return SimpleNamespace(
+        a=a,
+        b=b,
+        Ja=AlmostComplex.from_pairs(2, [(0, 1)]),
+        Jb=AlmostComplex.from_pairs(4, [(0, 1), (2, 3)]),
+        Jc=AlmostComplex.from_pairs(4, [(0, 2), (1, 3)]),
+        inc=LinearMap.identity(2),
+        ident=LinearMap.identity(4),
+        rho_a=Connection(a, [LinearMap.zero(2)] * 2),
+        rho_b=Connection(b, [LinearMap.zero(2)] * 4),
+        da=Decomposition([a.basis_vector(i) for i in range(2)], []),
+        db=Decomposition([b.basis_vector(i) for i in range(4)], []),
+    )
+
+
+_WRONG_SIZE = {
+    "holomorphic_cod_structure": lambda p: check_holomorphic(p.a, p.a, p.inc, p.Ja, p.Jc),
+    "holomorphic_dom_structure": lambda p: check_holomorphic(p.b, p.b, p.ident, p.Ja, p.Jb),
+    "holomorphic_cod_structure_of_other_algebra": lambda p: check_holomorphic(
+        p.a, p.a, p.inc, p.Ja, p.Jb
+    ),
+    "action_structure": lambda p: check_action_compatibility(p.b, p.rho_b, p.Ja, p.Ja, p.db),
+    "action_module_structure": lambda p: check_action_compatibility(
+        p.a, p.rho_a, p.Ja, p.Jb, p.da
+    ),
+    "action_representation": lambda p: check_action_compatibility(
+        p.a, p.rho_b, p.Ja, p.Ja, p.da
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_SIZE))
+def test_structure_of_the_wrong_size_is_a_dimension_mismatch(case):
+    with pytest.raises(DimensionMismatchError):
+        _WRONG_SIZE[case](_wrong_size_pieces())
 
 
 def test_block_structures_integrable_when_compat_holds():
