@@ -27,7 +27,6 @@ from .lie_core import (
     _sparse,
     _acc,
     _Sweep,
-    _dense,
     _escapes,
     _require_almost_complex,
 )
@@ -233,16 +232,15 @@ def eigenspace_split(L, J):
     conj [u, v]: the -i certificate is the +i one with each defect
     conjugated.  Both clocks start before the preconditions.
     """
-    sweeps = (_Sweep("eigenspace_plus", L.name), _Sweep("eigenspace_minus", L.name))
+    sweeps = tuple(_Sweep("eigenspace_" + key, L.name, L.dim) for key in ("plus", "minus"))
     _require_almost_complex(L, J)
     plus, minus = holomorphic_eigenbasis(L, J)
     solver = SpanSolver(L.dim)
     basis = [v for v in plus if solver.add(v)]
     if next(_escapes(L, solver, basis), None) is not None:
         for ab, w in _escapes(L, solver, plus):
-            w = _dense(w, L.dim)
             sweeps[0].fail(ab, w)
-            sweeps[1].fail(ab, [x.conjugate() for x in w])
+            sweeps[1].fail(ab, {k: x.conjugate() for k, x in w.items()})
     return plus, minus, tuple(sweep.done() for sweep in sweeps)
 
 

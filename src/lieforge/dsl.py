@@ -26,7 +26,6 @@ optional ``/`` and denominator.
 from __future__ import annotations
 
 import re
-import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +39,6 @@ from .lie_core import (
     Connection,
     LieAlgebra,
     LinearMap,
-    Witness,
     check_abelian_complex,
     check_closed,
     check_complex_lie,
@@ -52,6 +50,7 @@ from .lie_core import (
     check_representation,
     check_symplectic,
     check_torsion_free,
+    _Sweep,
     _sparse,
 )
 from .constructions import (
@@ -780,21 +779,12 @@ _CHECKS = {
 def _run_one(call, fname, target):
     """Run one check; a violated precondition becomes a failing certificate
     whose ``elapsed_ms`` is the time spent up to the exception."""
-    t0 = time.perf_counter()
+    sweep = _Sweep(fname, target)
     try:
         certs = call()
     except LieforgeError as exc:
-        return [
-            Certificate(
-                check_name=fname,
-                target=target,
-                passed=False,
-                witnesses=[Witness(("precondition",), ())],
-                total_failures=1,
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-                notes={"precondition": str(exc)},
-            )
-        ]
+        sweep.fail(("precondition",), ())
+        return [sweep.done(notes={"precondition": str(exc)})]
     return [certs] if isinstance(certs, Certificate) else list(certs)
 
 
@@ -837,14 +827,14 @@ def _matrix_to_dsl(m):
     return "matrix [%s]" % rows
 
 
-def algebra_to_dsl(alg, name=None):
-    name = name or alg.name
-    lines = ["algebra %s {" % name, "  basis %s ;" % " ".join(alg.labels)]
+def _table_to_dsl(head, alg, pair):
+    """A basis and one line per table entry, the entry's pair written as
+    ``pair`` % (label, label)."""
+    labels = alg.labels
+    lines = [head + " {", "  basis %s ;" % " ".join(labels)]
     for (i, j) in sorted(alg.table):
-        lines.append(
-            "  [%s, %s] = %s ;"
-            % (alg.labels[i], alg.labels[j], _combo_to_dsl(alg.table[(i, j)], alg.labels))
-        )
+        combo = _combo_to_dsl(alg.table[(i, j)], labels)
+        lines.append("  %s = %s ;" % (pair % (labels[i], labels[j]), combo))
     lines.append("}")
     return "\n".join(lines)
 
@@ -858,37 +848,23 @@ def _images_to_dsl(head, lm, dom_labels, cod_labels):
     return "\n".join(lines)
 
 
-def endo_to_dsl(name, alg_name, labels, lm):
-    return _images_to_dsl("endo %s on %s" % (name, alg_name), lm, labels, labels)
-
-
-def conn_to_dsl(name, alg_name, labels, conn):
-    lines = ["conn %s on %s {" % (name, alg_name)]
-    for lab, op in zip(labels, conn.maps):
-        lines.append("  %s => %s ;" % (lab, _matrix_to_dsl(op.matrix)))
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def form_to_dsl(name, alg_name, form):
-    kind = "sym" if form.kind == BilinearForm.SYMMETRIC else "skew"
-    return "form %s on %s %s %s" % (name, alg_name, kind, _matrix_to_dsl(form.matrix))
-
-
 def entry_to_dsl(entry):
     """Canonical DSL text for a catalog entry and its emittable structures."""
-    chunks = [algebra_to_dsl(entry.algebra, name=entry.name)]
+    ws = Workspace()
     alg = entry.algebra
+    ws.define(entry.name, "algebra", alg, None)
     for key in sorted(entry.structures):
         obj = entry.structures[key]
-        sname = "%s_%s" % (entry.name, key)
         if isinstance(obj, LinearMap) and obj.rows == alg.dim and obj.cols == alg.dim:
-            chunks.append(endo_to_dsl(sname, entry.name, alg.labels, obj))
+            kind = "endo"
         elif isinstance(obj, Connection) and obj.algebra is alg:
-            chunks.append(conn_to_dsl(sname, entry.name, alg.labels, obj))
+            kind = "conn"
         elif isinstance(obj, BilinearForm) and obj.dim == alg.dim:
-            chunks.append(form_to_dsl(sname, entry.name, obj))
-    return "\n\n".join(chunks) + "\n"
+            kind = "form"
+        else:
+            continue
+        ws.define("%s_%s" % (entry.name, key), kind, (entry.name, obj), None)
+    return workspace_to_dsl(ws)
 
 
 def workspace_to_dsl(ws):
@@ -908,48 +884,36 @@ def workspace_to_dsl(ws):
             if constructed[name]:
                 chunks.append(constructed[name])
         elif kind == "algebra":
-            chunks.append(algebra_to_dsl(payload, name=name))
+            chunks.append(_table_to_dsl("algebra " + name, payload, "[%s, %s]"))
         elif kind == "assoc":
-            lines = ["assoc %s {" % name, "  basis %s ;" % " ".join(payload.labels)]
-            for (i, j) in sorted(payload.table):
-                lines.append(
-                    "  %s * %s = %s ;"
-                    % (
-                        payload.labels[i],
-                        payload.labels[j],
-                        _combo_to_dsl(payload.table[(i, j)], payload.labels),
-                    )
-                )
-            lines.append("}")
-            chunks.append("\n".join(lines))
-        elif kind == "endo":
-            alg_name, lm = payload
-            alg = ws.definitions[alg_name][1]
-            chunks.append(endo_to_dsl(name, alg_name, alg.labels, lm))
-        elif kind == "conn":
-            alg_name, conn = payload
-            alg = ws.definitions[alg_name][1]
-            chunks.append(conn_to_dsl(name, alg_name, alg.labels, conn))
-        elif kind == "form":
-            alg_name, form = payload
-            chunks.append(form_to_dsl(name, alg_name, form))
+            chunks.append(_table_to_dsl("assoc " + name, payload, "%s * %s"))
         elif kind == "map":
             dom_name, cod_name, lm = payload
             dom = ws.definitions[dom_name][1]
             cod = ws.definitions[cod_name][1]
             head = "map %s from %s to %s" % (name, dom_name, cod_name)
             chunks.append(_images_to_dsl(head, lm, dom.labels, cod.labels))
-        elif kind == "decomp":
-            alg_name, dec = payload
-            alg = ws.definitions[alg_name][1]
-            def vecline(vs):
-                if not vs:
-                    return ""
-                return " " + " , ".join(_combo_to_dsl(_sparse(v), alg.labels) for v in vs) + " "
-            chunks.append(
-                "decomp %s on %s {\n  part0 :%s;\n  part1 :%s;\n}"
-                % (name, alg_name, vecline(dec.part0), vecline(dec.part1))
-            )
+        else:  # endo, conn, form and decomp live on one algebra
+            alg_name, obj = payload
+            labels = ws.definitions[alg_name][1].labels
+            head = "%s %s on %s" % (kind, name, alg_name)
+            if kind == "endo":
+                chunks.append(_images_to_dsl(head, obj, labels, labels))
+            elif kind == "conn":
+                lines = [head + " {"]
+                for lab, op in zip(labels, obj.maps):
+                    lines.append("  %s => %s ;" % (lab, _matrix_to_dsl(op.matrix)))
+                chunks.append("\n".join(lines + ["}"]))
+            elif kind == "form":
+                sym = "sym" if obj.kind == BilinearForm.SYMMETRIC else "skew"
+                chunks.append("%s %s %s" % (head, sym, _matrix_to_dsl(obj.matrix)))
+            else:
+                parts = [
+                    " %s " % " , ".join(_combo_to_dsl(_sparse(v), labels) for v in vs)
+                    if vs else ""
+                    for vs in (obj.part0, obj.part1)
+                ]
+                chunks.append("%s {\n  part0 :%s;\n  part1 :%s;\n}" % (head, *parts))
     for fn, args, _ in ws.checks:
         chunks.append("check %s(%s)" % (fn, _args_to_dsl(args)))
     return "\n\n".join(chunks) + "\n"

@@ -73,11 +73,17 @@ class Certificate:
 
 
 class _Sweep:
-    """Witness accumulator shared by all check implementations."""
+    """Witness accumulator shared by all check implementations.
 
-    def __init__(self, check_name, target):
+    A defect is a sparse dict, made dense to length ``dim`` only for a kept
+    witness, or a tuple of scalars, kept as given.  The clock starts when
+    the sweep is made, so a check makes it before its preconditions.
+    """
+
+    def __init__(self, check_name, target, dim=None):
         self.check_name = check_name
         self.target = target
+        self.dim = dim
         self.witnesses = []
         self.total = 0
         self.t0 = time.perf_counter()
@@ -85,15 +91,15 @@ class _Sweep:
     def fail(self, indices, defect):
         self.total += 1
         if len(self.witnesses) < MAX_WITNESSES:
+            if isinstance(defect, dict):
+                defect = _dense(defect, self.dim)
             self.witnesses.append(Witness(tuple(indices), tuple(defect)))
 
-    def done(self, notes=None, passed=None):
-        if passed is None:
-            passed = self.total == 0
+    def done(self, notes=None):
         return Certificate(
             check_name=self.check_name,
             target=self.target,
-            passed=passed,
+            passed=self.total == 0,
             witnesses=self.witnesses,
             total_failures=self.total,
             elapsed_ms=(time.perf_counter() - self.t0) * 1000.0,
@@ -544,9 +550,9 @@ def _cyclic_sums(L, form):
 
 def check_jacobi(L, target=None):
     """Cyclic Jacobi sum over the basis triples i < j < k that can fail."""
-    sweep = _Sweep("jacobi", target or L.name)
+    sweep = _Sweep("jacobi", target or L.name, L.dim)
     for ijk, s in _cyclic_sums(L, L.table):
-        sweep.fail(ijk, _dense(s, L.dim))
+        sweep.fail(ijk, s)
     return sweep.done()
 
 
@@ -683,7 +689,7 @@ def _orbit_sweep(sweep, L, J):
             t = [signs[sigma[m]] * t[sigma[m]] for m in range(L.dim)]
         elif turns == 2:
             c = -c  # J^2 = -1
-        sweep.fail(key, [c * v for v in t])
+        sweep.fail(key, tuple(c * v for v in t))
     sweep.total = 4 * len(failing)
     return True
 
@@ -699,7 +705,7 @@ def check_integrable(L, J, split=None, target=None):
     its representative pairs and derives the others (:func:`_orbit_sweep`);
     any other J sweeps every pair.  The certificate is the same either way.
     """
-    sweep = _Sweep("integrable", target or L.name)
+    sweep = _Sweep("integrable", target or L.name, L.dim)
     _require_almost_complex(L, J)
     if split is None and _orbit_sweep(sweep, L, J):
         return sweep.done()
@@ -721,7 +727,7 @@ def check_integrable(L, J, split=None, target=None):
             )
         notes = {"split": True}
     for ab, out in _torsions(L, J, vectors, images):
-        sweep.fail(ab, _dense(out, n))
+        sweep.fail(ab, out)
     return sweep.done(notes=notes)
 
 
@@ -732,7 +738,7 @@ def check_complex_lie(L, J, target=None):
     at: those with a table entry [b_i, b_q] and q in the support of J b_j,
     and those with a table entry [b_i, b_j].
     """
-    sweep = _Sweep("complex_lie", target or L.name)
+    sweep = _Sweep("complex_lie", target or L.name, L.dim)
     _require_almost_complex(L, J)
     n = L.dim
     jcols = J.sparse_columns()
@@ -748,7 +754,7 @@ def check_complex_lie(L, J, target=None):
                 _acc(out, jcols[k], -s * v)
         for j in sorted(rows):
             if rows[j]:
-                sweep.fail((i, j), _dense(rows[j], n))
+                sweep.fail((i, j), rows[j])
     return sweep.done()
 
 
@@ -760,14 +766,14 @@ def check_abelian_complex(L, J, target=None):
     """
     from .constructions import holomorphic_eigenbasis
 
-    sweep = _Sweep("abelian_complex", target or L.name)
+    sweep = _Sweep("abelian_complex", target or L.name, L.dim)
     _require_almost_complex(L, J)
     plus, _ = holomorphic_eigenbasis(L, J)
-    fails = [(ab, _dense(w, L.dim)) for ab, w in _escapes(L, SpanSolver(L.dim), plus)]
+    fails = list(_escapes(L, SpanSolver(L.dim), plus))
     for ab, w in fails:
         sweep.fail(("eigen_plus",) + ab, w)
     for ab, w in fails:
-        sweep.fail(("eigen_minus",) + ab, [x.conjugate() for x in w])
+        sweep.fail(("eigen_minus",) + ab, {k: x.conjugate() for k, x in w.items()})
     return sweep.done()
 
 
@@ -783,8 +789,8 @@ def check_representation(rho, target=None):
     nonzero.  Sums stream by i, one row of (j, k), j > i, at a time.
     """
     L = rho.algebra
-    sweep = _Sweep("representation", target or L.name)
     n, m = L.dim, rho.module_dim
+    sweep = _Sweep("representation", target or L.name, m)
     cols = [[(k, c) for k, c in enumerate(op.sparse_columns()) if c] for op in rho.maps]
     by_row = [[] for _ in range(m)]
     live = [[] for _ in range(m)]
@@ -820,7 +826,7 @@ def check_representation(rho, target=None):
                     _acc(sums[j, k], col, -c)
         for jk in sorted(sums):
             if sums[jk]:
-                sweep.fail((i,) + jk, _dense(sums[jk], m))
+                sweep.fail((i,) + jk, sums[jk])
     return sweep.done()
 
 
@@ -829,10 +835,15 @@ def torsion(conn, i, j):
     L = conn.algebra
     if conn.module_dim != L.dim:
         raise DimensionMismatchError("torsion needs a connection on the algebra itself")
-    acc = dict(conn.maps[i].apply_sparse({j: _ONE}))
+    return _dense(_torsion(conn, i, j), L.dim)
+
+
+def _torsion(conn, i, j):
+    """Sparse torsion at the basis pair (i, j) of a connection on its algebra."""
+    acc = conn.maps[i].apply_sparse({j: _ONE})
     _acc(acc, conn.maps[j].apply_sparse({i: _ONE}), -_ONE)
-    _acc(acc, L.bracket_basis(i, j), -_ONE)
-    return _dense(acc, L.dim)
+    _acc(acc, conn.algebra.bracket_basis(i, j), -_ONE)
+    return acc
 
 
 def check_torsion_free(conn, target=None):
@@ -842,28 +853,28 @@ def check_torsion_free(conn, target=None):
     of rho_i or column i of rho_j, so only those pairs are visited.
     """
     L = conn.algebra
+    sweep = _Sweep("torsion_free", target or L.name, L.dim)
     if conn.module_dim != L.dim:
         raise DimensionMismatchError("torsion needs a connection on the algebra itself")
-    sweep = _Sweep("torsion_free", target or L.name)
     pairs = set(L.table)
     for i, op in enumerate(conn.maps):
         for j, col in enumerate(op.sparse_columns()):
             if col and i != j:
                 pairs.add((min(i, j), max(i, j)))
     for i, j in sorted(pairs):
-        t = torsion(conn, i, j)
-        if any(t):
+        t = _torsion(conn, i, j)
+        if t:
             sweep.fail((i, j), t)
     return sweep.done()
 
 
-def check_closed(L, form, target=None):
-    """Vanishing of the Chevalley-Eilenberg differential on basis triples."""
+def _closed_sweep(sweep, L, form):
+    """Fail ``sweep``, made with dim 1, at each basis triple where d omega
+    is nonzero, after the closedness preconditions."""
     if form.kind != BilinearForm.SKEW:
         raise PreconditionError("closedness applies to skew forms")
     if form.dim != L.dim:
         raise DimensionMismatchError("form does not match algebra dimension")
-    sweep = _Sweep("closed", target or L.name)
     # omega(b_a, b_b) as a one-entry vector, so the cyclic sum is d omega
     pairs = {
         (a, b): {0: v}
@@ -872,29 +883,28 @@ def check_closed(L, form, target=None):
         if a < b
     }
     for ijk, s in _cyclic_sums(L, pairs):
-        sweep.fail(ijk, (s[0],))
+        sweep.fail(ijk, s)
+
+
+def check_closed(L, form, target=None):
+    """Vanishing of the Chevalley-Eilenberg differential on basis triples."""
+    sweep = _Sweep("closed", target or L.name, 1)
+    _closed_sweep(sweep, L, form)
     return sweep.done()
 
 
 def check_symplectic(L, form, target=None):
-    """Closed and nondegenerate; ``elapsed_ms`` covers both tests."""
-    t0 = time.perf_counter()
-    cert = check_closed(L, form, target=target)
-    cert.check_name = "symplectic"
-    notes = dict(cert.notes)
-    notes["closed"] = cert.total_failures == 0
+    """Closed and nondegenerate; a degenerate form fails once more, with a
+    kernel vector as the witness."""
+    sweep = _Sweep("symplectic", target or L.name, 1)
+    _closed_sweep(sweep, L, form)
+    notes = {"closed": sweep.total == 0, "nondegenerate": True}
     try:
         _require_invertible(form.gram, "form is degenerate")
-        notes["nondegenerate"] = True
     except PreconditionError as exc:
         notes["nondegenerate"] = False
-        cert.witnesses = list(cert.witnesses)
-        cert.witnesses.append(Witness(("kernel",), tuple(exc.details)))
-        cert.total_failures += 1
-    cert.passed = cert.total_failures == 0
-    cert.notes = notes
-    cert.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return cert
+        sweep.fail(("kernel",), tuple(exc.details))
+    return sweep.done(notes=notes)
 
 
 def check_parallel(conn, tensor, target=None):
@@ -906,8 +916,8 @@ def check_parallel(conn, tensor, target=None):
     of rho_i; for a form, the pair (j, k) needs column j or column k of
     rho_i to be nonzero.
     """
-    sweep = _Sweep("parallel", target or conn.algebra.name)
     m = conn.module_dim
+    sweep = _Sweep("parallel", target or conn.algebra.name, m)
     if isinstance(tensor, LinearMap):
         if tensor.rows != m or tensor.cols != m:
             raise DimensionMismatchError("endomorphism does not match the module")
@@ -924,7 +934,7 @@ def check_parallel(conn, tensor, target=None):
                 _acc(sums[l], tensor.apply_sparse(col), -_ONE)
             for k in sorted(sums):
                 if sums[k]:
-                    sweep.fail((i, k), _dense(sums[k], m))
+                    sweep.fail((i, k), sums[k])
         return sweep.done()
     if isinstance(tensor, BilinearForm):
         if tensor.dim != m:
@@ -958,9 +968,9 @@ def check_metric(conn, form, target=None):
     the certificate notes report each sub-check separately, and each witness
     starts with the name of the sub-check it comes from.
     """
+    sweep = _Sweep("metric", target or conn.algebra.name)
     if form.kind != BilinearForm.SYMMETRIC:
         raise PreconditionError("metric check needs a symmetric form")
-    sweep = _Sweep("metric", target or conn.algebra.name)
     _require_invertible(form.gram, "metric check needs an invertible form")
     subs = {
         "compatible": check_parallel(conn, form),
@@ -982,12 +992,12 @@ def check_product_structure(L, E, target=None):
     report whether each is an ideal, whether the minus part is abelian and
     whether the splitting is degenerate.
     """
-    if E.rows != L.dim or E.cols != L.dim:
+    n = L.dim
+    sweep = _Sweep("product_structure", target or L.name, n)
+    if E.rows != n or E.cols != n:
         raise DimensionMismatchError("endomorphism does not match algebra dimension")
     if not E.compose(E).is_identity():
         raise PreconditionError("map squared is not the identity")
-    sweep = _Sweep("product_structure", target or L.name)
-    n = L.dim
     spaces = {}
     for sign, key in ((_ONE, "plus"), (-_ONE, "minus")):
         # kernel of (E - sign id) = column span of (E + sign id)
@@ -1002,7 +1012,7 @@ def check_product_structure(L, E, target=None):
         closed = True
         for ab, w in _escapes(L, solver, basis):
             closed = False
-            sweep.fail((key,) + ab, _dense(w, n))
+            sweep.fail((key,) + ab, w)
         notes["%s_closed" % key] = closed
         notes["%s_ideal" % key] = closed and _is_ideal(L, solver, basis)
     notes["minus_abelian"] = next(_escapes(L, SpanSolver(n), minus), None) is None

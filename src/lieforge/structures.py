@@ -21,7 +21,6 @@ from .lie_core import (
     LinearMap,
     _Sweep,
     _acc,
-    _dense,
     _escapes,
     _is_ideal,
     _require_almost_complex,
@@ -82,11 +81,14 @@ def check_action_compatibility(g, rho, J, I, split, target=None):
     structure as well).
     """
     n, m = g.dim, rho.module_dim
+    sweep = _Sweep("action_compatibility", target or g.name, m)
     if rho.algebra.dim != n:
         raise DimensionMismatchError("representation does not live on the given algebra")
     _require_almost_complex(g, J)
     if I.rows != m or I.cols != m:
         raise DimensionMismatchError("module structure does not match the module")
+    if any(len(v) != n for v in (*split.part0, *split.part1) if not isinstance(v, dict)):
+        raise DimensionMismatchError("decomposition vectors must have length %d" % n)
     part0 = [_sparse(v) for v in split.part0]
     part1 = [_sparse(v) for v in split.part1]
     s0 = _span_of(n, part0)
@@ -97,7 +99,6 @@ def check_action_compatibility(g, rho, J, I, split, target=None):
         for v in vecs:
             if not solver.contains(J.apply_sparse(v)):
                 raise PreconditionError("%s is not stable under the structure" % name)
-    sweep = _Sweep("action_compatibility", target or g.name)
     icols = I.sparse_columns()
     units = [{k: _ONE} for k in range(m)]
     for a, u in enumerate(part0):
@@ -106,7 +107,7 @@ def check_action_compatibility(g, rho, J, I, split, target=None):
             acc = rho.apply_sparse(u, icols[k])
             _acc(acc, I.apply_sparse(rho.apply_sparse(u, units[k])), -_ONE)
             if acc:
-                sweep.fail(("part0", a, k), _dense(acc, m))
+                sweep.fail(("part0", a, k), acc)
     for a, u in enumerate(part1):
         ju = J.apply_sparse(u)
         for k in range(m):
@@ -114,7 +115,7 @@ def check_action_compatibility(g, rho, J, I, split, target=None):
             acc = rho.apply_sparse(ju, icols[k])
             _acc(acc, rho.apply_sparse(u, units[k]), -_ONE)
             if acc:
-                sweep.fail(("part1", a, k), _dense(acc, m))
+                sweep.fail(("part1", a, k), acc)
     identity_failures = 0
     jcols_g = J.sparse_columns()
     for i in range(n):
@@ -152,6 +153,7 @@ def check_torsion_integrability_equivalence(g, conn, target=None):
     The certificate passes when the two verdicts agree, in either truth
     value; both verdicts are recorded.
     """
+    sweep = _Sweep("torsion_integrability_equivalence", target or g.name)
     rep = check_representation(conn)
     if not rep.passed:
         raise PreconditionError("connection is not flat", details=rep)
@@ -159,7 +161,6 @@ def check_torsion_integrability_equivalence(g, conn, target=None):
     K = canonical_complex_structure(talg)
     left = check_integrable(talg, K, target="K on %s" % talg.name)
     right = check_torsion_free(conn, target=g.name)
-    sweep = _Sweep("torsion_integrability_equivalence", target or g.name)
     if left.passed != right.passed:
         sweep.fail(("verdicts",), (Fraction(int(left.passed)), Fraction(int(right.passed))))
     return sweep.done(
@@ -178,6 +179,7 @@ def reconstruct_connection(u, K, part, target=None):
     part = list(part)
     p = len(part)
     n = u.dim
+    sweep = _Sweep("reconstruct", target or u.name, n)
     if 2 * p != n:
         raise PreconditionError("the subalgebra must span half the dimensions")
     cert_int = check_integrable(u, K)
@@ -224,13 +226,12 @@ def reconstruct_connection(u, K, part, target=None):
         maps.append(LinearMap.from_sparse_columns(p, p, cols))
     conn = Connection(sub, maps)
 
-    sweep = _Sweep("reconstruct", target or u.name)
     flat = check_representation(conn)
     tf = check_torsion_free(conn)
     abelian = True
     for ab, w in _escapes(u, SpanSolver(n), kg):
         abelian = False
-        sweep.fail(("k_image",) + ab, _dense(w, n))
+        sweep.fail(("k_image",) + ab, w)
     talg = tangent(sub, conn, check_rep=False)
     frame = [{i: _ONE} for i in part] + kg
     for a in range(2 * p):
@@ -241,7 +242,7 @@ def reconstruct_connection(u, K, part, target=None):
                 _acc(rhs, frame[k], v)
             _acc(lhs, rhs, -_ONE)
             if lhs:
-                sweep.fail(("iso", a, b), _dense(lhs, n))
+                sweep.fail(("iso", a, b), lhs)
     if not flat.passed:
         w = flat.witnesses[0]
         sweep.fail(("flat",) + w.indices, w.defect)
@@ -413,6 +414,7 @@ def hypercomplex_pair(g, conn, J, target=None):
     certificate; the lifted connection is the unique torsion-free
     connection parallelizing the pair, recorded in the notes.
     """
+    sweep = _Sweep("hypercomplex", target or g.name)
     _require_flat_torsion_free(conn)
     par = check_parallel(conn, J)
     if not par.passed:
@@ -422,7 +424,6 @@ def hypercomplex_pair(g, conn, J, target=None):
     K = canonical_complex_structure(talg)
     lifted = lifted_connection(conn, talg)
     family = CliffordFamily(talg, [j_minus, K])
-    sweep = _Sweep("hypercomplex", target or g.name)
     checks = {
         "j_minus_integrable": check_integrable(talg, j_minus).passed,
         "k_integrable": check_integrable(talg, K).passed,
@@ -445,11 +446,11 @@ def hypercomplex_pair(g, conn, J, target=None):
 
 def check_self_dual(conn, psi, target=None):
     """Whether psi intertwines the family with its contragredient."""
-    _require_invertible(psi, "duality map is singular")
     n = conn.module_dim
+    sweep = _Sweep("self_dual", target or conn.algebra.name, n)
+    _require_invertible(psi, "duality map is singular")
     if psi.rows != n or psi.cols != n:
         raise DimensionMismatchError("duality map does not match the module")
-    sweep = _Sweep("self_dual", target or conn.algebra.name)
     dual = conn.dual()
     for i in range(conn.algebra.dim):
         lhs = psi.compose(conn.maps[i])
@@ -458,7 +459,7 @@ def check_self_dual(conn, psi, target=None):
             acc = dict(lhs.sparse_columns()[k])
             _acc(acc, rhs.sparse_columns()[k], -_ONE)
             if acc:
-                sweep.fail((i, k), _dense(acc, n))
+                sweep.fail((i, k), acc)
     return sweep.done()
 
 
@@ -543,9 +544,7 @@ def check_pseudo_kahler(g, B, target=None):
         for sub in (flat, tf):
             for w in sub.witnesses[:2]:
                 sweep.fail(w.indices, w.defect)
-        cert = sweep.done(notes=notes)
-        cert.passed = False
-        return cert
+        return sweep.done(notes=notes)
     psi = B.gram
     sd = check_self_dual(conn, psi)
     notes["self_dual"] = sd.passed
@@ -576,6 +575,7 @@ def check_pseudo_kahler(g, B, target=None):
 
 def check_holomorphic(dom, cod, iota, J_dom, J_cod, target=None):
     """Injective homomorphism intertwining the two structures."""
+    sweep = _Sweep("holomorphic", target or ("%s->%s" % (dom.name, cod.name)), cod.dim)
     if iota.cols != dom.dim or iota.rows != cod.dim:
         raise DimensionMismatchError("map shape does not match the algebras")
     _require_almost_complex(dom, J_dom)
@@ -583,17 +583,16 @@ def check_holomorphic(dom, cod, iota, J_dom, J_cod, target=None):
     cols = iota.sparse_columns()
     if _span_of(cod.dim, cols).rank != dom.dim:
         raise PreconditionError("map is not injective")
-    sweep = _Sweep("holomorphic", target or ("%s->%s" % (dom.name, cod.name)))
     for i in range(dom.dim):
         for j in range(i + 1, dom.dim):
             acc = dict(iota.apply_sparse(dom.bracket_basis(i, j)))
             _acc(acc, cod.bracket_sparse(cols[i], cols[j]), -_ONE)
             if acc:
-                sweep.fail(("hom", i, j), _dense(acc, cod.dim))
+                sweep.fail(("hom", i, j), acc)
     jd = J_dom.sparse_columns()
     for i in range(dom.dim):
         acc = dict(iota.apply_sparse(jd[i]))
         _acc(acc, J_cod.apply_sparse(cols[i]), -_ONE)
         if acc:
-            sweep.fail(("structure", i), _dense(acc, cod.dim))
+            sweep.fail(("structure", i), acc)
     return sweep.done()

@@ -16,6 +16,8 @@ GOLDEN_CATALOG = os.path.join(os.path.dirname(__file__), "golden", "catalog.lie"
 GOLDEN_EVERY_CHECK = os.path.join(os.path.dirname(__file__), "golden", "every_check.json")
 GOLDEN_EIGENSPLIT_FAIL = os.path.join(os.path.dirname(__file__), "golden", "eigensplit_fail.json")
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "corpus")
+GOLDEN_ACCEPTANCE = os.path.join(os.path.dirname(__file__), "golden", "acceptance.json")
 ZERO_DENOMINATOR = os.path.join(FIXTURES, "zero_denominator.lie")
 
 
@@ -133,6 +135,36 @@ def test_check_degenerate_form_fails_with_its_kernel(capsys):
     assert rc == 1
     assert cert["notes"] == {"closed": True, "nondegenerate": False}
     assert cert["witnesses"] == [{"indices": ["kernel"], "defect": ["1", "0", "1"]}]
+
+
+def test_check_symplectic_past_the_cap_keeps_sixteen_witnesses(capsys):
+    """Sixteen failing triples of d omega and a kernel: the kernel is the
+    17th failure, counted but not kept."""
+    rc = main(["check", os.path.join(FIXTURES, "symplectic_past_cap.lie"), "--json", "-"])
+    (cert,) = json.loads(capsys.readouterr().out)["certificates"]
+    assert rc == 1
+    assert cert["notes"] == {"closed": False, "nondegenerate": False}
+    assert cert["total_failures"] == 17 and len(cert["witnesses"]) == 16
+    assert all(w["indices"] != ["kernel"] for w in cert["witnesses"])
+
+
+def test_every_certificate_keeps_min_of_sixteen_and_its_failures(capsys):
+    """In every corpus and fixture report, and in the acceptance report, a
+    certificate keeps one witness per failure up to sixteen, and passes
+    exactly when nothing failed.  The acceptance report is read from its
+    golden copy, which another test compares with a run."""
+    with open(GOLDEN_ACCEPTANCE, encoding="utf-8") as fh:
+        certs = json.load(fh)["certificates"]
+    for folder in (CORPUS, FIXTURES):
+        for f in sorted(os.listdir(folder)):
+            main(["check", "--json", "-", os.path.join(folder, f)])
+            out = capsys.readouterr().out
+            if out:  # a file that does not parse has no report
+                certs += json.loads(out)["certificates"]
+    for cert in certs:
+        assert len(cert["witnesses"]) == min(16, cert["total_failures"]), cert["check"]
+        assert cert["pass"] == (cert["total_failures"] == 0), cert["check"]
+    assert len(certs) > 150
 
 
 def test_check_levi_civita_of_a_form_of_another_size_exits_two(capsys):

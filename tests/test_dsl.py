@@ -23,8 +23,8 @@ from lieforge.dsl import (
     ShapeError,
     SourceSpan,
     UnknownNameError,
+    Workspace,
     _tokenize,
-    endo_to_dsl,
     entry_to_dsl,
     parse,
     run,
@@ -171,12 +171,10 @@ def test_integrable_checks_on_a_random_e7_pairing_match_the_oracle():
     pairs = [(perm[k], perm[k + 1]) for k in range(0, n, 2)]
     J = AlmostComplex.from_pairs(n, pairs)
     split = ", ".join(alg.labels[a] for a, _ in pairs)
-    text = (
-        entry_to_dsl(entry)
-        + "\n"
-        + endo_to_dsl("rand", entry.name, alg.labels, J)
-        + "\ncheck integrable(rand)\ncheck integrable(rand, %s)\n" % split
-    )
+    ws = Workspace()
+    ws.define(entry.name, "algebra", alg, None)
+    ws.define("rand", "endo", (entry.name, J), None)
+    text = workspace_to_dsl(ws) + "\ncheck integrable(rand)\ncheck integrable(rand, %s)\n" % split
     full, half = run(parse(text))
     units = [alg.basis_vector(i) for i in range(n)]
     for cert, vectors in ((full, units), (half, [units[a] for a, _ in pairs])):

@@ -14,7 +14,7 @@ from lieforge.lie_core import (
     check_integrable,
     check_jacobi,
 )
-from lieforge.dsl import algebra_to_dsl, parse
+from lieforge.dsl import entry_to_dsl, parse
 
 from oracles import (
     dense_constants,
@@ -100,7 +100,7 @@ def test_random_relabelings_roundtrip_through_dsl():
             table[(a, b)] = combo
         labels = ["g%d" % i for i in range(base.dim)]
         L = LieAlgebra(labels, table, check=True, name="fuzz%d" % trial)
-        text = algebra_to_dsl(L)
+        text = entry_to_dsl(catalog.CatalogEntry(L.name, L))
         back = parse(text).definitions[L.name][1]
         assert back.same_constants(L)
         assert check_jacobi(back).passed

@@ -27,6 +27,7 @@ from lieforge.lie_core import (
     LinearMap,
     MAX_WITNESSES,
     Witness,
+    _Sweep,
     _acc,
     _dense,
     check_abelian_complex,
@@ -544,6 +545,24 @@ def test_witness_cap_and_total():
     if not cert.passed:
         assert len(cert.witnesses) <= 16
         assert cert.total_failures >= len(cert.witnesses)
+
+
+def test_sweep_keeps_sixteen_dense_witnesses_and_counts_every_failure():
+    sweep = _Sweep("probe", "x", 3)
+    for k in range(20):
+        sweep.fail((k,), {k % 3: Q(k + 1)})
+    cert = sweep.done()
+    assert not cert.passed and cert.total_failures == 20
+    assert len(cert.witnesses) == MAX_WITNESSES
+    assert cert.witnesses[4] == Witness((4,), (0, Q(5), 0))
+
+
+def test_sweep_never_makes_a_discarded_defect_dense():
+    sweep = _Sweep("probe", "x", 3)
+    for k in range(MAX_WITNESSES):
+        sweep.fail((k,), {0: Q(1)})
+    sweep.fail(("past_cap",), {7: Q(1)})  # would not fit in length 3
+    assert sweep.done().total_failures == MAX_WITNESSES + 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lieforge import catalog
+from lieforge import catalog, lie_core, structures
 from lieforge.scalar_linear import DimensionMismatchError, PreconditionError, Q
 from lieforge.lie_core import (
     AlmostComplex,
@@ -16,6 +16,7 @@ from lieforge.lie_core import (
     check_closed,
     check_integrable,
     check_parallel,
+    check_product_structure,
     check_representation,
     check_symplectic,
     check_torsion_free,
@@ -536,6 +537,8 @@ def _wrong_size_pieces():
         rho_b=Connection(b, [LinearMap.zero(2)] * 4),
         da=Decomposition([a.basis_vector(i) for i in range(2)], []),
         db=Decomposition([b.basis_vector(i) for i in range(4)], []),
+        # a's basis with a zero tail: vectors of b, sparse the same as a's
+        da_padded=Decomposition([b.basis_vector(i) for i in range(2)], []),
     )
 
 
@@ -552,6 +555,9 @@ _WRONG_SIZE = {
     "action_representation": lambda p: check_action_compatibility(
         p.a, p.rho_b, p.Ja, p.Ja, p.da
     ),
+    "action_decomposition_vectors": lambda p: check_action_compatibility(
+        p.a, p.rho_a, p.Ja, p.Ja, p.da_padded
+    ),
 }
 
 
@@ -559,6 +565,78 @@ _WRONG_SIZE = {
 def test_structure_of_the_wrong_size_is_a_dimension_mismatch(case):
     with pytest.raises(DimensionMismatchError):
         _WRONG_SIZE[case](_wrong_size_pieces())
+
+
+def _clock_pieces():
+    """The wrong-size pieces plus the abelian plane with its zero
+    connection, a structure on it, and its tangent algebra with the swap
+    structure."""
+    p = _wrong_size_pieces()
+    p.ab = catalog.abelian(2).algebra
+    p.zero = zero_connection(p.ab)
+    p.J = AlmostComplex.from_pairs(2, [(0, 1)])
+    p.t = tangent(p.ab, p.zero)
+    p.K = canonical_complex_structure(p.t)
+    return p
+
+
+# check -> (owner and name of its first precondition call, the check)
+_PRECONDITION_FIRST = {
+    "product_structure": (
+        LinearMap,
+        "compose",
+        lambda p: check_product_structure(p.ab, LinearMap.identity(2)),
+    ),
+    "holomorphic": (
+        structures,
+        "_require_almost_complex",
+        lambda p: check_holomorphic(p.ab, p.ab, LinearMap.identity(2), p.J, p.J),
+    ),
+    "action_compatibility": (
+        structures,
+        "_require_almost_complex",
+        lambda p: check_action_compatibility(p.a, p.rho_a, p.Ja, p.Ja, p.da),
+    ),
+    "self_dual": (
+        structures,
+        "_require_invertible",
+        lambda p: check_self_dual(p.zero, LinearMap.identity(2)),
+    ),
+    "reconstruct": (
+        structures,
+        "check_integrable",
+        lambda p: reconstruct_connection(p.t, p.K, [0, 1])[2],
+    ),
+    "torsion_equivalence": (
+        structures,
+        "check_representation",
+        lambda p: check_torsion_integrability_equivalence(p.ab, p.zero),
+    ),
+    "hypercomplex": (
+        structures,
+        "_require_flat_torsion_free",
+        lambda p: hypercomplex_pair(p.ab, p.zero, p.J)[2],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRECONDITION_FIRST))
+def test_elapsed_ms_includes_the_preconditions(case, monkeypatch):
+    """Each check's first precondition call takes one second on a fake
+    clock, and ``elapsed_ms`` counts it."""
+    owner, name, check = _PRECONDITION_FIRST[case]
+    pieces = _clock_pieces()
+    now = [0.0]
+    monkeypatch.setattr(lie_core, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    original = getattr(owner, name)
+
+    def slow(*args, **kwargs):
+        now[0] += 1.0
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, slow)
+    cert = check(pieces)
+    assert cert.passed and cert.elapsed_ms >= 1000.0
 
 
 def test_block_structures_integrable_when_compat_holds():
