@@ -13,6 +13,7 @@ import time
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .scalar_linear import (
     DimensionMismatchError,
@@ -184,6 +185,14 @@ class LieAlgebra:
         self.name = name
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self.table = table
+        self._ad = None
+
+    def _ad_rows(self):
+        """:func:`_signed_rows` of the table, built on first use; nothing
+        writes ``table`` after construction."""
+        if self._ad is None:
+            self._ad = _signed_rows(self.dim, self.table)
+        return self._ad
 
     def index(self, label):
         try:
@@ -508,16 +517,23 @@ def _supports(n, vectors):
     return index
 
 
-def _cyclic_sums(L, form):
+def _cyclic_sums(L, act):
     """Nonzero cyclic sums over basis triples i < j < k, in lexicographic order.
 
-    ``form`` maps a basis pair (a, b), a < b, to the sparse value of b_a
-    against b_b and extends antisymmetrically; the sum at (i, j, k) is
+    ``act`` holds the signed rows (:func:`_signed_rows`) of a form that
+    maps a basis pair (a, b), a < b, to the sparse value of b_a against b_b
+    and extends antisymmetrically; the sum at (i, j, k) is
     form(b_i, [b_j, b_k]) + form(b_j, [b_k, b_i]) + form(b_k, [b_i, b_j]),
     linear in the bracket.  A term is nonzero only when its pair has a table
     entry whose support meets the outer index's form row, so only such
-    triples are visited.  Sums stream by smallest index i: one row of them
-    is live at a time.
+    triples are visited.  Copies of the form rows, and the producers of
+    each b_l, are sorted by descending partner index, so each inner loop
+    stops at the first partner <= i.
+
+    Sums stream by smallest index i: one row of them is live at a time,
+    held in one flat dict keyed by (j*n + k)*n + l, which needs every index
+    l of a form value below n, and regrouped by triple only for the nonzero
+    entries.
     """
     n = L.dim
     rows = [[] for _ in range(n)]  # a -> table pairs (a, b), a < b
@@ -525,33 +541,51 @@ def _cyclic_sums(L, form):
     for (a, b), coeffs in L.table.items():
         rows[a].append((b, coeffs))
         for l, c in coeffs.items():
-            producers[l].append((a, b, c))
-    act = _signed_rows(n, form)
+            producers[l].append((a, (a * n + b) * n, c))
+    for p in producers:
+        p.sort(key=itemgetter(0), reverse=True)
+    act = [sorted(row, key=itemgetter(0), reverse=True) for row in act]
     for i in range(n):
-        sums = defaultdict(dict)
+        sums = {}
+        get = sums.get
         # outer index i against a pair (j, k) above it
         for l, v, s in act[i]:
-            for j, k, c in producers[l]:
-                if j > i:
-                    _acc(sums[j, k], v, s * c)
+            for j, base, c in producers[l]:
+                if j <= i:
+                    break
+                f = s * c
+                for t, x in v.items():
+                    key = base + t
+                    sums[key] = get(key, _ZERO) + f * x
         # outer index o against the pair (i, m), minus when i < o < m;
         # form(b_o, b_l) = -s * v by antisymmetry
         for m, coeffs in rows[i]:
             for l, c in coeffs.items():
                 for o, v, s in act[l]:
+                    if o <= i:
+                        break
                     if o > m:
-                        _acc(sums[m, o], v, -s * c)
-                    elif i < o < m:
-                        _acc(sums[o, m], v, s * c)
-        for jk in sorted(sums):
-            if sums[jk]:
-                yield (i,) + jk, sums[jk]
+                        base, f = (m * n + o) * n, -s * c
+                    elif o < m:
+                        base, f = (o * n + m) * n, s * c
+                    else:
+                        continue
+                    for t, x in v.items():
+                        key = base + t
+                        sums[key] = get(key, _ZERO) + f * x
+        triples = {}
+        for key, x in sums.items():
+            if x:
+                jk, t = divmod(key, n)
+                triples.setdefault(jk, {})[t] = x
+        for jk in sorted(triples):
+            yield (i,) + divmod(jk, n), triples[jk]
 
 
 def check_jacobi(L, target=None):
     """Cyclic Jacobi sum over the basis triples i < j < k that can fail."""
     sweep = _Sweep("jacobi", target or L.name, L.dim)
-    for ijk, s in _cyclic_sums(L, L.table):
+    for ijk, s in _cyclic_sums(L, L._ad_rows()):
         sweep.fail(ijk, s)
     return sweep.done()
 
@@ -587,7 +621,7 @@ def _torsions(L, J, vectors, images):
     """
     n = L.dim
     jcols = J.sparse_columns()
-    ad = _signed_rows(n, L.table)
+    ad = L._ad_rows()
     vin, jin = _supports(n, vectors), _supports(n, images)
     for a, (u, ju) in enumerate(zip(vectors, images)):
         pre = defaultdict(dict)  # b -> [u_a, u_b] - [Ju_a, Ju_b]
@@ -620,7 +654,7 @@ def _bracket_pairs(L, vectors):
     only such pairs are yielded.  The brackets themselves are left to the
     caller.
     """
-    ad = _signed_rows(L.dim, L.table)
+    ad = L._ad_rows()
     index = _supports(L.dim, vectors)
     for a, u in enumerate(vectors):
         partners = {b for p in u for q, _, _ in ad[p] for b, _ in index[q] if b > a}
@@ -642,7 +676,7 @@ def _escapes(L, solver, vectors):
 def _is_ideal(L, solver, vectors):
     """Whether [b_q, u] lies in the span of ``solver`` for every basis vector
     b_q and u in ``vectors``; the brackets come off the ad rows."""
-    ad = _signed_rows(L.dim, L.table)
+    ad = L._ad_rows()
     for u in vectors:
         images = defaultdict(dict)  # q -> [b_q, u]
         for p, x in u.items():
@@ -742,7 +776,7 @@ def check_complex_lie(L, J, target=None):
     _require_almost_complex(L, J)
     n = L.dim
     jcols = J.sparse_columns()
-    ad = _signed_rows(n, L.table)
+    ad = L._ad_rows()
     jin = _supports(n, jcols)
     for i in range(n):
         rows = defaultdict(dict)
@@ -882,7 +916,7 @@ def _closed_sweep(sweep, L, form):
         for a, v in col.items()
         if a < b
     }
-    for ijk, s in _cyclic_sums(L, pairs):
+    for ijk, s in _cyclic_sums(L, _signed_rows(L.dim, pairs)):
         sweep.fail(ijk, s)
 
 

@@ -188,6 +188,8 @@ def scalar_to_str(s):
     part folds into r), or as their real part when the imaginary part is
     zero, so equal values print the same text.
     """
+    if type(s) is int:
+        return str(s)
     if isinstance(s, GaussScalar):
         if s.im:
             return "%s+%s*i" % (s.re, s.im)
@@ -247,9 +249,11 @@ class SpanSolver:
         # over the inputs), so a reduction step needs no division
         self._pivots = {}
 
-    def _reduce(self, vec):
+    def _reduce(self, vec, combo=None):
+        """Reduce vec against the pivots: (residue, combination, first free
+        pivot or None).  The combination is tracked only when ``combo`` is
+        given, as the dict to accumulate it into."""
         vec = dict(vec)
-        combo = {}
         pivots = self._pivots
         while vec:
             p = min(vec)
@@ -264,12 +268,13 @@ class SpanSolver:
                     vec[k] = s
                 elif k in vec:
                     del vec[k]
-            for k, val in pcombo.items():
-                s = combo.get(k, _ZERO) - f * val
-                if s:
-                    combo[k] = s
-                elif k in combo:
-                    del combo[k]
+            if combo is not None:
+                for k, val in pcombo.items():
+                    s = combo.get(k, _ZERO) - f * val
+                    if s:
+                        combo[k] = s
+                    elif k in combo:
+                        del combo[k]
         return vec, combo, None
 
     def add(self, vec):
@@ -279,7 +284,7 @@ class SpanSolver:
                 raise DimensionMismatchError("coordinate outside ambient dimension")
         idx = self.count
         self.count += 1
-        residue, combo, p = self._reduce(vec)
+        residue, combo, p = self._reduce(vec, {})
         if p is None:
             return False
         combo[idx] = _ONE
@@ -294,12 +299,13 @@ class SpanSolver:
 
     def solve(self, vec):
         """Coefficients over the added vectors expressing vec, or None."""
-        _, combo, p = self._reduce(vec)
+        _, combo, p = self._reduce(vec, {})
         if p is not None:
             return None
         return {k: exact(-v) for k, v in combo.items()}
 
     def contains(self, vec):
+        """Whether vec lies in the span; only the residue is reduced."""
         _, _, p = self._reduce(vec)
         return p is None
 

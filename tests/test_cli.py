@@ -119,6 +119,17 @@ def test_check_unreadable_literal_exits_two_with_span(fixture, message, capsys):
     assert captured.err == "error: %s (line 1, column 34)\n" % message
 
 
+def test_check_jacobi_failure_names_the_lexicographic_first_triple(capsys):
+    """The fixture's table fails the Jacobi identity at five basis triples,
+    (a, c, e) first; (a, b, c) and (a, c, d) pass."""
+    rc = main(["check", os.path.join(FIXTURES, "jacobi_fail.lie")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "error: Jacobi identity fails at basis triple (0, 2, 4) (line 3, column 9)\n"
+    )
+
+
 def test_check_input_that_is_not_utf8_exits_two_with_byte_offset(capsys):
     rc = main(["check", os.path.join(FIXTURES, "not_utf8.lie")])
     captured = capsys.readouterr()

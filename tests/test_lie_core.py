@@ -473,6 +473,24 @@ def test_product_structure_tangent_swap():
     assert cert.notes["minus_ideal"]
 
 
+def test_ad_rows_are_built_once_per_algebra():
+    """A builder's algebra builds its ad rows at the first check that reads
+    them, a checked algebra in its Jacobi sweep; later checks reuse them."""
+    e7 = catalog.euclidean(7)
+    n, J = e7.algebra.dim, e7.structures["j"]
+    E = LinearMap.from_sparse_columns(n, n, [{k: 1 if k < 21 else -1} for k in range(n)])
+    with mock.patch.object(lie_core, "_signed_rows", wraps=lie_core._signed_rows) as spy:
+        checked = LieAlgebra(e7.algebra.labels, e7.algebra.table)
+        assert spy.call_count == 1
+        for L in (checked, e7.algebra):
+            for _ in range(2):
+                assert check_product_structure(L, E).passed
+                check_complex_lie(L, J)
+                check_integrable(L, J)
+        assert spy.call_count == 2
+    assert spy.call_args.args[1] is e7.algebra.table
+
+
 def test_product_structure_identity_degenerate():
     L = abelian(2)
     cert = check_product_structure(L, LinearMap.identity(2))
@@ -731,10 +749,28 @@ nonzero_rationals = small_rationals.filter(bool)
 
 
 def _matches_oracle(cert, fails):
+    """Same verdict, count and witnesses as the oracle; each witness defect
+    also prints as the oracle's defect does."""
     assert cert.passed == (not fails)
     assert cert.total_failures == len(fails)
     got = [(w.indices, list(w.defect)) for w in cert.witnesses]
     assert got == fails[:MAX_WITNESSES]
+    assert [[scalar_to_str(x) for x in w.defect] for w in cert.witnesses] == [
+        [scalar_to_str(x) for x in d] for _, d in fails[:MAX_WITNESSES]
+    ]
+
+
+def _gaussian(data, L):
+    """L over the Gaussian rationals: its table times one Gaussian scalar,
+    which keeps the Jacobi identity, or each coefficient given its own
+    imaginary part."""
+    if data.draw(st.booleans()):
+        z = GaussScalar(data.draw(nonzero_rationals), data.draw(small_rationals))
+        coeff = lambda v: z * v
+    else:
+        coeff = lambda v: GaussScalar(v, data.draw(small_rationals))
+    table = {pair: {k: coeff(v) for k, v in coeffs.items()} for pair, coeffs in L.table.items()}
+    return LieAlgebra(L.labels, table, field="gaussian", check=False)
 
 
 def _corrupted(data, L, max_changes=3):
@@ -778,6 +814,13 @@ def _table(data, even=False):
 @settings(max_examples=100, deadline=None)
 def test_jacobi_matches_oracle_on_rational_tables(data):
     L = _table(data)
+    _matches_oracle(check_jacobi(L), naive_jacobi_sweep(L))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_jacobi_matches_oracle_on_gaussian_tables(data):
+    L = _gaussian(data, _table(data))
     _matches_oracle(check_jacobi(L), naive_jacobi_sweep(L))
 
 
@@ -897,21 +940,20 @@ def test_torsion_free_and_parallel_witness_cap_and_order_past_sixteen_failures()
         _matches_oracle(cert, fails)
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_closed_matches_naive_differential_on_random_forms(data):
-    L = _table(data)
+def _closed_matches_naive_differential(data, L, scalars):
+    """check_closed of a random skew form with entries drawn from
+    ``scalars``, against the dense differential: values and text."""
     n = L.dim
     if data.draw(st.booleans()):
         # omega(x, y) = alpha([x, y]) is closed exactly when Jacobi holds
-        alpha = [data.draw(small_rationals) for _ in range(n)]
+        alpha = [data.draw(scalars) for _ in range(n)]
         w = [[sum((alpha[k] * c for k, c in L.bracket_basis(i, j).items()), Fraction(0))
               for j in range(n)] for i in range(n)]
     else:
         w = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                w[i][j] = data.draw(small_rationals)
+                w[i][j] = data.draw(scalars)
                 w[j][i] = -w[i][j]
     form = BilinearForm(w, BilinearForm.SKEW)
     c = dense_constants(L)
@@ -923,6 +965,20 @@ def test_closed_matches_naive_differential_on_random_forms(data):
                 if d:
                     fails.append(((i, j, k), [d]))
     _matches_oracle(check_closed(L, form), fails)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_matches_naive_differential_on_random_forms(data):
+    _closed_matches_naive_differential(data, _table(data), small_rationals)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_closed_matches_naive_differential_on_gaussian_tables(data):
+    gauss = st.builds(GaussScalar, small_rationals, small_rationals)
+    scalars = data.draw(st.sampled_from([small_rationals, gauss]))
+    _closed_matches_naive_differential(data, _gaussian(data, _table(data)), scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,24 +1104,15 @@ def test_integrable_orbit_sweep_matches_oracle_past_sixteen_failures(data):
 def test_integrable_orbit_sweep_matches_oracle_on_gaussian_tables(data):
     """A Gaussian table and a signed pairing, with rational or Gaussian +-1
     entries: same values and same text as the oracle."""
-    L = _table(data, even=True)
+    L = _gaussian(data, _table(data, even=True))
     n = L.dim
-    table = {
-        pair: {k: GaussScalar(v, data.draw(small_rationals)) for k, v in coeffs.items()}
-        for pair, coeffs in L.table.items()
-    }
-    L = LieAlgebra(L.labels, table, field="gaussian", check=False)
     perm = data.draw(st.permutations(range(n)))
     signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     jmat = _pairing_matrix(perm, signs)
     if data.draw(st.booleans()):
         jmat = [[GaussScalar(v) for v in row] for row in jmat]
     fails = naive_integrable_sweep(L, jmat, _units(n))
-    cert = check_integrable(L, LinearMap(jmat))
-    _matches_oracle(cert, fails)
-    assert [[scalar_to_str(x) for x in w.defect] for w in cert.witnesses] == [
-        [scalar_to_str(x) for x in d] for _, d in fails[:MAX_WITNESSES]
-    ]
+    _matches_oracle(check_integrable(L, LinearMap(jmat)), fails)
 
 
 @given(st.data())

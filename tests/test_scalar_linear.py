@@ -67,6 +67,12 @@ def test_scalar_serialization():
     assert scalar_from_str("-7") == Q(-7)
 
 
+@given(st.one_of(st.integers(), st.integers(-(10**40), 10**40)))
+@settings(max_examples=200, deadline=None)
+def test_scalar_to_str_of_an_int_is_its_fraction_text(k):
+    assert scalar_to_str(k) == str(Fraction(k))
+
+
 def test_gauss_serialization_roundtrip():
     vals = [
         GaussScalar(Fraction(1, 2), Fraction(-3, 4)),
@@ -166,6 +172,50 @@ def test_span_solver_matches_naive_elimination(case):
 
 
 small_entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(2, 3)])
+
+
+@st.composite
+def fractional_pivot_spans(draw):
+    """Vectors, rational or Gaussian, whose leading entries are not 1, so
+    their pivots' combinations hold fractions; and targets, each a
+    combination of them, possibly shifted off their span."""
+    n = draw(st.integers(1, 5))
+    entry, lead = small_entries, st.sampled_from([2, -3, Fraction(2, 3)])
+    if draw(st.booleans()):
+        entry = st.builds(GaussScalar, small_entries, small_entries)
+        lead = st.builds(GaussScalar, lead, st.sampled_from([0, 1, Fraction(-1, 2)]))
+    vecs = []
+    for _ in range(draw(st.integers(1, n + 1))):
+        p = draw(st.integers(0, n - 1))
+        v = {p: draw(lead)}
+        for k in range(p + 1, n):
+            e = draw(entry)
+            if e:
+                v[k] = e
+        vecs.append(v)
+    targets = []
+    for _ in range(3):
+        t = {}
+        for v in vecs:
+            c = draw(entry)
+            for k, x in v.items():
+                t[k] = t.get(k, 0) + c * x
+        if draw(st.booleans()):
+            k = draw(st.integers(0, n - 1))
+            t[k] = t.get(k, 0) + draw(entry)
+        targets.append({k: x for k, x in t.items() if x})
+    return n, vecs, targets
+
+
+@given(fractional_pivot_spans())
+@settings(max_examples=200, deadline=None)
+def test_span_solver_contains_exactly_what_it_solves(case):
+    n, vecs, targets = case
+    solver = SpanSolver(n)
+    for v in vecs:
+        solver.add(v)
+    for t in targets + vecs:
+        assert solver.contains(t) == (solver.solve(t) is not None)
 
 
 @st.composite
