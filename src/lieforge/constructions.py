@@ -28,6 +28,7 @@ from .lie_core import (
     _acc,
     _Sweep,
     _escapes,
+    _require,
     _require_almost_complex,
 )
 
@@ -110,17 +111,14 @@ def semidirect(g, rho, module_labels=None, name=None, check_rep=True):
     """Semidirect product of g with an abelian module along a representation.
 
     The module sits after g in the basis; its part is an abelian ideal and
-    the projection onto g is a homomorphism by construction.
+    the projection onto g is a homomorphism by construction.  ``rho`` must
+    live on g itself or on an algebra with the same structure constants.
     """
     m = rho.module_dim
-    if rho.algebra is not g and rho.algebra.dim != g.dim:
-        raise DimensionMismatchError("representation does not live on the given algebra")
+    if not (rho.algebra is g or rho.algebra.same_constants(g)):
+        raise PreconditionError("representation does not live on the given algebra")
     if check_rep:
-        cert = check_representation(rho)
-        if not cert.passed:
-            raise PreconditionError(
-                "the given family is not a representation", details=cert
-            )
+        _require(check_representation(rho), "the given family is not a representation")
     if module_labels is None:
         module_labels = ["v%d" % (a + 1) for a in range(m)]
     if len(module_labels) != m:

@@ -796,7 +796,7 @@ def run(workspace):
     """
     results = []
     for (fname, args, _), call in zip(workspace.checks, workspace.calls):
-        results.extend(_run_one(call, fname, args[0][1]))
+        results.extend(_run_one(call, fname, args[_CHECKS[fname][1]][1]))
     return results
 
 

@@ -96,6 +96,15 @@ class _Sweep:
                 defect = _dense(defect, self.dim)
             self.witnesses.append(Witness(tuple(indices), tuple(defect)))
 
+    def absorb(self, prefix, cert):
+        """Fail once for each witness of a sub-check, its indices after
+        ``prefix``, count the failures it did not keep, and return whether
+        it passed."""
+        for w in cert.witnesses:
+            self.fail(prefix + w.indices, w.defect)
+        self.total += cert.total_failures - len(cert.witnesses)
+        return cert.passed
+
     def done(self, notes=None):
         return Certificate(
             check_name=self.check_name,
@@ -489,6 +498,12 @@ def _require_invertible(lm, message):
             lead = next(e for e in kernel if e)
             raise PreconditionError(message, details=[div(e, lead) for e in kernel])
     return solver
+
+
+def _require(cert, message):
+    """A hypothesis: PreconditionError carrying ``cert`` unless it passed."""
+    if not cert.passed:
+        raise PreconditionError(message, details=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,11 +1026,7 @@ def check_metric(conn, form, target=None):
         "torsion_free": check_torsion_free(conn),
         "flat": check_representation(conn),
     }
-    notes = {key: sub.passed for key, sub in subs.items()}
-    for key, sub in subs.items():
-        for w in sub.witnesses:
-            sweep.fail((key,) + w.indices, w.defect)
-        sweep.total += sub.total_failures - len(sub.witnesses)
+    notes = {key: sweep.absorb((key,), sub) for key, sub in subs.items()}
     return sweep.done(notes=notes)
 
 

@@ -23,6 +23,7 @@ from .lie_core import (
     _acc,
     _escapes,
     _is_ideal,
+    _require,
     _require_almost_complex,
     _require_invertible,
     _sparse,
@@ -154,9 +155,7 @@ def check_torsion_integrability_equivalence(g, conn, target=None):
     value; both verdicts are recorded.
     """
     sweep = _Sweep("torsion_integrability_equivalence", target or g.name)
-    rep = check_representation(conn)
-    if not rep.passed:
-        raise PreconditionError("connection is not flat", details=rep)
+    _require(check_representation(conn), "connection is not flat")
     talg = tangent(g, conn, check_rep=False)
     K = canonical_complex_structure(talg)
     left = check_integrable(talg, K, target="K on %s" % talg.name)
@@ -182,9 +181,7 @@ def reconstruct_connection(u, K, part, target=None):
     sweep = _Sweep("reconstruct", target or u.name, n)
     if 2 * p != n:
         raise PreconditionError("the subalgebra must span half the dimensions")
-    cert_int = check_integrable(u, K)
-    if not cert_int.passed:
-        raise PreconditionError("structure is not integrable", details=cert_int)
+    _require(check_integrable(u, K), "structure is not integrable")
     pset = set(part)
     units = [{i: _ONE} for i in part]
     if next(_escapes(u, _span_of(n, units), units), None) is not None:
@@ -226,8 +223,6 @@ def reconstruct_connection(u, K, part, target=None):
         maps.append(LinearMap.from_sparse_columns(p, p, cols))
     conn = Connection(sub, maps)
 
-    flat = check_representation(conn)
-    tf = check_torsion_free(conn)
     abelian = True
     for ab, w in _escapes(u, SpanSolver(n), kg):
         abelian = False
@@ -243,15 +238,9 @@ def reconstruct_connection(u, K, part, target=None):
             _acc(lhs, rhs, -_ONE)
             if lhs:
                 sweep.fail(("iso", a, b), lhs)
-    if not flat.passed:
-        w = flat.witnesses[0]
-        sweep.fail(("flat",) + w.indices, w.defect)
-    if not tf.passed:
-        w = tf.witnesses[0]
-        sweep.fail(("torsion",) + w.indices, w.defect)
     notes = {
-        "flat": flat.passed,
-        "torsion_free": tf.passed,
+        "flat": sweep.absorb(("flat",), check_representation(conn)),
+        "torsion_free": sweep.absorb(("torsion_free",), check_torsion_free(conn)),
         "k_image_abelian": abelian,
     }
     return sub, conn, sweep.done(notes=notes)
@@ -274,11 +263,13 @@ def lifted_connection(conn, t_algebra=None):
     return Connection(t_algebra, maps)
 
 
-def _anticommutator_defect(A, B, diag):
-    """The first nonzero entry (r, c, value) of AB + BA - diag I, column by
-    column and then by row, or None when AB + BA equals diag I."""
+def _anticommutator(A, B, diag):
+    """Certificate that AB + BA equals diag I.  It fails once, at the first
+    nonzero entry (r, c) of the difference, column by column and then by
+    row, with that entry as the defect."""
     if A.rows != A.cols or (B.rows, B.cols) != (A.rows, A.cols):
         raise DimensionMismatchError("anticommutator needs square maps of one size")
+    sweep = _Sweep("anticommute", None)
     acols, bcols = A.sparse_columns(), B.sparse_columns()
     for c in range(A.cols):
         img = A.apply_sparse(bcols[c])
@@ -287,8 +278,22 @@ def _anticommutator_defect(A, B, diag):
             _acc(img, {c: -diag})
         if img:
             r = min(img)
-            return r, c, img[r]
-    return None
+            sweep.fail((r, c), (img[r],))
+            break
+    return sweep.done()
+
+
+def _equal_maps(A, B):
+    """Certificate that two maps of one shape are equal.  It fails at each
+    column c where they differ, with column c of A - B as the defect."""
+    sweep = _Sweep("equal", None, A.rows)
+    bcols = B.sparse_columns()
+    for c, col in enumerate(A.sparse_columns()):
+        acc = dict(col)
+        _acc(acc, bcols[c], -_ONE)
+        if acc:
+            sweep.fail((c,), acc)
+    return sweep.done()
 
 
 class CliffordFamily:
@@ -339,25 +344,18 @@ class CliffordFamily:
         for a in range(len(self.maps)):
             for b in range(a, len(self.maps)):
                 diag = -2 if a == b else 0
-                bad = _anticommutator_defect(self.maps[a], self.maps[b], diag)
-                if bad is not None:
-                    r, c, value = bad
-                    sweep.fail(("anticommute", a, b, r, c), (value,))
-        integrable = []
-        for a, J in enumerate(self.maps):
-            c = check_integrable(self.algebra, J)
-            integrable.append(c.passed)
-            if not c.passed:
-                w = c.witnesses[0]
-                sweep.fail(("integrable", a) + w.indices, w.defect)
-        parallel = []
+                sweep.absorb(
+                    ("anticommute", a, b), _anticommutator(self.maps[a], self.maps[b], diag)
+                )
+        integrable = [
+            sweep.absorb(("integrable", a), check_integrable(self.algebra, J))
+            for a, J in enumerate(self.maps)
+        ]
         if conn is not None:
-            for a, J in enumerate(self.maps):
-                c = check_parallel(conn, J)
-                parallel.append(c.passed)
-                if not c.passed:
-                    w = c.witnesses[0]
-                    sweep.fail(("parallel", a) + w.indices, w.defect)
+            parallel = [
+                sweep.absorb(("parallel", a), check_parallel(conn, J))
+                for a, J in enumerate(self.maps)
+            ]
         rank = self.generated_rank
         expected = 2 ** len(self.maps)
         if rank != expected:
@@ -375,12 +373,8 @@ class CliffordFamily:
 def _require_flat_torsion_free(conn):
     """PreconditionError, with the failing certificate, unless conn is flat
     and torsion-free."""
-    rep = check_representation(conn)
-    if not rep.passed:
-        raise PreconditionError("connection is not flat", details=rep)
-    tf = check_torsion_free(conn)
-    if not tf.passed:
-        raise PreconditionError("connection has torsion", details=tf)
+    _require(check_representation(conn), "connection is not flat")
+    _require(check_torsion_free(conn), "connection has torsion")
 
 
 def clifford_tower(g, conn, m, name=None):
@@ -416,27 +410,22 @@ def hypercomplex_pair(g, conn, J, target=None):
     """
     sweep = _Sweep("hypercomplex", target or g.name)
     _require_flat_torsion_free(conn)
-    par = check_parallel(conn, J)
-    if not par.passed:
-        raise PreconditionError("structure is not parallel", details=par)
+    _require(check_parallel(conn, J), "structure is not parallel")
     talg = tangent(g, conn, check_rep=False)
     j_minus = block_complex_structure(J, J, sign=-1)
     K = canonical_complex_structure(talg)
     lifted = lifted_connection(conn, talg)
     family = CliffordFamily(talg, [j_minus, K])
-    checks = {
-        "j_minus_integrable": check_integrable(talg, j_minus).passed,
-        "k_integrable": check_integrable(talg, K).passed,
-        "anticommute": _anticommutator_defect(j_minus, K, 0) is None,
-        "j_minus_parallel": check_parallel(lifted, j_minus).passed,
-        "k_parallel": check_parallel(lifted, K).passed,
-        "lift_flat": check_representation(lifted).passed,
-        "lift_torsion_free": check_torsion_free(lifted).passed,
+    subs = {
+        "j_minus_integrable": check_integrable(talg, j_minus),
+        "k_integrable": check_integrable(talg, K),
+        "anticommute": _anticommutator(j_minus, K, 0),
+        "j_minus_parallel": check_parallel(lifted, j_minus),
+        "k_parallel": check_parallel(lifted, K),
+        "lift_flat": check_representation(lifted),
+        "lift_torsion_free": check_torsion_free(lifted),
     }
-    for key, ok in checks.items():
-        if not ok:
-            sweep.fail((key,), (Fraction(1),))
-    notes = dict(checks)
+    notes = {key: sweep.absorb((key,), sub) for key, sub in subs.items()}
     notes["obata"] = (
         "lifted connection is torsion-free and parallelizes both members, "
         "hence coincides with the Obata connection by uniqueness"
@@ -447,19 +436,12 @@ def hypercomplex_pair(g, conn, J, target=None):
 def check_self_dual(conn, psi, target=None):
     """Whether psi intertwines the family with its contragredient."""
     n = conn.module_dim
-    sweep = _Sweep("self_dual", target or conn.algebra.name, n)
+    sweep = _Sweep("self_dual", target or conn.algebra.name)
     _require_invertible(psi, "duality map is singular")
     if psi.rows != n or psi.cols != n:
         raise DimensionMismatchError("duality map does not match the module")
-    dual = conn.dual()
-    for i in range(conn.algebra.dim):
-        lhs = psi.compose(conn.maps[i])
-        rhs = dual.maps[i].compose(psi)
-        for k in range(n):
-            acc = dict(lhs.sparse_columns()[k])
-            _acc(acc, rhs.sparse_columns()[k], -_ONE)
-            if acc:
-                sweep.fail((i, k), acc)
+    for i, (op, dual_op) in enumerate(zip(conn.maps, conn.dual().maps)):
+        sweep.absorb((i,), _equal_maps(psi.compose(op), dual_op.compose(psi)))
     return sweep.done()
 
 
@@ -531,45 +513,28 @@ def check_pseudo_kahler(g, B, target=None):
 
     Builds the Levi-Civita connection of the flat metric, the tangent
     algebra with its swap structure, the musical duality map and the
-    transferred form, then checks every compatibility exactly.  Sub-check
-    verdicts are itemized in the notes.
+    transferred form, then checks every compatibility exactly.  The metric
+    must be flat; each sub-check's verdict is itemized in the notes.
     """
     sweep = _Sweep("pseudo_kahler", target or g.name)
     conn = levi_civita(g, B)
-    flat = check_representation(conn)
-    tf = check_torsion_free(conn)
-    notes = {"flat": flat.passed, "torsion_free": tf.passed}
-    if not (flat.passed and tf.passed):
-        notes["precondition"] = "metric is not flat"
-        for sub in (flat, tf):
-            for w in sub.witnesses[:2]:
-                sweep.fail(w.indices, w.defect)
-        return sweep.done(notes=notes)
+    _require_flat_torsion_free(conn)
     psi = B.gram
-    sd = check_self_dual(conn, psi)
-    notes["self_dual"] = sd.passed
     talg = tangent(g, conn, check_rep=False)
     K = canonical_complex_structure(talg)
     omega = symplectic_from_duality(conn, psi)
-    symp = check_symplectic(talg, omega)
-    notes["omega_symplectic"] = symp.passed
     lifted = lifted_connection(conn, talg)
-    par = check_parallel(lifted, omega)
-    notes["omega_parallel"] = par.passed
     G = _diagonal_lift(B)
-    notes["pairing_matches_omega"] = K.transpose().compose(G.gram) == omega.gram
-    notes["k_integrable"] = check_integrable(talg, K).passed
-    notes["metric_parallel"] = check_parallel(lifted, G).passed
-    for key in (
-        "self_dual",
-        "omega_symplectic",
-        "omega_parallel",
-        "pairing_matches_omega",
-        "k_integrable",
-        "metric_parallel",
-    ):
-        if not notes[key]:
-            sweep.fail((key,), (Fraction(1),))
+    subs = {
+        "self_dual": check_self_dual(conn, psi),
+        "omega_symplectic": check_symplectic(talg, omega),
+        "omega_parallel": check_parallel(lifted, omega),
+        "pairing_matches_omega": _equal_maps(K.transpose().compose(G.gram), omega.gram),
+        "k_integrable": check_integrable(talg, K),
+        "metric_parallel": check_parallel(lifted, G),
+    }
+    notes = {"flat": True, "torsion_free": True}
+    notes.update((key, sweep.absorb((key,), sub)) for key, sub in subs.items())
     return sweep.done(notes=notes)
 
 

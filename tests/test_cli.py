@@ -130,6 +130,25 @@ def test_check_jacobi_failure_names_the_lexicographic_first_triple(capsys):
     )
 
 
+def test_check_connection_of_another_algebra_exits_two_at_the_construct(capsys):
+    rc = main(["check", os.path.join(FIXTURES, "foreign_connection.lie")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "error: representation does not live on the given algebra (line 6, column 15)\n"
+    )
+
+
+def test_check_pseudo_kahler_of_a_metric_that_is_not_flat_exits_two(capsys):
+    rc = main(["check", os.path.join(FIXTURES, "pseudo_kahler_not_flat.lie")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == ""
+    assert re.sub(r"\(\d+\.\d ms\)", "(T ms)", captured.out) == (
+        "FAIL pseudo_kahler aff1 (T ms)  witness ['precondition'] defect []  "
+        "precondition: connection is not flat\n"
+    )
+
+
 def test_check_input_that_is_not_utf8_exits_two_with_byte_offset(capsys):
     rc = main(["check", os.path.join(FIXTURES, "not_utf8.lie")])
     captured = capsys.readouterr()

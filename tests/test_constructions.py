@@ -37,7 +37,7 @@ from lieforge.constructions import (
     tangent,
 )
 
-from lieforge.structures import reconstruct_connection
+from lieforge.structures import clifford_tower, reconstruct_connection
 
 from oracles import (
     is_integer_first,
@@ -108,6 +108,26 @@ def test_semidirect_rejects_non_representation():
         semidirect(so3.algebra, bad)
     assert exc.value.details is not None
     assert not exc.value.details.passed
+
+
+def test_representation_of_another_algebra_is_refused():
+    """A connection on a, used on b of the same dimension but with other
+    structure constants, would give a table that fails the Jacobi identity;
+    each construct refuses it, and accepts a relabelled copy of a."""
+    a = LieAlgebra(["x", "y"], {(0, 1): {1: 1}}, name="a")
+    b = LieAlgebra(["p", "q"], {(0, 1): {0: 1}}, name="b")
+    ls = Connection(a, [LinearMap([[0, 0], [0, 1]]), LinearMap.zero(2)])
+    builds = {
+        "semidirect": semidirect,
+        "tangent": tangent,
+        "cotangent": lambda g, c: cotangent(g, c)[0],
+        "tower": lambda g, c: clifford_tower(g, c, 1)[0],
+    }
+    relabelled = LieAlgebra(["s", "t"], {(0, 1): {1: 1}}, name="a'")
+    for name, build in builds.items():
+        with pytest.raises(PreconditionError, match="does not live on"):
+            build(b, ls)
+        assert check_jacobi(build(relabelled, ls)).passed, name
 
 
 def test_aff2_matches_affine_matrix_realization():

@@ -246,6 +246,32 @@ def test_torsion_equivalence_rejects_an_algebra_the_connection_is_not_on():
     assert certs[0].passed and certs[0].target == "ls"
 
 
+@pytest.mark.parametrize(
+    "check, target",
+    [
+        # bent is not flat, so the equivalence's precondition fails
+        ("torsion_equivalence(aff1, bent)", "bent"),
+        # J3 is 3 by 3 and ls acts on a plane
+        ("parallel(ls, J3)", "J3"),
+        ("parallel(ls, B)", "B"),
+    ],
+)
+def test_certificate_names_the_target_of_the_signature(check, target):
+    """A precondition certificate names the argument the check itself would
+    name, not the first argument of the statement."""
+    text = (
+        AFF1
+        + "conn bent on aff1 { x => matrix [[0, 0], [0, 0]] ; y => matrix [[0, 1], [0, 0]] ; }\n"
+        + "form B on aff1 sym matrix [[1, 0], [0, 1]]\n"
+        + "algebra h3 { basis u v w ; }\n"
+        + "endo J3 on h3 { u -> v ; v -> - u ; w -> w ; }\n"
+        + "check %s\n" % check
+    )
+    (cert,) = run(parse(text))
+    assert cert.target == target
+    assert ("precondition" in cert.notes) == (target in ("bent", "J3"))
+
+
 def test_empty_queue_empty_report():
     certs = run(parse("algebra g { basis x ; }"))
     assert certs == []

@@ -13,6 +13,7 @@ from lieforge.lie_core import (
     Connection,
     LieAlgebra,
     LinearMap,
+    Witness,
     check_closed,
     check_integrable,
     check_parallel,
@@ -488,9 +489,91 @@ def test_pseudo_kahler_euclidean_plane():
 def test_pseudo_kahler_precondition_failure_itemized():
     aff1, _ = left_symmetric_aff1()
     B = BilinearForm(LinearMap.identity(2), BilinearForm.SYMMETRIC)
-    cert = check_pseudo_kahler(aff1, B)
-    assert not cert.passed
-    assert cert.notes["precondition"] == "metric is not flat"
+    with pytest.raises(PreconditionError, match="connection is not flat") as info:
+        check_pseudo_kahler(aff1, B)
+    flat = info.value.details
+    assert flat.check_name == "representation" and not flat.passed
+    assert [w.indices for w in flat.witnesses] == [(0, 1, 0), (0, 1, 1)]
+    assert flat.total_failures == 2
+
+
+def test_clifford_certify_keeps_every_integrability_failure():
+    """J pairs the basis of e(5) as (2i, 2i + 1); it fails integrability at
+    56 pairs, and the family's certificate counts each of them."""
+    e5 = catalog.euclidean(5).algebra
+    J = AlmostComplex.from_pairs(e5.dim, [(2 * i, 2 * i + 1) for i in range(e5.dim // 2)])
+    sub = check_integrable(e5, J)
+    cert = CliffordFamily(e5, [J]).certify()
+    assert sub.total_failures == cert.total_failures == 56
+    assert cert.witnesses == [
+        Witness(("integrable", 0) + w.indices, w.defect) for w in sub.witnesses
+    ]
+
+
+def _composite_input(name):
+    """The passing certificate of one composite check, as a thunk."""
+    if name == "reconstruct":
+        aff1, ls = left_symmetric_aff1()
+        talg = tangent(aff1, ls)
+        K = canonical_complex_structure(talg)
+        return lambda: reconstruct_connection(talg, K, [0, 1])[2]
+    ab = catalog.abelian(2).algebra
+    if name == "hypercomplex":
+        J = AlmostComplex.from_pairs(2, [(0, 1)])
+        return lambda: hypercomplex_pair(ab, zero_connection(ab), J)[2]
+    B = BilinearForm(LinearMap.identity(2), BilinearForm.SYMMETRIC)
+    return lambda: check_pseudo_kahler(ab, B)
+
+
+# (composite, key of a part, the function behind that part, which call of it
+# the part is: the calls before it are hypotheses or other parts)
+_COMPOSITE_PARTS = [
+    ("reconstruct", "flat", "check_representation", 1),
+    ("reconstruct", "torsion_free", "check_torsion_free", 1),
+    ("hypercomplex", "j_minus_integrable", "check_integrable", 1),
+    ("hypercomplex", "k_integrable", "check_integrable", 2),
+    ("hypercomplex", "anticommute", "_anticommutator", 1),
+    ("hypercomplex", "j_minus_parallel", "check_parallel", 2),
+    ("hypercomplex", "k_parallel", "check_parallel", 3),
+    ("hypercomplex", "lift_flat", "check_representation", 2),
+    ("hypercomplex", "lift_torsion_free", "check_torsion_free", 2),
+    ("pseudo_kahler", "self_dual", "check_self_dual", 1),
+    ("pseudo_kahler", "omega_symplectic", "check_symplectic", 1),
+    ("pseudo_kahler", "omega_parallel", "check_parallel", 1),
+    # check_self_dual compares two maps once per basis vector of the plane
+    ("pseudo_kahler", "pairing_matches_omega", "_equal_maps", 3),
+    ("pseudo_kahler", "k_integrable", "check_integrable", 1),
+    ("pseudo_kahler", "metric_parallel", "check_parallel", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "composite, key, name, call",
+    _COMPOSITE_PARTS,
+    ids=["%s-%s" % case[:2] for case in _COMPOSITE_PARTS],
+)
+def test_composite_keeps_every_failure_of_a_part(composite, key, name, call, monkeypatch):
+    """With one part failing 20 times, the composite fails exactly as that
+    part does: its kept witnesses under the part's key, and its total."""
+    certify = _composite_input(composite)
+    assert certify().passed
+    part = lie_core._Sweep("part", "t")
+    for k in range(20):
+        part.fail((k, k + 1), (Fraction(k + 1),))
+    part = part.done()
+    original = getattr(structures, name)
+    calls = [0]
+
+    def failing_once(*args, **kwargs):
+        calls[0] += 1
+        cert = original(*args, **kwargs)
+        return part if calls[0] == call else cert
+
+    monkeypatch.setattr(structures, name, failing_once)
+    cert = certify()
+    assert cert.total_failures == 20
+    assert cert.witnesses == [Witness((key,) + w.indices, w.defect) for w in part.witnesses]
+    assert [k for k, ok in cert.notes.items() if ok is False] == [key]
 
 
 def test_check_holomorphic_identity():
