@@ -38,7 +38,6 @@ from .constructions import (
     NotClosedError,
     aff_algebra,
     central_extension,
-    complexify,
     cotangent,
     eigenspace_split,
     from_matrix_basis,

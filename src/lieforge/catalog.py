@@ -174,9 +174,7 @@ def affine(n):
         name="aff_%d" % n,
         check_rep=False,
     )
-    entry = CatalogEntry("affine_%d" % n, alg)
-    entry.structures["gl_entry"] = g
-    return entry
+    return CatalogEntry("affine_%d" % n, alg)
 
 
 def abelian(n):
@@ -335,8 +333,6 @@ def _euclidean(n):
     entry = CatalogEntry("euclidean_%d" % n, alg)
     entry.structures["j"] = AlmostComplex.from_pairs(alg.dim, pairs)
     entry.structures["split"] = [p[0] for p in pairs]
-    entry.structures["translation_algebra"] = e_alg
-    entry.structures["so_entry"] = so_entry
     if n % 4 == 0:
         g = soa
         rho = so_entry.structures["standard_rep"]
@@ -401,7 +397,6 @@ def poincare(k):
     entry = CatalogEntry("poincare_%d" % k, alg)
     entry.structures["j"] = AlmostComplex.from_pairs(alg.dim, pairs)
     entry.structures["split"] = [p[0] for p in pairs]
-    entry.structures["lorentz_entry"] = lz
 
     # compatibility data: the central-extension carrier with the spatially
     # projected action (boosts act by zero on the spatial module)
@@ -434,9 +429,7 @@ def right_mult_structure(n):
     for a in range(1, 2 * n + 1):
         for m in range(1, n + 1):
             pairs.append((idx[(a, 2 * m)], idx[(a, 2 * m - 1)]))
-    J = AlmostComplex.from_pairs(entry.algebra.dim, pairs)
-    entry.structures["right_mult_j"] = J
-    return entry, J
+    return entry, AlmostComplex.from_pairs(entry.algebra.dim, pairs)
 
 
 def affine_complex_structure(n):

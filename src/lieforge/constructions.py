@@ -1,8 +1,9 @@
 """Functorial builders for new algebras from old.
 
 Semidirect products, tangent and cotangent algebras, central extensions,
-complexification and eigenspace splits, ingestion of matrix realizations,
-affinization of associative algebras and contraction families.
+eigenspace splits inside the complexification, ingestion of matrix
+realizations, affinization of associative algebras and contraction families.
+Every algebra is real; Gaussian scalars appear only in the eigenspaces.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def semidirect(g, rho, module_labels=None, name=None, check_rep=True):
             if col:
                 table[(i, n + a)] = {n + k: v for k, v in col.items()}
     labels = list(g.labels) + list(module_labels)
-    return LieAlgebra._normalized(labels, table, field=g.field, name=name or ("%s|x" % g.name))
+    return LieAlgebra._normalized(labels, table, name=name or ("%s|x" % g.name))
 
 
 def tangent(g, conn, name=None, check_rep=True):
@@ -186,28 +187,19 @@ def central_extension(g, label="z", name=None):
         raise PreconditionError("label %r already used in the algebra" % label)
     table = {pair: dict(coeffs) for pair, coeffs in g.table.items()}
     labels = list(g.labels) + [label]
-    return LieAlgebra._normalized(labels, table, field=g.field, name=name or ("Rz+%s" % g.name))
-
-
-def complexify(L):
-    """The same table over Gaussian rationals."""
-    if L.field == "gaussian":
-        return L
-    table = {
-        pair: {k: GaussScalar(v) for k, v in coeffs.items()}
-        for pair, coeffs in L.table.items()
-    }
-    return LieAlgebra._normalized(list(L.labels), table, field="gaussian", name=L.name + "^C")
+    return LieAlgebra._normalized(labels, table, name=name or ("Rz+%s" % g.name))
 
 
 def holomorphic_eigenbasis(L, J):
     """Spanning sets of the +i and -i eigenspaces inside the complexification
     of a real algebra: b_k - i J b_k and its conjugate b_k + i J b_k, in the
     order of k.  The eigenspace sweeps rely on that conjugation, so a
-    Gaussian algebra or structure is refused."""
+    Gaussian entry in the table or the structure is refused."""
     cols = J.sparse_columns()
-    if L.field == "gaussian" or any(
-        isinstance(c, GaussScalar) for col in cols for c in col.values()
+    if any(
+        isinstance(c, GaussScalar)
+        for coeffs in (*L.table.values(), *cols)
+        for c in coeffs.values()
     ):
         raise PreconditionError("eigenspaces need a real algebra and a real structure")
     plus = []
@@ -336,12 +328,12 @@ def aff_algebra(A, name=None):
             comm = dict(A.product_basis(i, j))
             _acc(comm, A.product_basis(j, i), -_ONE)
             if comm:
-                table[(i, j)] = comm
+                table[(i, j)] = {k: exact(v) for k, v in comm.items()}
         for j in range(n):
             act = A.product_basis(i, j)
             if act:
                 table[(i, n + j)] = {n + k: v for k, v in act.items()}
-    alg = LieAlgebra(labels, table, check=False, name=name or ("aff(%s)" % A.name))
+    alg = LieAlgebra._normalized(labels, table, name=name or ("aff(%s)" % A.name))
     k_cols = [None] * (2 * n)
     for i in range(n):
         k_cols[i] = {n + i: -_ONE}
@@ -402,10 +394,4 @@ class ContractionFamily:
                     table[(i, j)] = scaled
             else:
                 table[(i, j)] = dict(coeffs)
-        return LieAlgebra(
-            self.base.labels,
-            table,
-            field=self.base.field,
-            check=True,
-            name="%s@t=%s" % (self.base.name, t),
-        )
+        return LieAlgebra(self.base.labels, table, name="%s@t=%s" % (self.base.name, t))

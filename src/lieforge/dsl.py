@@ -188,17 +188,14 @@ class Workspace:
     """Ordered named definitions plus the queued checks."""
 
     def __init__(self):
-        self.definitions = {}  # name -> (kind, payload)
-        self.order = []
-        self.checks = []  # (fname, [raw args], span)
-        self.calls = []  # per queued check: its library call on the resolved arguments
+        self.definitions = {}  # name -> (kind, payload), in declaration order
+        self.checks = []  # (fname, [raw args], target name, call on the resolved args)
         self.construct_stmts = []  # (target name, fname, [raw args], [names defined])
 
     def define(self, name, kind, payload, span):
         if name in self.definitions:
             raise DuplicateNameError("name %r is already defined" % name, span)
         self.definitions[name] = (kind, payload)
-        self.order.append(name)
 
     def get(self, name, span, kinds=None):
         if name not in self.definitions:
@@ -391,7 +388,7 @@ class _Parser:
                 table[(i, j)] = combo
         self.expect("}")
         try:
-            alg = LieAlgebra(list(index), table, check=True, name=name.text)
+            alg = LieAlgebra(list(index), table, name=name.text)
         except PreconditionError as exc:
             raise ShapeError(str(exc), name.span)
         self.ws.define(name.text, "algebra", alg, name.span)
@@ -585,23 +582,23 @@ class _Parser:
         # the products live on the algebra the construct makes, if it makes
         # one, and otherwise on the algebra of its first argument
         home = name.text if products[0][1] == "algebra" else args[0][1]
-        start = len(self.ws.order)
-        for suffix, kind, obj in products:
+        names = [name.text + suffix for suffix, _, _ in products]
+        for new, (_, kind, obj) in zip(names, products):
             payload = obj if kind == "algebra" else (home, obj)
-            self.ws.define(name.text + suffix, kind, payload, fn.span)
-        self.ws.construct_stmts.append((name.text, fn.text, args, self.ws.order[start:]))
+            self.ws.define(new, kind, payload, fn.span)
+        self.ws.construct_stmts.append((name.text, fn.text, args, names))
 
     def _stmt_check(self):
         fn = self.expect_ident()
         args = self._call_args()
         if fn.text not in _CHECKS:
             raise UnknownNameError("unknown check %r" % fn.text, fn.span)
-        sig, target, call = _CHECKS[fn.text]
+        sig, at, call = _CHECKS[fn.text]
         values = _resolve(self.ws, sig, args)
         if values is None:
             raise ArityError("wrong number of arguments for %r" % fn.text, fn.span)
-        self.ws.checks.append((fn.text, args, fn.span))
-        self.ws.calls.append(partial(call, *values, target=args[target][1]))
+        target = args[at][1]
+        self.ws.checks.append((fn.text, args, target, partial(call, *values, target=target)))
 
 
 def parse(text):
@@ -795,8 +792,8 @@ def run(workspace):
     certificates flagged in the notes rather than crashes.
     """
     results = []
-    for (fname, args, _), call in zip(workspace.checks, workspace.calls):
-        results.extend(_run_one(call, fname, args[_CHECKS[fname][1]][1]))
+    for fname, _, target, call in workspace.checks:
+        results.extend(_run_one(call, fname, target))
     return results
 
 
@@ -878,8 +875,7 @@ def workspace_to_dsl(ws):
         constructed.update(dict.fromkeys(names[1:]))
         constructed[names[0]] = "construct %s = %s(%s)" % (target, fn, _args_to_dsl(args))
     chunks = []
-    for name in ws.order:
-        kind, payload = ws.definitions[name]
+    for name, (kind, payload) in ws.definitions.items():
         if name in constructed:
             if constructed[name]:
                 chunks.append(constructed[name])
@@ -914,7 +910,7 @@ def workspace_to_dsl(ws):
                     for vs in (obj.part0, obj.part1)
                 ]
                 chunks.append("%s {\n  part0 :%s;\n  part1 :%s;\n}" % (head, *parts))
-    for fn, args, _ in ws.checks:
+    for fn, args, _, _ in ws.checks:
         chunks.append("check %s(%s)" % (fn, _args_to_dsl(args)))
     return "\n\n".join(chunks) + "\n"
 

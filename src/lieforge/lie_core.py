@@ -144,12 +144,12 @@ class LieAlgebra:
 
     The table maps an ordered basis pair (i, j) with i < j to a sparse
     coefficient dict; the bracket extends antisymmetrically and bilinearly.
-    Jacobi is verified on construction unless explicitly deferred (builders
-    whose output satisfies it identically defer the sweep).
+    The constructor verifies the Jacobi identity; builders whose output
+    satisfies it identically go through :meth:`_normalized` instead.
     """
 
-    def __init__(self, labels, table, field="rational", check=True, name="algebra"):
-        self._store(labels, {}, field, name)
+    def __init__(self, labels, table, name="algebra"):
+        self._store(labels, {}, name)
         for (i, j), coeffs in table.items():
             if not (0 <= i < j < self.dim):
                 raise PreconditionError(
@@ -161,17 +161,16 @@ class LieAlgebra:
                     raise DimensionMismatchError("coefficient index out of range")
             if cd:
                 self.table[(i, j)] = cd
-        if check:
-            cert = check_jacobi(self)
-            if not cert.passed:
-                w = cert.witnesses[0]
-                raise PreconditionError(
-                    "Jacobi identity fails at basis triple %s" % (w.indices,),
-                    details=cert,
-                )
+        cert = check_jacobi(self)
+        if not cert.passed:
+            w = cert.witnesses[0]
+            raise PreconditionError(
+                "Jacobi identity fails at basis triple %s" % (w.indices,),
+                details=cert,
+            )
 
     @classmethod
-    def _normalized(cls, labels, table, field="rational", name="algebra"):
+    def _normalized(cls, labels, table, name="algebra"):
         """An algebra over a table its builder made, stored without a copy.
 
         Trusts the table to be what the constructor would store: keys i < j
@@ -182,15 +181,14 @@ class LieAlgebra:
         call it; text, JSON and caller input go through the constructor.
         """
         alg = object.__new__(cls)
-        alg._store(labels, table, field, name)
+        alg._store(labels, table, name)
         return alg
 
-    def _store(self, labels, table, field, name):
+    def _store(self, labels, table, name):
         self.labels = list(labels)
         self.dim = len(self.labels)
         if len(set(self.labels)) != self.dim:
             raise PreconditionError("basis labels must be unique")
-        self.field = field
         self.name = name
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self.table = table
@@ -272,12 +270,14 @@ class LinearMap:
     view built on demand, for emission.
     """
 
-    def __init__(self, matrix):
-        if not isinstance(matrix, Matrix):
-            matrix = Matrix(matrix)
-        self.rows, self.cols = matrix.rows, matrix.cols
+    def __init__(self, rows):
+        data = [list(r) for r in rows]
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
         self._columns = [{} for _ in range(self.cols)]
-        for i, row in enumerate(matrix.data):
+        for i, row in enumerate(data):
+            if len(row) != self.cols:
+                raise DimensionMismatchError("ragged rows in matrix")
             for j, e in enumerate(row):
                 if e:
                     self._columns[j][i] = exact(e)
@@ -330,10 +330,6 @@ class LinearMap:
         return _columns_map(
             self.rows, self.cols, [{i: -v for i, v in c.items()} for c in self._columns]
         )
-
-    def scale(self, s):
-        cols = [{i: s * v for i, v in c.items()} for c in self._columns]
-        return LinearMap.from_sparse_columns(self.rows, self.cols, cols)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):

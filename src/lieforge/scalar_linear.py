@@ -1,9 +1,11 @@
-"""Exact scalars, dense matrix input and sparse span solving.
+"""Exact scalars, the dense matrix view and sparse span solving.
 
-Scalars are arbitrary-precision rationals or Gaussian rationals.  A rational
-is stored as an ``int`` while it is integral and as a ``fractions.Fraction``
-(lowest terms, positive denominator) otherwise; only :func:`div` promotes an
-``int`` to a ``Fraction``.  Everything in this module is exact; there is no
+Scalars are arbitrary-precision rationals, or Gaussian rationals in the
+eigenvectors of an almost complex structure, which live in the
+complexification of a real algebra.  A rational is stored as an ``int``
+while it is integral and as a ``fractions.Fraction`` (lowest terms, positive
+denominator) otherwise; only :func:`div` promotes an ``int`` to a
+``Fraction``.  Everything in this module is exact; there is no
 floating point and no tolerance anywhere.
 """
 
@@ -211,22 +213,16 @@ def scalar_from_str(text):
 
 
 class Matrix:
-    """Dense exact matrix with rational or GaussScalar entries, row major.
+    """Dense rows of a ``LinearMap``: the view that emission reads.
 
-    The library stores every matrix as a sparse-column ``LinearMap``; a
-    ``Matrix`` is only dense input and the view that emission reads.  Every
-    elimination goes through :class:`SpanSolver`.
+    The library stores every matrix as a sparse-column ``LinearMap``, which
+    also takes dense rows as input; a ``Matrix`` is made only by
+    ``LinearMap.matrix``.  Every elimination goes through :class:`SpanSolver`.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("data",)
 
     def __init__(self, data):
-        data = [list(r) for r in data]
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        for r in data:
-            if len(r) != self.cols:
-                raise DimensionMismatchError("ragged rows in matrix")
         self.data = data
 
     def __repr__(self):

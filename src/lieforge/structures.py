@@ -85,6 +85,8 @@ def check_action_compatibility(g, rho, J, I, split, target=None):
     sweep = _Sweep("action_compatibility", target or g.name, m)
     if rho.algebra.dim != n:
         raise DimensionMismatchError("representation does not live on the given algebra")
+    if not (rho.algebra is g or rho.algebra.same_constants(g)):
+        raise PreconditionError("representation does not live on the given algebra")
     _require_almost_complex(g, J)
     if I.rows != m or I.cols != m:
         raise DimensionMismatchError("module structure does not match the module")

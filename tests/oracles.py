@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from lieforge.constructions import AssociativeAlgebra
 from lieforge.dsl import DslSyntaxError, SourceSpan
+from lieforge.lie_core import LieAlgebra
+from lieforge.scalar_linear import exact
 
 
 def dense_constants(L):
@@ -460,3 +462,16 @@ def matrix_assoc_algebra(n):
             if j == k:
                 table[(p, q)] = {pos[(i, l)]: Fraction(1)}
     return AssociativeAlgebra(labels, table, name="M%d" % n)
+
+
+def unchecked_algebra(labels, table, name="algebra"):
+    """An algebra over ``table`` that skips the Jacobi sweep, so that a
+    test can hold a table that fails it.  The table is stored as the
+    constructor stores it: zero entries dropped and the rest through
+    ``exact``; its keys must be ordered pairs inside the basis."""
+    stored = {}
+    for pair, coeffs in table.items():
+        cd = {k: exact(v) for k, v in coeffs.items() if v}
+        if cd:
+            stored[pair] = cd
+    return LieAlgebra._normalized(labels, stored, name=name)

@@ -448,7 +448,7 @@ def test_catalog_emission_matches_golden(capsys):
 def test_every_check_fixture_calls_every_check_and_construct():
     with open(os.path.join(FIXTURES, "every_check.lie"), encoding="utf-8") as fh:
         ws = dsl.parse(fh.read())
-    assert {fn for fn, _, _ in ws.checks} == set(dsl._CHECKS)
+    assert {fn for fn, _, _, _ in ws.checks} == set(dsl._CHECKS)
     assert {fn for _, fn, _, _ in ws.construct_stmts} == set(dsl._CONSTRUCTS)
 
 

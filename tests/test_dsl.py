@@ -495,7 +495,7 @@ def test_roundtrip_keeps_user_names_sharing_a_construct_prefix():
     once = workspace_to_dsl(ws)
     assert "endo T_swap on aff1" in once
     again = parse(once)
-    assert again.order == ws.order
+    assert list(again.definitions) == list(ws.definitions)
     assert workspace_to_dsl(again) == once
 
 
@@ -862,8 +862,7 @@ def _workspace_texts(draw):
             lines.append("construct %s = %s" % (
                 name.upper(), draw(_construct_call(flat, named("assoc"), unextended))))
             ws = parse("\n".join(lines))  # learn what the construct defined
-            for n in ws.order[len(kinds):]:
-                kind, payload = ws.definitions[n]
+            for n, (kind, payload) in list(ws.definitions.items())[len(kinds):]:
                 kinds[n] = kind
                 if kind == "algebra":
                     basis[n] = tuple(payload.labels)
@@ -903,8 +902,7 @@ def _check_text(draw, alg, named, basis, home):
 def _canonical(ws):
     """What a parsed workspace holds, with spans left out."""
     defs = []
-    for name in ws.order:
-        kind, p = ws.definitions[name]
+    for name, (kind, p) in ws.definitions.items():
         if kind in ("algebra", "assoc"):
             body = (p.labels, p.table)
         elif kind == "endo":
@@ -924,7 +922,7 @@ def _canonical(ws):
 
     return (
         defs,
-        [(fn, strip(args)) for fn, args, _ in ws.checks],
+        [(fn, strip(args), target) for fn, args, target, _ in ws.checks],
         [(t, fn, strip(args), names) for t, fn, args, names in ws.construct_stmts],
     )
 

@@ -112,6 +112,20 @@ def test_action_compatibility_rejects_unstable_split():
         check_action_compatibility(cd.g, cd.rho, cd.j, cd.i, Decomposition(part0, rest))
 
 
+def test_action_compatibility_refuses_a_representation_of_another_algebra():
+    """A representation of a is refused on b, which has the same dimension
+    and other structure constants."""
+    a = LieAlgebra(["x", "y"], {(0, 1): {1: Q(1)}}, name="a")
+    b = LieAlgebra(["p", "q"], {(0, 1): {0: Q(1)}}, name="b")
+    rho = Connection(a, [LinearMap([[Q(0), Q(0)], [Q(0), Q(1)]]), LinearMap.zero(2)])
+    J = AlmostComplex.from_pairs(2, [(0, 1)])
+    split = Decomposition([[1, 0], [0, 1]], [])
+    assert check_representation(rho).passed
+    with pytest.raises(PreconditionError, match="does not live on the given algebra"):
+        check_action_compatibility(b, rho, J, J, split)
+    assert check_action_compatibility(a, rho, J, J, split).target == "a"
+
+
 def test_canonical_structure_blocks():
     ab = catalog.abelian(2).algebra
     t = tangent(ab, zero_connection(ab))
@@ -132,7 +146,7 @@ def test_equivalence_certificate_records_both_verdicts():
 def test_equivalence_rejects_non_flat():
     so3 = catalog.so(3).algebra
     half_ad = Connection(
-        so3, [m.scale(Fraction(1, 2)) for m in so3.adjoint_connection().maps]
+        so3, [[[Q(e, 2) for e in row] for row in m.matrix.data] for m in so3.adjoint_connection().maps]
     )
     with pytest.raises(PreconditionError):
         check_torsion_integrability_equivalence(so3, half_ad)
@@ -380,7 +394,7 @@ def test_symplectic_transfer_closed_iff_self_dual_torsion_free():
     B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
     conn = levi_civita(e2, B)
     talg = tangent(e2, conn, check_rep=False)
-    om = symplectic_from_duality(conn, LinearMap(B.matrix))
+    om = symplectic_from_duality(conn, B.gram)
     assert check_symplectic(talg, om).passed
     aff1, ls = left_symmetric_aff1()
     talg1 = tangent(aff1, ls, check_rep=False)
