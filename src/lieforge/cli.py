@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import hashlib
 import json
 import sys
 
@@ -69,7 +68,6 @@ def _cmd_check(args):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    digest = hashlib.sha256(raw).hexdigest()
     try:
         # utf-8-sig drops a leading byte-order mark, so spans count from after it
         text = raw.decode("utf-8-sig")
@@ -90,7 +88,9 @@ def _cmd_check(args):
     if args.json != "-":
         emit_text(certs)
     if args.json:
-        emit_json(_report(certs, input_hash=digest), args.json)
+        import hashlib  # only a report carries the digest
+
+        emit_json(_report(certs, input_hash=hashlib.sha256(raw).hexdigest()), args.json)
     return _exit_code(certs)
 
 

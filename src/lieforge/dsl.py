@@ -5,6 +5,12 @@ namespace.  Structure constants are declared for ordered pairs only;
 declaring both orders of a bracket is an error rather than a consistency
 check, so each constant has one canonical source.
 
+The parser pulls tokens from the text as it goes.  It reads whole
+``[a, b] = combo ;``, ``a * b = combo ;`` and ``a -> combo ;`` lines of a
+body with one anchored pattern each, and goes back to the tokens at a line
+the pattern misses or that reading would reject, so every error and its
+span comes from the tokens.  A lexical error anywhere wins over any other.
+
 Grammar sketch::
 
     algebra NAME { basis L1 L2 ... ; [Li, Lj] = 2 Lk - 1/3 Lm ; ... }
@@ -121,8 +127,8 @@ class ConstructionError(DslError):
     """A construction statement violated the target operation's precondition."""
 
 
-class _Token(namedtuple("_Token", "kind text line column length")):
-    """One token: kind is ident | number | punct | end."""
+class _Token(namedtuple("_Token", "kind text line column length offset")):
+    """One token: kind is ident | number | punct | end; it starts at ``offset``."""
 
     __slots__ = ()
 
@@ -135,7 +141,8 @@ class _Token(namedtuple("_Token", "kind text line column length")):
 # comment that runs to the end of the text belongs to ``end``, which keeps
 # the comment's column.  ``\d`` is a Unicode decimal digit, what ``int``
 # reads; ``[^\W\d]`` is a letter, ``_`` or a numeric character that is not
-# a decimal digit, which ``_tokenize`` refuses.
+# a decimal digit, which ``_tokens`` refuses.
+_NAME = r"[^\W\d][\w']*"
 _TOKEN = re.compile(
     r"""[ \t\r]*(?:
       (?P<newline>\n)
@@ -143,20 +150,18 @@ _TOKEN = re.compile(
     | (?P<comment>\#[^\n]*)
     | (?P<punct>->|=>|[{}\[\](),;:*+\-=])
     | (?P<number>\d+(?:/\d*)?)
-    | (?P<ident>[^\W\d][\w']*)
+    | (?P<ident>%s)
     | (?P<bad>.)
-    )""",
+    )""" % _NAME,
     re.VERBOSE,
 )
 
 
-def _tokenize(text):
-    """The tokens of ``text``, ending in one ``end`` token."""
-    toks = []
-    append = toks.append
+def _tokens(text, pos=0, line=1, bol=0):
+    """The tokens of ``text`` from offset ``pos``, on line ``line`` that
+    begins at offset ``bol``, ending in one ``end`` token."""
     make = tuple.__new__
-    line, bol = 1, 0  # bol: offset where the current line begins
-    for m in _TOKEN.finditer(text):  # every text ends in an ``end`` match
+    for m in _TOKEN.finditer(text, pos):  # every text ends in an ``end`` match
         kind = m.lastgroup
         start = m.start(kind)
         if kind == "newline":
@@ -167,8 +172,8 @@ def _tokenize(text):
             continue
         col = start - bol + 1
         if kind == "end":
-            append(make(_Token, ("end", "", line, col, 0)))
-            return toks
+            yield make(_Token, ("end", "", line, col, 0, start))
+            return
         tok = m[kind]
         if kind == "number" and tok[-1] == "/":
             nxt = text[m.end() : m.end() + 1]
@@ -177,11 +182,64 @@ def _tokenize(text):
             raise DslSyntaxError("malformed rational literal", SourceSpan(line, col, 1))
         if kind == "bad" or kind == "ident" and not (tok[0].isalpha() or tok[0] == "_"):
             raise _unexpected(tok[0], line, col)
-        append(make(_Token, (kind, tok, line, col, len(tok))))
+        yield make(_Token, (kind, tok, line, col, len(tok), start))
+
+
+def _tokenize(text):
+    """The tokens of ``text``, ending in one ``end`` token."""
+    return list(_tokens(text))
 
 
 def _unexpected(ch, line, column):
     return DslSyntaxError("unexpected character %r" % ch, SourceSpan(line, column, 1))
+
+
+# Statement patterns: blanks and line breaks, then one whole statement on
+# one line in the tokenizer's syntax.  No two blank runs meet, so a match
+# that fails takes time linear in the blanks.
+_B = r"[ \t\r]*"
+_T = r"(?:(\d+(?:/\d+)?)%s)?(%s)" % (_B, _NAME)  # one term: number, label
+_TERM = re.compile(r"%s(?:([+-])%s)?%s" % (_B, _B, _T))
+
+
+def _statement(head):
+    """The pattern of ``head combo ;``, where ``a`` and ``b`` in ``head`` are labels."""
+    parts = ["(?P<%s>%s)" % (p, _NAME) if p in ("a", "b") else p for p in head.split()]
+    parts.append(r"(?P<combo>0|(?:-%s)?%s(?:%s[+-]%s%s)*)" % (_B, _T, _B, _B, _T))
+    return re.compile(r"(?:[ \t\r\n]*\n)?" + _B + _B.join(parts + [";"]))
+
+
+_BRACKET = _statement(r"\[ a , b \] =")
+_PRODUCT = _statement(r"a \* b =")
+_IMAGE = _statement("a ->")
+
+
+def _terms(combo, index):
+    """The sparse dict that ``_Parser._combo`` reads from the text of a
+    matched combo, or None where it would raise."""
+    out = {}
+    for sign, num, lab in _TERM.findall(combo):
+        k = index.get(lab)
+        if k is None:
+            return None
+        coeff = -1 if sign == "-" else 1
+        if num:
+            p, _, q = num.partition("/")
+            try:  # more digits than ``int`` reads, or a zero denominator
+                coeff *= Fraction(int(p), int(q or 1))
+            except (ValueError, ZeroDivisionError):
+                return None
+        _add(out, k, coeff)
+    return out
+
+
+def _add(out, k, coeff):
+    """Add ``coeff`` at ``k`` of the sparse dict ``out``, dropping a zero."""
+    s = out.get(k, 0) + coeff
+    if s:
+        out[k] = s
+    elif k in out:
+        del out[k]
 
 
 class Workspace:
@@ -213,17 +271,30 @@ class Workspace:
 
 class _Parser:
     def __init__(self, text):
-        self.toks = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.toks = _tokens(text)
+        self.tok = next(self.toks)  # the lookahead
         self.ws = Workspace()
 
-    def peek(self):
-        return self.toks[self.pos]
-
     def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
+        t = self.tok
+        self.tok = next(self.toks, t)  # past the end, ``end`` again
         return t
+
+    def _fast(self, pattern, read):
+        """Read ``pattern`` statements while ``read`` takes them, then pull
+        tokens from the first it refuses; returns the lookahead."""
+        text, t = self.text, self.tok
+        at = t.offset
+        while (m := pattern.match(text, at)) and read(m):
+            at = m.end()
+        if at != t.offset:
+            line = t.line + text.count("\n", t.offset, at)
+            # the line starts after the last line break read, if any
+            bol = text.rfind("\n", t.offset, at) + 1 or t.offset - t.column + 1
+            self.toks = _tokens(text, at, line, bol)
+            self.tok = next(self.toks)
+        return self.tok
 
     def expect(self, text):
         t = self.next()
@@ -239,7 +310,7 @@ class _Parser:
 
     def parse(self):
         while True:
-            t = self.peek()
+            t = self.tok
             if t.kind == "end":
                 return self.ws
             if t.kind != "ident":
@@ -259,9 +330,9 @@ class _Parser:
         if kw.text != "basis":
             raise DslSyntaxError("expected 'basis'", kw.span)
         labels = []
-        while self.peek().kind == "ident":
+        while self.tok.kind == "ident":
             labels.append(self.next().text)
-        if self.peek().text == ";":
+        if self.tok.text == ";":
             self.next()
         if not labels:
             raise DslSyntaxError("empty basis", kw.span)
@@ -286,18 +357,14 @@ class _Parser:
     def _combo(self, index):
         """Linear combination over the labels of ``index``, as a sparse dict."""
         out = {}
-        t = self.peek()
-        if t.kind == "number" and t.text == "0":
-            nxt = self.toks[self.pos + 1]
-            if nxt.text in (";", ",", "}"):
-                self.next()
-                return out
+        t = self.next()
+        if t.text == "0" and self.tok.text in (";", ",", "}"):
+            return out
         sign = 1
         if t.text == "-":
-            self.next()
             sign = -1
-        while True:
             t = self.next()
+        while True:
             coeff = sign
             if t.kind == "number":
                 coeff = sign * self._number(t)
@@ -307,24 +374,14 @@ class _Parser:
             k = index.get(t.text)
             if k is None:
                 raise UnknownNameError("unknown basis label %r" % t.text, t.span)
-            s = out.get(k, 0) + coeff
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-            nxt = self.peek()
-            if nxt.text == "+":
-                self.next()
-                sign = 1
-                continue
-            if nxt.text == "-":
-                self.next()
-                sign = -1
-                continue
-            return out
+            _add(out, k, coeff)
+            if self.tok.text not in ("+", "-"):
+                return out
+            sign = -1 if self.next().text == "-" else 1
+            t = self.next()
 
     def _matrix(self):
-        t = self.peek()
+        t = self.tok
         if t.kind == "ident" and t.text == "matrix":
             self.next()
         self.expect("[")
@@ -341,13 +398,13 @@ class _Parser:
                 if t.kind != "number":
                     raise DslSyntaxError("expected a number, found %r" % t.text, t.span)
                 row.append(s * self._number(t))
-                if self.peek().text == ",":
+                if self.tok.text == ",":
                     self.next()
                     continue
                 break
             self.expect("]")
             rows.append(row)
-            if self.peek().text == ",":
+            if self.tok.text == ",":
                 self.next()
                 continue
             break
@@ -361,7 +418,22 @@ class _Parser:
         index = self._basis()
         table = {}
         declared = set()
-        while self.peek().text == "[":
+
+        def put(i, j, combo):
+            if i > j:
+                i, j, combo = j, i, {k: -v for k, v in combo.items()}
+            declared.add((i, j))
+            if combo:
+                table[(i, j)] = combo
+
+        def bracket(m):
+            i, j, combo = index.get(m["a"]), index.get(m["b"]), _terms(m["combo"], index)
+            if None in (i, j, combo) or i == j or ((i, j) if i < j else (j, i)) in declared:
+                return False
+            put(i, j, combo)
+            return True
+
+        while self._fast(_BRACKET, bracket).text == "[":
             open_tok = self.next()
             a = self.expect_ident()
             self.expect(",")
@@ -378,14 +450,9 @@ class _Parser:
                 raise ShapeError(
                     "bracket [%s, %s] declared twice" % (a.text, b.text), open_tok.span
                 )
-            declared.add((min(i, j), max(i, j)))
             combo = self._combo(index)
             self.expect(";")
-            if i > j:
-                i, j = j, i
-                combo = {k: -v for k, v in combo.items()}
-            if combo:
-                table[(i, j)] = combo
+            put(i, j, combo)
         self.expect("}")
         try:
             alg = LieAlgebra(list(index), table, name=name.text)
@@ -397,7 +464,16 @@ class _Parser:
         name = self.expect_ident()
         index = self._basis()
         table = {}
-        while self.peek().kind == "ident":
+
+        def product(m):
+            pair, combo = (index.get(m["a"]), index.get(m["b"])), _terms(m["combo"], index)
+            if None in pair or pair in table or combo is None:
+                return False
+            if combo:
+                table[pair] = combo
+            return True
+
+        while self._fast(_PRODUCT, product).kind == "ident":
             a = self.expect_ident()
             self.expect("*")
             b = self.expect_ident()
@@ -422,8 +498,16 @@ class _Parser:
     def _endo_body(self, dom, cod):
         """Image of every basis label of ``dom``, as sparse columns over ``cod``."""
         images = {}
+
+        def image(m):
+            lab, combo = m["a"], _terms(m["combo"], cod._index)
+            if lab not in dom._index or lab in images or combo is None:
+                return False
+            images[lab] = combo
+            return True
+
         self.expect("{")
-        while self.peek().kind == "ident":
+        while self._fast(_IMAGE, image).kind == "ident":
             lab = self.expect_ident()
             if lab.text not in dom._index:
                 raise UnknownNameError("unknown basis label %r" % lab.text, lab.span)
@@ -467,7 +551,7 @@ class _Parser:
         self.expect("{")
         mats = {}
         mdim = None
-        while self.peek().kind == "ident":
+        while self.tok.kind == "ident":
             lab = self.expect_ident()
             if lab.text not in alg._index:
                 raise UnknownNameError("unknown basis label %r" % lab.text, lab.span)
@@ -521,10 +605,10 @@ class _Parser:
                 raise DslSyntaxError("expected %r" % key, kw.span)
             self.expect(":")
             vecs = []
-            if self.peek().text != ";":
+            if self.tok.text != ";":
                 while True:
                     vecs.append({k: exact(v) for k, v in self._combo(alg._index).items()})
-                    if self.peek().text == ",":
+                    if self.tok.text == ",":
                         self.next()
                         continue
                     break
@@ -541,10 +625,10 @@ class _Parser:
     def _call_args(self):
         self.expect("(")
         args = []
-        if self.peek().text != ")":
+        if self.tok.text != ")":
             while True:
                 t = self.next()
-                if t.text == "-" and self.peek().kind == "number":
+                if t.text == "-" and self.tok.kind == "number":
                     num = self.next()
                     args.append(("number", -self._number(num), t.span))
                 elif t.kind == "number":
@@ -555,7 +639,7 @@ class _Parser:
                     args.append(("sign", 1 if t.text == "+" else -1, t.span))
                 else:
                     raise DslSyntaxError("bad argument %r" % t.text, t.span)
-                if self.peek().text == ",":
+                if self.tok.text == ",":
                     self.next()
                     continue
                 break
@@ -602,8 +686,13 @@ class _Parser:
 
 
 def parse(text):
-    """Parse DSL text into a workspace, executing constructions eagerly."""
-    return _Parser(text).parse()
+    """Parse DSL text into a workspace, executing constructions eagerly; the
+    first lexical error of the text wins over any other error."""
+    try:
+        return _Parser(text).parse()
+    except DslError:
+        _tokenize(text)  # raises the first lexical error, if there is one
+        raise
 
 
 # --------------------------------------------------------------------------

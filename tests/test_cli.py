@@ -243,6 +243,21 @@ def test_check_does_not_load_the_catalog():
     assert proc.stdout.startswith("PASS ")
 
 
+def test_importing_the_cli_does_not_load_hashlib():
+    """Only a ``--json`` report hashes the input; ``-S`` keeps ``site`` from
+    loading the module first."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lieforge.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, lieforge.cli; assert 'hashlib' not in sys.modules, 'hashlib loaded'"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_check_byte_offset_after_a_byte_order_mark_counts_the_mark(tmp_path, capsys):
     path = tmp_path / "bad.lie"
     path.write_bytes(codecs.BOM_UTF8 + b"algebra g { basis x ; }\n# caf\xe9\n")
@@ -464,6 +479,27 @@ def _assert_report_matches_golden(capsys, fixture, golden, status):
     )
     with open(golden, encoding="utf-8") as fh:
         assert json.dumps(report, indent=2) + "\n" == fh.read()
+
+
+def test_bracket_layout_report_matches_its_canonical_re_emission(tmp_path, capsys):
+    """The fixture's statements in the layouts the statement patterns leave
+    to the token reader give the report of its canonical re-emission, which
+    the patterns read, apart from ``elapsed_ms`` and the input's digest."""
+    fixture = os.path.join(FIXTURES, "bracket_layout.lie")
+    with open(fixture, encoding="utf-8") as fh:
+        canonical = tmp_path / "canonical.lie"
+        canonical.write_text(dsl.workspace_to_dsl(dsl.parse(fh.read())), encoding="utf-8")
+    outcomes = []
+    for path in (fixture, str(canonical)):
+        rc = main(["check", "--json", "-", path])
+        report = json.loads(
+            capsys.readouterr().out,
+            object_hook=lambda d: {k: 0 if k == "elapsed_ms" else v for k, v in d.items()},
+        )
+        del report["input_hash"]
+        outcomes.append((rc, report))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 2 and len(outcomes[0][1]["certificates"]) == 5
 
 
 def test_every_check_report_matches_golden(capsys):

@@ -2,15 +2,16 @@ import io
 import itertools
 import os
 import random
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lieforge import catalog
+from lieforge import catalog, dsl
 from lieforge.cli import main
 from lieforge.lie_core import MAX_WITNESSES, AlmostComplex, Certificate, LinearMap
 from lieforge.scalar_linear import Q
@@ -736,6 +737,113 @@ def test_over_long_literal_is_a_dsl_error_with_span(numerator, denominator):
     digits = max(len(numerator), len(denominator))
     assert str(exc.value) == "literal of %d digits is too long (line 2, column 12)" % digits
     assert exc.value.span == SourceSpan(2, 12, len(literal))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("algebra g { basis x y ; [x, x] = y ; } @",
+         "unexpected character '@' (line 1, column 40)"),
+        ("algebra g { basis x y ; [x, q] = y ; }\n# ok\ncheck jacobi(g) 1/ ",
+         "malformed rational literal (line 3, column 17)"),
+        ("algebra g { basis x y ; [x, y] = y ; [y, x] = y ; } \u00b2",
+         "unexpected character '\u00b2' (line 1, column 53)"),
+    ],
+    ids=["self_bracket", "unknown_label", "duplicate_bracket"],
+)
+def test_a_lexical_error_anywhere_beats_an_earlier_parse_error(text, message):
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# statement patterns: a body reads as the token reader alone reads it
+
+_TIGHT = (" ", " ", "", "\t", " \r")  # within a line
+_SEPS = _TIGHT + ("\n", "  # c\n")
+_COEFFS = ("", "", "", "2", "1/2", "0", "0/1", "\u0663")
+# what replaces one token of a faulty body
+_FAULTS = ("q", "x", "+", "", "3/0", "0/1", "- 0", "2 3",
+           "@", "\u00b2", "\u0663")
+
+
+@st.composite
+def _body_texts(draw):
+    """Bracket, image and product bodies, in random order and layouts, with
+    signs, rationals and zeros.  Half the bodies keep each statement on
+    one line.  One body in three is faulty: it may repeat a left-hand side
+    or have an extra one, and one of its tokens is replaced by an unknown
+    label, a sign, a malformed literal or a character the tokenizer
+    refuses."""
+
+    def body(head, labels):
+        faulty = not draw(st.sampled_from(range(3)))
+        seps = _TIGHT if draw(st.booleans()) else _SEPS
+        statements = []
+        for lhs in head(faulty):
+            terms = draw(st.integers(0, 3))
+            combo = ["0"] if not terms else [t for k in range(terms) for t in (
+                draw(st.sampled_from(("+", "-") if k else ("", "-"))),
+                draw(st.sampled_from(_COEFFS)),
+                draw(st.sampled_from(labels)))]
+            statements.append(lhs + combo + [";"])
+        if faulty and statements:
+            toks = draw(st.sampled_from(statements))
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(_FAULTS))
+        return "".join(draw(st.sampled_from(_SEPS)) + toks[0] + "".join(
+            draw(st.sampled_from(seps)) + t for t in toks[1:]) for toks in statements)
+
+    def images(faulty):
+        extra = draw(st.sampled_from(((), ("x",), ("q",)))) if faulty else ()
+        return [[lab, "->"] for lab in draw(st.permutations("xyz")) + list(extra)]
+
+    def pairs(labels, faulty, ordered):
+        every = [(a, b) for a in labels for b in labels if faulty or ordered or a < b]
+        return draw(st.lists(st.sampled_from(every), max_size=4, unique=not faulty))
+
+    bodies = draw(st.permutations([
+        "endo E on g {%s }" % body(images, "xyz"),
+        "map F from g to h {%s }" % body(images, "pr"),
+        "assoc A { basis e u ;%s }" % body(lambda faulty: [
+            [a, "*", b, "="] for a, b in pairs("eu", faulty, True)], "eu"),
+        "algebra k { basis x y z ;%s }" % body(lambda faulty: [
+            ["[", a, ",", b, "]", "="] for a, b in pairs("xyz", faulty, False)], "xyz"),
+    ]))
+    return "\n".join(["algebra g { basis x y z ; [x, y] = z ; }",
+                      "algebra h { basis p r ; }"] + bodies + ["check jacobi(k)"])
+
+
+def _outcome(text):
+    """The re-emission and the stored values of a parse, or its error."""
+    try:
+        ws = parse(text)
+    except DslError as exc:
+        return type(exc), str(exc), exc.span
+    values = [p.table if kind in ("algebra", "assoc") else p[-1].sparse_columns()
+              for kind, p in ws.definitions.values()]
+    return workspace_to_dsl(ws), repr(values)
+
+
+@given(_body_texts())
+@example("algebra k { basis x y ;\n  [x, y] = y ;\n  [y, x] = x ;\n}")
+@example("algebra k { basis x y ;\n  [x, y] = y ;\n\n  [x, x] = y ;\n}")
+@example("algebra k { basis x y z ;\n  [x, y] = z ;\n\n  [x, z] = 0 ; [y, q] = x ;\n}")
+@example("algebra k { basis x y ;\n  [x, y] = 1/2 y ;\n  [y, x] = 3/0 x ;\n}")
+@example("algebra k { basis x y ;\n  [x, y] = y ;\n  [y, x] = %s x ;\n}" % ("9" * 5000))
+@example("algebra k { basis x y z ;\n [x, y] = z ; # c\n [x,\n z] = 0 ;\n\t[y, z] = - x ;\n}")
+@example("assoc A { basis e u ;\n  e * e = e ;\n  e * e = u ;\n}")
+@example("algebra k { basis x y ;\n  [x, y] =%s@ ;\n}" % (" " * 20000))  # linear, not quadratic
+@example("algebra g { basis x y ; }\nendo E on g {\n  x -> y ;\n  x -> - y ;\n  y -> x ;\n}")
+@settings(max_examples=200, deadline=None)
+def test_statement_patterns_read_every_body_as_the_token_reader_does(text):
+    """Workspace, value types and every error, class, message and span,
+    are those of a parse whose statement patterns never match."""
+    expected = _outcome(text)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_BRACKET", "_PRODUCT", "_IMAGE"):
+            mp.setattr(dsl, name, re.compile(r"(?!)"))
+        assert _outcome(text) == expected
 
 
 # ---------------------------------------------------------------------------
