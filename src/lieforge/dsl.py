@@ -6,10 +6,11 @@ declaring both orders of a bracket is an error rather than a consistency
 check, so each constant has one canonical source.
 
 The parser pulls tokens from the text as it goes.  It reads whole
-``[a, b] = combo ;``, ``a * b = combo ;`` and ``a -> combo ;`` lines of a
-body with one anchored pattern each, and goes back to the tokens at a line
-the pattern misses or that reading would reject, so every error and its
-span comes from the tokens.  A lexical error anywhere wins over any other.
+``[a, b] = combo ;`` lines of an algebra and ``a -> combo ;`` lines of an
+endo or map with one anchored pattern each, and goes back to the tokens at
+a line the pattern misses or that reading would reject, so every error and
+its span comes from the tokens.  A lexical error anywhere in the text is
+raised before any statement is read.
 
 Grammar sketch::
 
@@ -185,6 +186,14 @@ def _tokens(text, pos=0, line=1, bol=0):
         yield make(_Token, (kind, tok, line, col, len(tok), start))
 
 
+# Text in which ``_tokens`` finds no lexical error and every name starts with
+# an ASCII letter or ``_``: each alternative reads a token or a run of blanks
+# and punctuation, a ``>`` only ending ``->`` or ``=>``, a ``/`` only in a number.
+_CLEAN = re.compile(
+    r"(?:[A-Za-z_][\w']*+|[ \t\r\n,;\[\](){}:*+=\-]++|\d++(?:/\d++)?+|(?<=[-=])>|\#[^\n]*+)*+"
+)
+
+
 def _tokenize(text):
     """The tokens of ``text``, ending in one ``end`` token."""
     return list(_tokens(text))
@@ -210,7 +219,6 @@ def _statement(head):
 
 
 _BRACKET = _statement(r"\[ a , b \] =")
-_PRODUCT = _statement(r"a \* b =")
 _IMAGE = _statement("a ->")
 
 
@@ -218,19 +226,20 @@ def _terms(combo, index):
     """The sparse dict that ``_Parser._combo`` reads from the text of a
     matched combo, or None where it would raise."""
     out = {}
-    for sign, num, lab in _TERM.findall(combo):
-        k = index.get(lab)
-        if k is None:
-            return None
-        coeff = -1 if sign == "-" else 1
-        if num:
-            p, _, q = num.partition("/")
-            try:  # more digits than ``int`` reads, or a zero denominator
-                coeff *= Fraction(int(p), int(q or 1))
-            except (ValueError, ZeroDivisionError):
-                return None
-        _add(out, k, coeff)
+    try:
+        for sign, num, lab in _TERM.findall(combo):
+            coeff = _fraction(num) if num else 1
+            _add(out, index[lab], -coeff if sign == "-" else coeff)
+    except (KeyError, ValueError, ZeroDivisionError):  # where ``_combo`` raises
+        return None
     return out
+
+
+def _fraction(literal):
+    """The value of a number literal.  ``ValueError``: a part has more digits
+    than ``int`` reads; ``ZeroDivisionError``: a zero denominator."""
+    p, _, q = literal.partition("/")
+    return Fraction(int(p), int(q or 1))
 
 
 def _add(out, k, coeff):
@@ -342,17 +351,13 @@ class _Parser:
         return index
 
     def _number(self, tok):
-        p, _, q = tok.text.partition("/")
         try:
-            den = int(q or 1)
-            num = int(p)
+            return _fraction(tok.text)
         except ValueError:  # more digits than the interpreter's int-string limit
-            raise DslSyntaxError(
-                "literal of %d digits is too long" % max(len(p), len(q)), tok.span
-            ) from None
-        if not den:
-            raise DslSyntaxError("zero denominator in literal %r" % tok.text, tok.span)
-        return Fraction(num, den)
+            n = max(map(len, tok.text.split("/")))
+            raise DslSyntaxError("literal of %d digits is too long" % n, tok.span) from None
+        except ZeroDivisionError:
+            raise DslSyntaxError("zero denominator in literal %r" % tok.text, tok.span) from None
 
     def _combo(self, index):
         """Linear combination over the labels of ``index``, as a sparse dict."""
@@ -417,18 +422,18 @@ class _Parser:
         name = self.expect_ident()
         index = self._basis()
         table = {}
-        declared = set()
+        declared = set()  # both orders of every declared pair
 
         def put(i, j, combo):
+            declared.update(((i, j), (j, i)))
             if i > j:
                 i, j, combo = j, i, {k: -v for k, v in combo.items()}
-            declared.add((i, j))
             if combo:
                 table[(i, j)] = combo
 
         def bracket(m):
             i, j, combo = index.get(m["a"]), index.get(m["b"]), _terms(m["combo"], index)
-            if None in (i, j, combo) or i == j or ((i, j) if i < j else (j, i)) in declared:
+            if None in (i, j, combo) or i == j or (i, j) in declared:
                 return False
             put(i, j, combo)
             return True
@@ -446,7 +451,7 @@ class _Parser:
             i, j = index[a.text], index[b.text]
             if i == j:
                 raise ShapeError("bracket of a label with itself", open_tok.span)
-            if (min(i, j), max(i, j)) in declared:
+            if (i, j) in declared:
                 raise ShapeError(
                     "bracket [%s, %s] declared twice" % (a.text, b.text), open_tok.span
                 )
@@ -464,16 +469,7 @@ class _Parser:
         name = self.expect_ident()
         index = self._basis()
         table = {}
-
-        def product(m):
-            pair, combo = (index.get(m["a"]), index.get(m["b"])), _terms(m["combo"], index)
-            if None in pair or pair in table or combo is None:
-                return False
-            if combo:
-                table[pair] = combo
-            return True
-
-        while self._fast(_PRODUCT, product).kind == "ident":
+        while self.tok.kind == "ident":
             a = self.expect_ident()
             self.expect("*")
             b = self.expect_ident()
@@ -687,12 +683,10 @@ class _Parser:
 
 def parse(text):
     """Parse DSL text into a workspace, executing constructions eagerly; the
-    first lexical error of the text wins over any other error."""
-    try:
-        return _Parser(text).parse()
-    except DslError:
+    first lexical error of the text is raised before anything is read."""
+    if not _CLEAN.fullmatch(text):
         _tokenize(text)  # raises the first lexical error, if there is one
-        raise
+    return _Parser(text).parse()
 
 
 # --------------------------------------------------------------------------

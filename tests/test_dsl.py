@@ -757,6 +757,43 @@ def test_a_lexical_error_anywhere_beats_an_earlier_parse_error(text, message):
     assert str(exc.value) == message
 
 
+def test_a_lexical_error_is_raised_before_any_construct_runs(monkeypatch):
+    calls = []
+
+    def central_ext(name, g):
+        calls.append(name)
+        return [("", "algebra", g)]
+
+    monkeypatch.setitem(dsl._CONSTRUCTS, "central_ext", ("algebra", central_ext))
+    text = "algebra g { basis x y ; [x, y] = y ; }\nconstruct h = central_ext(g)\n"
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(text + "@")
+    assert str(exc.value) == "unexpected character '@' (line 3, column 1)"
+    assert calls == []
+    parse(text)
+    assert calls == ["h"]
+
+
+@given(st.text(alphabet=_ALPHABET + ">@", max_size=40))
+@example("x->y =>z")
+@example("x - > y")
+@example("=>>")
+@example("1/2 x' 2_x")
+@example("2' x")
+@example("x1/2")
+@example("1/2/3")
+@example("1/ x")
+@settings(max_examples=400, deadline=None)
+def test_clean_pattern_matches_the_texts_that_tokenize_with_ascii_names(text):
+    """``parse`` skips the lexical scan only for a text that tokenizes
+    without error; a name that starts past ASCII also sends it to the scan."""
+    try:
+        ascii_names = all(t.text[0].isascii() for t in _tokenize(text) if t.kind == "ident")
+    except DslSyntaxError:
+        ascii_names = False
+    assert bool(dsl._CLEAN.fullmatch(text)) == ascii_names
+
+
 # ---------------------------------------------------------------------------
 # statement patterns: a body reads as the token reader alone reads it
 
@@ -841,7 +878,7 @@ def test_statement_patterns_read_every_body_as_the_token_reader_does(text):
     are those of a parse whose statement patterns never match."""
     expected = _outcome(text)
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_BRACKET", "_PRODUCT", "_IMAGE"):
+        for name in ("_BRACKET", "_IMAGE"):
             mp.setattr(dsl, name, re.compile(r"(?!)"))
         assert _outcome(text) == expected
 
