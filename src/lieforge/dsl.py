@@ -7,10 +7,11 @@ check, so each constant has one canonical source.
 
 The parser pulls tokens from the text as it goes.  It reads whole
 ``[a, b] = combo ;`` lines of an algebra and ``a -> combo ;`` lines of an
-endo or map with one anchored pattern each, and goes back to the tokens at
-a line the pattern misses or that reading would reject, so every error and
-its span comes from the tokens.  A lexical error anywhere in the text is
-raised before any statement is read.
+endo or map with one anchored pattern each, which also skips the blank and
+comment lines and any trailing comment between them.  It goes back to the
+tokens at a line the pattern misses or that reading would reject, so every
+error and its span comes from the tokens.  A lexical error anywhere in the
+text is raised before any statement is read.
 
 Grammar sketch::
 
@@ -203,9 +204,11 @@ def _unexpected(ch, line, column):
     return DslSyntaxError("unexpected character %r" % ch, SourceSpan(line, column, 1))
 
 
-# Statement patterns: blanks and line breaks, then one whole statement on
-# one line in the tokenizer's syntax.  No two blank runs meet, so a match
-# that fails takes time linear in the blanks.
+# Statement patterns: lines of blanks and comments (the first may follow
+# the statement before), then blanks and one whole statement on one line in
+# the tokenizer's syntax.  Those lines are read possessively, and only the
+# statement's own leading blanks are read twice, so a match that fails takes
+# time linear in the text it reads.
 _B = r"[ \t\r]*"
 _T = r"(?:(\d+(?:/\d+)?)%s)?(%s)" % (_B, _NAME)  # one term: number, label
 _TERM = re.compile(r"%s(?:([+-])%s)?%s" % (_B, _B, _T))
@@ -215,7 +218,7 @@ def _statement(head):
     """The pattern of ``head combo ;``, where ``a`` and ``b`` in ``head`` are labels."""
     parts = ["(?P<%s>%s)" % (p, _NAME) if p in ("a", "b") else p for p in head.split()]
     parts.append(r"(?P<combo>0|(?:-%s)?%s(?:%s[+-]%s%s)*)" % (_B, _T, _B, _B, _T))
-    return re.compile(r"(?:[ \t\r\n]*\n)?" + _B + _B.join(parts + [";"]))
+    return re.compile(r"(?:[ \t\r]*+(?:\#[^\n]*+)?+\n)*+" + _B + _B.join(parts + [";"]))
 
 
 _BRACKET = _statement(r"\[ a , b \] =")
@@ -469,6 +472,7 @@ class _Parser:
         name = self.expect_ident()
         index = self._basis()
         table = {}
+        declared = set()
         while self.tok.kind == "ident":
             a = self.expect_ident()
             self.expect("*")
@@ -478,8 +482,9 @@ class _Parser:
                 if t.text not in index:
                     raise UnknownNameError("unknown basis label %r" % t.text, t.span)
             pair = (index[a.text], index[b.text])
-            if pair in table:
+            if pair in declared:
                 raise ShapeError("product declared twice", a.span)
+            declared.add(pair)
             combo = self._combo(index)
             self.expect(";")
             if combo:

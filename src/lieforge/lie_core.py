@@ -520,12 +520,22 @@ def _signed_rows(n, pairs):
 
 
 def _supports(n, vectors):
-    """Index q -> [(b, y)] such that vectors[b] has coefficient y at q."""
+    """Index q -> [(b, y)], by descending b, with y the entry of vectors[b] at q."""
     index = [[] for _ in range(n)]
-    for b, vec in enumerate(vectors):
-        for q, y in vec.items():
+    for b in reversed(range(len(vectors))):
+        for q, y in vectors[b].items():
             index[q].append((b, y))
     return index
+
+
+def _rows(sums, n):
+    """The nonzero entries of sums, keyed r*n + k, as (r, {k: value}) by ascending r."""
+    rows = {}
+    for key, x in sums.items():
+        if x:
+            r, k = divmod(key, n)
+            rows.setdefault(r, {})[k] = x
+    return sorted(rows.items())
 
 
 def _cyclic_sums(L, act):
@@ -584,13 +594,8 @@ def _cyclic_sums(L, act):
                     for t, x in v.items():
                         key = base + t
                         sums[key] = get(key, _ZERO) + f * x
-        triples = {}
-        for key, x in sums.items():
-            if x:
-                jk, t = divmod(key, n)
-                triples.setdefault(jk, {})[t] = x
-        for jk in sorted(triples):
-            yield (i,) + divmod(jk, n), triples[jk]
+        for jk, out in _rows(sums, n):
+            yield (i,) + divmod(jk, n), out
 
 
 def check_jacobi(L, target=None):
@@ -627,34 +632,40 @@ def _torsions(L, J, vectors, images):
     N(u, v) = J([u, v] - [Ju, Jv]) - [Ju, v] - [u, Jv] is bilinear, so a
     term contributes only through a table entry [b_p, b_q] with p in the
     support of u_a or Ju_a and q in the support of u_b or Ju_b; only such
-    pairs are visited.  ``images[a]`` is J u_a.  Torsions stream by the
-    first index a: one row of them is live at a time.
+    pairs are visited.  ``images[a]`` is J u_a.  The supports run by
+    descending b, so each inner loop stops at the first b <= a.  Rows
+    stream by a in two flat dicts keyed b*n + k; the part under J goes
+    through J's columns into the other, regrouped by b where nonzero.
     """
     n = L.dim
     jcols = J.sparse_columns()
     ad = L._ad_rows()
     vin, jin = _supports(n, vectors), _supports(n, images)
     for a, (u, ju) in enumerate(zip(vectors, images)):
-        pre = defaultdict(dict)  # b -> [u_a, u_b] - [Ju_a, Ju_b]
-        post = defaultdict(dict)  # b -> -[Ju_a, u_b] - [u_a, Ju_b]
+        pre = {}  # b*n + k -> ([u_a, u_b] - [Ju_a, Ju_b])[k]
+        post = {}  # b*n + k -> (-[Ju_a, u_b] - [u_a, Ju_b])[k]
         for w, index, sums, sign in (
-            (u, vin, pre, 1),
-            (u, jin, post, -1),
-            (ju, vin, post, -1),
-            (ju, jin, pre, -1),
+            (u, vin, pre, 1), (u, jin, post, -1),
+            (ju, vin, post, -1), (ju, jin, pre, -1),
         ):
+            get = sums.get
             for p, x in w.items():
                 for q, c, s in ad[p]:
                     f = sign * s * x
                     for b, y in index[q]:
-                        if b > a:
-                            _acc(sums[b], c, f * y)
-        for b in sorted(pre.keys() | post.keys()):
-            out = post[b]
-            for k, v in pre[b].items():
-                _acc(out, jcols[k], v)
-            if out:
-                yield (a, b), out
+                        if b <= a:
+                            break
+                        for k, v in c.items():
+                            key = b * n + k
+                            sums[key] = get(key, _ZERO) + f * y * v
+        get = post.get
+        for bk, v in pre.items():
+            if v:
+                base = bk - bk % n
+                for t, x in jcols[bk % n].items():
+                    post[base + t] = get(base + t, _ZERO) + v * x
+        for b, out in _rows(post, n):
+            yield (a, b), out
 
 
 def _bracket_pairs(L, vectors):
@@ -781,7 +792,8 @@ def check_complex_lie(L, J, target=None):
 
     Row i holds ad(b_i) J b_j - J ad(b_i) b_j for the j it can be nonzero
     at: those with a table entry [b_i, b_q] and q in the support of J b_j,
-    and those with a table entry [b_i, b_j].
+    and those with a table entry [b_i, b_j].  Rows stream by i, one at a
+    time in a flat dict keyed j*n + k, regrouped by j for its nonzero entries.
     """
     sweep = _Sweep("complex_lie", target or L.name, L.dim)
     _require_almost_complex(L, J)
@@ -790,16 +802,19 @@ def check_complex_lie(L, J, target=None):
     ad = L._ad_rows()
     jin = _supports(n, jcols)
     for i in range(n):
-        rows = defaultdict(dict)
+        sums = {}
+        get = sums.get
         for q, c, s in ad[i]:
             for j, y in jin[q]:
-                _acc(rows[j], c, s * y)
-            out = rows[q]
+                for k, v in c.items():
+                    key = j * n + k
+                    sums[key] = get(key, _ZERO) + s * y * v
             for k, v in c.items():
-                _acc(out, jcols[k], -s * v)
-        for j in sorted(rows):
-            if rows[j]:
-                sweep.fail((i, j), rows[j])
+                for t, x in jcols[k].items():
+                    key = q * n + t
+                    sums[key] = get(key, _ZERO) - s * v * x
+        for j, row in _rows(sums, n):
+            sweep.fail((i, j), row)
     return sweep.done()
 
 

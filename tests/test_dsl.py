@@ -68,6 +68,26 @@ def test_parse_rejects_both_orders():
         parse("algebra g { basis a b ; [a, b] = a ; [b, a] = - a ; }")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("algebra g { basis x y ; [x, y] = 0 ; [x, y] = y ; }",
+         "bracket [x, y] declared twice (line 1, column 38)"),
+        ("assoc A { basis e ; e * e = 0 ; e * e = e ; }",
+         "product declared twice (line 1, column 33)"),
+        ("assoc A { basis e ; e * e = e ; e * e = 0 ; }",
+         "product declared twice (line 1, column 33)"),
+    ],
+    ids=["bracket_zero_first", "product_zero_first", "product_zero_second"],
+)
+def test_a_pair_declared_twice_is_refused_whatever_its_first_value(text, message):
+    """A zero first value stores no entry, yet declares the pair; the
+    second declaration is refused at its start."""
+    with pytest.raises(ShapeError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_non_jacobi_table():
     with pytest.raises(ShapeError):
         parse("algebra g { basis a b c ; [a, b] = c ; [a, c] = b ; [b, c] = b ; }")
@@ -870,6 +890,9 @@ def _outcome(text):
 @example("algebra k { basis x y ;\n  [x, y] = y ;\n  [y, x] = %s x ;\n}" % ("9" * 5000))
 @example("algebra k { basis x y z ;\n [x, y] = z ; # c\n [x,\n z] = 0 ;\n\t[y, z] = - x ;\n}")
 @example("assoc A { basis e u ;\n  e * e = e ;\n  e * e = u ;\n}")
+@example("assoc A { basis e u ;\n  e * e = 0 ;\n  e * e = u ;\n}")
+@example("algebra k { basis x y z ; # c\n  # c\n\n  [x, y] = z ;  # c\n\t# c\n  [x, z] = 0 ; # c\n  [x, y] = x ;\n}")
+@example("algebra k { basis x y ;\n  [x, y] = y ;%s\n  [y, x] = 2 ;\n}" % ("  # c\n \n" * 5000))
 @example("algebra k { basis x y ;\n  [x, y] =%s@ ;\n}" % (" " * 20000))  # linear, not quadratic
 @example("algebra g { basis x y ; }\nendo E on g {\n  x -> y ;\n  x -> - y ;\n  y -> x ;\n}")
 @settings(max_examples=200, deadline=None)
@@ -881,6 +904,21 @@ def test_statement_patterns_read_every_body_as_the_token_reader_does(text):
         for name in ("_BRACKET", "_IMAGE"):
             mp.setattr(dsl, name, re.compile(r"(?!)"))
         assert _outcome(text) == expected
+
+
+def test_statement_patterns_read_through_comments(monkeypatch):
+    """Comment lines and trailing comments between statements keep them on
+    the statement patterns: each body goes back to the token reader once."""
+    starts = []
+    tokens = dsl._tokens
+    monkeypatch.setattr(dsl, "_tokens", lambda *a: starts.append(a[1:]) or tokens(*a))
+    ws = parse(
+        "algebra g { basis x y z ;  # c\n  [x, y] = z ;  # c\n  # c\n\n"
+        "  [x, z] = - y ; # c\n\t[y, z] = x ;\n}\n"
+        "endo J on g {\n  x -> y ; # c\n  # c\n  y -> - x ;  # c\n  z -> z ;\n}\n"
+    )
+    assert len(ws.definitions["g"][1].table) == 3
+    assert len(starts) == 3  # the text, then after each body's last statement
 
 
 # ---------------------------------------------------------------------------

@@ -1113,6 +1113,55 @@ def test_integrable_orbit_sweep_matches_oracle_on_gaussian_tables(data):
     _matches_oracle(check_integrable(L, LinearMap(jmat)), fails)
 
 
+def _conjugated_structure(data, n):
+    """A signed pairing conjugated by an invertible rational matrix into a
+    structure that is no signed pairing, with rational or Gaussian entries."""
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    flat = data.draw(st.lists(small_rationals, min_size=n * n, max_size=n * n))
+    jmat = _conjugate(_pairing_matrix(perm, signs), [flat[i * n : (i + 1) * n] for i in range(n)])
+    assume(jmat is not None and not _is_signed_pairing(jmat))
+    if data.draw(st.booleans()):
+        jmat = [[GaussScalar(v) for v in row] for row in jmat]
+    return jmat
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_integrable_full_sweep_matches_oracle_on_gaussian_tables(data):
+    """A Gaussian table and a structure that is no signed pairing, so every
+    basis pair is swept: same values and same text as the oracle."""
+    L = _gaussian(data, _table(data, even=True))
+    jmat = _conjugated_structure(data, L.dim)
+    fails = naive_integrable_sweep(L, jmat, _units(L.dim))
+    _matches_oracle(check_integrable(L, LinearMap(jmat)), fails)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_integrable_half_basis_sweep_matches_oracle_on_gaussian_tables(data):
+    """A Gaussian table and a random rational half basis that spans with its
+    image: same values and same text as the oracle."""
+    L = _gaussian(data, _table(data, even=True))
+    n = L.dim
+    jmat = _structure(data, n)
+    flat = data.draw(st.lists(small_rationals, min_size=n * n // 2, max_size=n * n // 2))
+    split = [flat[a * n : (a + 1) * n] for a in range(n // 2)]
+    assume(naive_rank(split + [naive_matvec(jmat, v) for v in split]) == n)
+    cert = check_integrable(L, LinearMap(jmat), split=split)
+    _matches_oracle(cert, naive_integrable_sweep(L, jmat, split))
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_complex_lie_matches_oracle_on_gaussian_tables(data):
+    """A Gaussian table and a signed pairing or a conjugated structure: same
+    values and same text as the oracle."""
+    L = _gaussian(data, _table(data, even=True))
+    jmat = _structure(data, L.dim)
+    _matches_oracle(check_complex_lie(L, LinearMap(jmat)), naive_complex_lie_sweep(L, jmat))
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_integrable_derives_from_representatives_exactly_for_signed_pairings(data):
