@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalar_linear import PreconditionError
-from .lie_core import AlmostComplex, Connection, LieAlgebra, LinearMap
+from .lie_core import AlmostComplex, Connection, LieAlgebra, LinearMap, _columns_map
 from .constructions import central_extension, from_matrix_basis, semidirect
 from .structures import Decomposition
 
@@ -50,7 +50,7 @@ class CatalogEntry:
 def _unit(n, r, c):
     cols = [{} for _ in range(n)]
     cols[c][r] = _ONE
-    return LinearMap.from_sparse_columns(n, n, cols)
+    return _columns_map(n, n, cols)
 
 
 def _generator(n, r, c, sign):
@@ -58,7 +58,7 @@ def _generator(n, r, c, sign):
     cols = [{} for _ in range(n)]
     cols[c][r] = _ONE
     cols[r][c] = sign
-    return LinearMap.from_sparse_columns(n, n, cols)
+    return _columns_map(n, n, cols)
 
 
 def _flabel(prefix, i, j):

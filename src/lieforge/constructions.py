@@ -133,9 +133,7 @@ def semidirect(g, rho, module_labels=None, name=None, check_rep=True):
         fixed.append(lab)
     module_labels = fixed
     n = g.dim
-    table = {}
-    for (i, j), coeffs in g.table.items():
-        table[(i, j)] = dict(coeffs)
+    table = dict(g.table)
     for i in range(n):
         cols = rho.maps[i].sparse_columns()
         for a in range(m):
@@ -185,9 +183,8 @@ def central_extension(g, label="z", name=None):
     """Trivial central extension; the new central generator is appended last."""
     if label in g.labels:
         raise PreconditionError("label %r already used in the algebra" % label)
-    table = {pair: dict(coeffs) for pair, coeffs in g.table.items()}
     labels = list(g.labels) + [label]
-    return LieAlgebra._normalized(labels, table, name=name or ("Rz+%s" % g.name))
+    return LieAlgebra._normalized(labels, dict(g.table), name=name or ("Rz+%s" % g.name))
 
 
 def holomorphic_eigenbasis(L, J):
@@ -243,6 +240,9 @@ def from_matrix_basis(mats, labels=None, name="matrix_algebra"):
     returned alongside the algebra as the list of ``LinearMap``s, ready to
     serve as its standard representation.  Commutators of matrices satisfy
     the Jacobi identity identically, so the construction sweep is skipped.
+    Each distinct commutator is reduced once: the combination over
+    independent inputs is unique, and pairs with equal commutators share
+    its dict in the table.
     """
     mats = [m if isinstance(m, LinearMap) else LinearMap(m) for m in mats]
     if not mats:
@@ -277,6 +277,7 @@ def from_matrix_basis(mats, labels=None, name="matrix_algebra"):
             by_row[r].append((j, c, y))
             by_col[c].append((j, r * n, y))
     table = {}
+    solved = {}  # commutator entries -> combination, shared by equal commutators
     for i, ent in enumerate(entries):
         # a_i's own entries lead its rows and columns; once they are
         # dropped the indexes hold only the matrices j > i
@@ -302,12 +303,15 @@ def from_matrix_basis(mats, labels=None, name="matrix_algebra"):
             comm = row[j]
             if not comm:
                 continue
-            combo = solver.solve(comm)
+            key = frozenset(comm.items())
+            combo = solved.get(key)
             if combo is None:
-                raise NotClosedError(
-                    "commutator of basis matrices %d and %d leaves the span" % (i, j),
-                    pair=(i, j),
-                )
+                combo = solved[key] = solver.solve(comm)
+                if combo is None:
+                    raise NotClosedError(
+                        "commutator of basis matrices %d and %d leaves the span" % (i, j),
+                        pair=(i, j),
+                    )
             table[(i, j)] = combo
     return LieAlgebra._normalized(labels, table, name=name), mats
 

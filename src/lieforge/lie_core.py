@@ -13,6 +13,7 @@ import time
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter
 
 from .scalar_linear import (
@@ -120,7 +121,7 @@ class _Sweep:
 def _sparse(vec):
     if isinstance(vec, dict):
         return vec
-    return {i: e for i, e in enumerate(vec) if e}
+    return {i: vec[i] for i in compress(range(len(vec)), vec)}
 
 
 def _dense(vec, dim):
@@ -179,6 +180,8 @@ class LieAlgebra:
         Jacobi identity.  Only the labels are tested.  Only builders whose
         entries come from normalized tables, maps or solver combinations may
         call it; text, JSON and caller input go through the constructor.
+        The table's coefficient dicts may be shared, with another table or
+        between pairs, because nothing writes a table after construction.
         """
         alg = object.__new__(cls)
         alg._store(labels, table, name)

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -10,17 +11,27 @@ from lieforge.scalar_linear import (
     GaussScalar,
     PreconditionError,
     Q,
+    SpanSolver,
 )
 from lieforge.lie_core import (
     AlmostComplex,
+    BilinearForm,
     Connection,
     LieAlgebra,
     LinearMap,
     check_abelian_complex,
     check_closed,
+    check_complex_lie,
     check_integrable,
     check_jacobi,
+    check_metric,
+    check_parallel,
+    check_product_structure,
     check_representation,
+    check_symplectic,
+    check_torsion_free,
+    nijenhuis,
+    torsion,
 )
 from lieforge.constructions import (
     AssociativeAlgebra,
@@ -35,7 +46,18 @@ from lieforge.constructions import (
     tangent,
 )
 
-from lieforge.structures import clifford_tower, reconstruct_connection
+from lieforge.structures import (
+    canonical_complex_structure,
+    check_action_compatibility,
+    check_holomorphic,
+    check_pseudo_kahler,
+    check_self_dual,
+    check_torsion_integrability_equivalence,
+    clifford_tower,
+    hypercomplex_pair,
+    lifted_connection,
+    reconstruct_connection,
+)
 
 from oracles import (
     is_integer_first,
@@ -611,6 +633,169 @@ def test_from_matrix_basis_needs_one_label_per_matrix(labels):
     mats = [unit(2, 0, 0), unit(2, 0, 1)]
     with pytest.raises(DimensionMismatchError):
         from_matrix_basis(mats, labels=labels)
+
+
+def _typed(table):
+    """The table's items with every scalar's type: int and Fraction differ."""
+    return [(pair, [(k, type(v), v) for k, v in c.items()]) for pair, c in table.items()]
+
+
+def _reference_table(mats):
+    """from_matrix_basis's table with a fresh solve on every commutator."""
+    dense = [m.matrix.data for m in mats]
+    solver = SpanSolver(len(dense[0]) ** 2)
+    for m in dense:
+        assert solver.add({k: v for k, v in enumerate(_flat(m)) if v})
+    table = {}
+    for i in range(len(dense)):
+        for j in range(i + 1, len(dense)):
+            comm = {k: v for k, v in enumerate(_flat(naive_commutator(dense[i], dense[j]))) if v}
+            if comm:
+                table[(i, j)] = solver.solve(comm)
+    return table
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [("so", (n,)) for n in range(3, 13)]
+    + [("lorentz", (p,)) for p in range(2, 6)]
+    + [("gl", (n,)) for n in range(1, 5)]
+    + [("galilean", ()), ("sl2c_real", ())],
+)
+def test_from_matrix_basis_table_matches_a_solve_per_commutator(name, args):
+    """Reducing each distinct commutator once changes no pair, no key order
+    and no scalar type of the table."""
+    entry = getattr(catalog, name)(*args)
+    expect = _reference_table(entry.realization)
+    assert _typed(entry.algebra.table) == _typed(expect)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_from_matrix_basis_equal_commutators_give_the_normalized_combination(
+    reverse, monkeypatch
+):
+    """x_k = s_k E_0k and y_k = q_k E_k6 (k = 1..4) bracket to s_k q_k E_06,
+    which is s_k q_k (u - t) with t = E_05 and u = E_06 + E_05.  The
+    products 4/3 * 3/2 and 2 * 1 give 2 E_06 with Fraction and int entries,
+    1 * 1 and 1/2 * 2 give E_06: two distinct commutators, four pairs."""
+    scales = [(Q(4, 3), Q(3, 2)), (2, 1), (1, 1), (Q(1, 2), 2)]
+    if reverse:
+        scales.reverse()
+    mats = []
+    for k, (s, q) in enumerate(scales, start=1):
+        mats += [[[s * e for e in row] for row in unit(7, 0, k)],
+                 [[q * e for e in row] for row in unit(7, k, 6)]]
+    mats += [unit(7, 0, 5), madd(unit(7, 0, 6), unit(7, 0, 5))]
+    calls = []
+    solve = SpanSolver.solve
+    monkeypatch.setattr(SpanSolver, "solve", lambda self, vec: calls.append(vec) or solve(self, vec))
+    alg, real = from_matrix_basis(mats)
+    # only the first pair with each commutator is solved
+    assert len(calls) == 2
+    assert any(type(v) is Fraction for vec in calls for v in vec.values() if v == 2) == (not reverse)
+    monkeypatch.undo()
+    assert _typed(alg.table) == _typed(_reference_table(real))
+    t, u = 8, 9
+    expect = {(2 * k, 2 * k + 1): {t: -s * q, u: s * q} for k, (s, q) in enumerate(scales)}
+    assert alg.table == expect
+    _assert_normalized(alg)
+
+
+def _checks_on_euclidean(n):
+    entry = catalog.euclidean(n)
+    L, J = entry.algebra, entry.structures["j"]
+    split = [L.basis_vector(i) for i in entry.structures["split"]]
+    checks = [
+        lambda: check_jacobi(L),
+        lambda: check_integrable(L, J),
+        lambda: check_integrable(L, J, split=split),
+        lambda: check_complex_lie(L, J),
+        lambda: check_abelian_complex(L, J),
+        lambda: check_representation(L.adjoint_connection()),
+        lambda: check_torsion_free(L.adjoint_connection()),
+        lambda: check_product_structure(L, LinearMap.identity(L.dim)),
+        lambda: eigenspace_split(L, J),
+        lambda: nijenhuis(L, J, L.basis_vector(0), L.basis_vector(L.dim - 1)),
+        lambda: check_holomorphic(L, L, LinearMap.identity(L.dim), J, J),
+    ]
+    algebras = [L]
+    cd = entry.structures.get("compat")
+    if cd is not None:
+        algebras.append(cd.g)
+        checks += [
+            lambda: check_action_compatibility(cd.g, cd.rho, cd.j, cd.i, cd.split),
+            lambda: check_representation(cd.rho),
+            lambda: check_integrable(cd.g, cd.j),
+        ]
+    return algebras, checks
+
+
+def _checks_on_gl2_doubles(kind):
+    gl2 = catalog.gl(2)
+    g, conn = gl2.algebra, gl2.structures["left_mult"]
+    _, RI = catalog.right_mult_structure(1)
+    trace = BilinearForm(LinearMap([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+                         BilinearForm.SYMMETRIC)
+    checks = [
+        lambda: check_representation(conn),
+        lambda: check_torsion_free(conn),
+        lambda: torsion(conn, 1, 2),
+        lambda: check_parallel(conn, RI),
+        lambda: check_metric(conn, trace),
+        lambda: check_self_dual(conn, LinearMap.identity(4)),
+        lambda: check_closed(g, BilinearForm(LinearMap.zero(4), BilinearForm.SKEW)),
+    ]
+    if kind == "tangent":
+        D = tangent(g, conn)
+        K = canonical_complex_structure(D)
+        lifted = lifted_connection(conn, D)
+        checks += [
+            lambda: check_integrable(D, K),
+            lambda: check_complex_lie(D, K),
+            lambda: check_parallel(lifted, K),
+            lambda: check_torsion_integrability_equivalence(g, conn),
+            lambda: reconstruct_connection(D, K, range(4)),
+            lambda: hypercomplex_pair(g, conn, RI),
+            lambda: clifford_tower(g, conn, 2)[2].certify(),
+        ]
+    else:
+        D, omega = cotangent(g, conn)
+        K = canonical_complex_structure(D)
+        checks += [
+            lambda: check_closed(D, omega),
+            lambda: check_symplectic(D, omega),
+            lambda: check_integrable(D, K),
+            lambda: check_abelian_complex(D, K),
+        ]
+    return [D, g], checks
+
+
+def _checks_on_euclidean_plane():
+    so2 = catalog.so(2)
+    e2 = semidirect(so2.algebra, so2.structures["standard_rep"], check_rep=False)
+    B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
+    return [e2, so2.algebra], [lambda: check_pseudo_kahler(e2, B)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _checks_on_euclidean(5),
+        lambda: _checks_on_euclidean(6),
+        lambda: _checks_on_gl2_doubles("tangent"),
+        lambda: _checks_on_gl2_doubles("cotangent"),
+        _checks_on_euclidean_plane,
+    ],
+    ids=["euclidean_5", "euclidean_6", "tangent_gl2", "cotangent_gl2", "euclidean_plane"],
+)
+def test_no_check_writes_a_table(build):
+    """Builders share coefficient dicts between tables and between pairs;
+    that is sound only while nothing writes a table after construction."""
+    algebras, checks = build()
+    before = [copy.deepcopy(alg.table) for alg in algebras]
+    for check in checks:
+        check()
+    assert [_typed(alg.table) for alg in algebras] == [_typed(t) for t in before]
 
 
 def test_assoc_requires_associativity():
