@@ -37,17 +37,18 @@ from .constructions import (
     ContractionFamily,
     NotClosedError,
     aff_algebra,
+    canonical_complex_structure,
     central_extension,
     cotangent,
     eigenspace_split,
     from_matrix_basis,
+    lifted_connection,
     semidirect,
     tangent,
 )
 from .structures import (
     CliffordFamily,
     block_complex_structure,
-    canonical_complex_structure,
     check_action_compatibility,
     check_holomorphic,
     check_pseudo_kahler,
@@ -57,7 +58,6 @@ from .structures import (
     dual_structure,
     hypercomplex_pair,
     levi_civita,
-    lifted_connection,
     reconstruct_connection,
     symplectic_from_duality,
 )

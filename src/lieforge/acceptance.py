@@ -100,6 +100,18 @@ def zero_connection(alg):
     return Connection(alg, [LinearMap.zero(alg.dim) for _ in range(alg.dim)])
 
 
+def _holomorphic(dom, cod, iota, target=None):
+    """check_holomorphic of iota between two catalog entries' structures j."""
+    return check_holomorphic(
+        dom.algebra,
+        cod.algebra,
+        iota,
+        dom.structures["j"],
+        cod.structures["j"],
+        target=target or "%s -> %s" % (dom.name, cod.name),
+    )
+
+
 @_timed
 def criterion_1():
     t0 = time.perf_counter()
@@ -113,16 +125,7 @@ def criterion_1():
     sl = catalog.sl2c_real()
     certs.append(check_integrable(sl.algebra, sl.structures["j"], target="sl2c_real"))
     galE, iota = e3.inclusions["galilean"]
-    certs.append(
-        check_holomorphic(
-            e3.algebra,
-            galE.algebra,
-            iota,
-            e3.structures["j"],
-            galE.structures["j"],
-            target="e_3 -> galilean",
-        )
-    )
+    certs.append(_holomorphic(e3, galE, iota, target="e_3 -> galilean"))
     elapsed = time.perf_counter() - t0
     return _result(
         "1",
@@ -151,17 +154,7 @@ def criterion_2():
                     cd.g, cd.rho, cd.j, cd.i, cd.split, target="e_%d compat" % n
                 )
             )
-    for dom, cod, iota in catalog.inclusion_chain(1):
-        certs.append(
-            check_holomorphic(
-                dom.algebra,
-                cod.algebra,
-                iota,
-                dom.structures["j"],
-                cod.structures["j"],
-                target="%s -> %s" % (dom.name, cod.name),
-            )
-        )
+    certs += [_holomorphic(*triple) for triple in catalog.inclusion_chain(1)]
     return _result(
         "2",
         "Euclidean family n = 3..11: integrability, stored decompositions, "
@@ -178,17 +171,7 @@ def criterion_3():
     for k in (0, 1):
         p = catalog.poincare(k)
         certs.append(check_integrable(p.algebra, p.structures["j"], target=p.name))
-        dom, cod, iota = catalog.poincare_inclusion(k)
-        certs.append(
-            check_holomorphic(
-                dom.algebra,
-                cod.algebra,
-                iota,
-                dom.structures["j"],
-                cod.structures["j"],
-                target="%s -> %s" % (dom.name, cod.name),
-            )
-        )
+        certs.append(_holomorphic(*catalog.poincare_inclusion(k)))
     return _result(
         "3", "Poincare algebras: integrability and holomorphic embeddings", certs
     )
@@ -412,20 +395,14 @@ def criterion_11():
 
 
 def _agreement_suite():
-    suite = []
-    for n in range(3, 8):
-        e = catalog.euclidean(n)
-        suite.append((e.name, e.algebra, e.structures["j"], e.structures["split"]))
-    for k in (0, 1):
-        p = catalog.poincare(k)
-        suite.append((p.name, p.algebra, p.structures["j"], p.structures["split"]))
-    g = catalog.galilean()
-    suite.append((g.name, g.algebra, g.structures["j"], g.structures["split"]))
-    s = catalog.sl2c_real()
-    suite.append((s.name, s.algebra, s.structures["j"], s.structures["split"]))
-    entry, J = catalog.affine_complex_structure(1)
-    suite.append((entry.name, entry.algebra, J, entry.structures["split"]))
-    return suite
+    entries = [catalog.euclidean(n) for n in range(3, 8)] + [
+        catalog.poincare(0),
+        catalog.poincare(1),
+        catalog.galilean(),
+        catalog.sl2c_real(),
+        catalog.affine_complex_structure(1)[0],
+    ]
+    return [(e.name, e.algebra, e.structures["j"], e.structures["split"]) for e in entries]
 
 
 @_timed

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalar_linear import PreconditionError
-from .lie_core import AlmostComplex, Connection, LieAlgebra, LinearMap, _columns_map
+from .lie_core import AlmostComplex, Connection, LieAlgebra, LinearMap, _columns_map, _direct_sum
 from .constructions import central_extension, from_matrix_basis, semidirect
 from .structures import Decomposition
 
@@ -178,6 +178,8 @@ def affine(n):
 
 
 def abelian(n):
+    if n < 1:
+        raise PreconditionError("abelian(n) needs n >= 1")
     alg = LieAlgebra._normalized(["a%d" % (i + 1) for i in range(n)], {}, name="abelian_%d" % n)
     return CatalogEntry("abelian_%d" % n, alg)
 
@@ -458,13 +460,8 @@ def so3_on_c3():
     """Central extension of so(3) acting complex-linearly on a complex module."""
     so3 = so(3)
     g = central_extension(so3.algebra, name="Rz+so_3")
-    maps = []
-    for m in so3.realization:
-        # m on the real and on the imaginary copy
-        cols = m.sparse_columns()
-        cols = cols + [{r + 3: v for r, v in c.items()} for c in cols]
-        maps.append(LinearMap.from_sparse_columns(6, 6, cols))
-    maps.append(LinearMap.zero(6))
+    # each rotation on the real and on the imaginary copy; z acts as zero
+    maps = [_direct_sum(m, m) for m in so3.realization] + [LinearMap.zero(6)]
     rho = Connection(g, maps)
     alg = semidirect(
         g,

@@ -1,6 +1,7 @@
 """Functorial builders for new algebras from old.
 
-Semidirect products, tangent and cotangent algebras, central extensions,
+Semidirect products, tangent and cotangent algebras with the swap
+structure and lifted connection of a doubled algebra, central extensions,
 eigenspace splits inside the complexification, ingestion of matrix
 realizations, affinization of associative algebras and contraction families.
 Every algebra is real; Gaussian scalars appear only in the eigenspaces.
@@ -25,6 +26,7 @@ from .lie_core import (
     LieAlgebra,
     LinearMap,
     check_representation,
+    _direct_sum,
     _sparse,
     _acc,
     _Sweep,
@@ -155,6 +157,28 @@ def tangent(g, conn, name=None, check_rep=True):
         name=name or ("T(%s)" % g.name),
         check_rep=check_rep,
     )
+
+
+def canonical_complex_structure(t_algebra):
+    """The swap structure (x, y) -> (y, -x) on a doubled algebra."""
+    if t_algebra.dim % 2:
+        raise PreconditionError("doubled algebra must have even dimension")
+    m = t_algebra.dim // 2
+    return AlmostComplex.from_pairs(t_algebra.dim, [(m + i, i) for i in range(m)])
+
+
+def _lift(t_algebra, ops):
+    """Connection on a doubled algebra: op ⊕ op for the i-th base operator,
+    then zero for each second-copy element."""
+    zeros = [LinearMap.zero(2 * len(ops)) for _ in ops]
+    return Connection(t_algebra, [_direct_sum(op, op) for op in ops] + zeros)
+
+
+def lifted_connection(conn, t_algebra=None):
+    """Connection on the tangent algebra acting through the base subscript."""
+    if t_algebra is None:
+        t_algebra = tangent(conn.algebra, conn, check_rep=False)
+    return _lift(t_algebra, conn.maps)
 
 
 def cotangent(g, conn, name=None, check_rep=True):
@@ -338,21 +362,8 @@ def aff_algebra(A, name=None):
             if act:
                 table[(i, n + j)] = {n + k: v for k, v in act.items()}
     alg = LieAlgebra._normalized(labels, table, name=name or ("aff(%s)" % A.name))
-    k_cols = [None] * (2 * n)
-    for i in range(n):
-        k_cols[i] = {n + i: -_ONE}
-        k_cols[n + i] = {i: _ONE}
-    K = AlmostComplex(LinearMap.from_sparse_columns(2 * n, 2 * n, k_cols))
-    conns = []
-    for i in range(n):
-        lm = A.left_multiplication(i).sparse_columns()
-        cols = [dict(lm[j]) for j in range(n)]
-        cols += [{k + n: v for k, v in lm[j].items()} for j in range(n)]
-        conns.append(LinearMap.from_sparse_columns(2 * n, 2 * n, cols))
-    for i in range(n):
-        conns.append(LinearMap.zero(2 * n))
-    nabla = Connection(alg, conns)
-    return alg, K, nabla
+    ops = [A.left_multiplication(i) for i in range(n)]
+    return alg, canonical_complex_structure(alg), _lift(alg, ops)
 
 
 class ContractionFamily:

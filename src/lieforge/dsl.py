@@ -793,6 +793,7 @@ def _tower(name, g, conn, m):
 
 
 def _nabla1(name, talg, conn):
+    _fit(conn.module_dim == conn.algebra.dim, "connection module does not match the algebra")
     _fit(talg.dim == 2 * conn.module_dim, "algebra is not the double of the connection base")
     return [("", "conn", st.lifted_connection(conn, talg))]
 

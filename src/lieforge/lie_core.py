@@ -372,6 +372,18 @@ def _columns_map(rows, cols, columns):
     return lm
 
 
+def _direct_sum(a, b):
+    """Block-diagonal map with b's block after a's.
+
+    a's column dicts are taken without a copy, and b's are shifted once:
+    nothing writes a map's columns after construction, so the result may
+    share them.
+    """
+    n = a.rows
+    shifted = [{n + k: v for k, v in c.items()} for c in b._columns]
+    return _columns_map(n + b.rows, a.cols + b.cols, a._columns + shifted)
+
+
 class AlmostComplex(LinearMap):
     """Endomorphism whose square is minus the identity (verified).
 
@@ -390,6 +402,9 @@ class AlmostComplex(LinearMap):
     @classmethod
     def from_pairs(cls, dim, pairs):
         """Signed-permutation structure taking a to b and b to -a for each (a, b)."""
+        pairs = list(pairs)
+        if not all(0 <= x < dim for pair in pairs for x in pair):
+            raise DimensionMismatchError("pairing index outside the basis")
         cols = [None] * dim
         for a, b in pairs:
             if cols[a] is not None or cols[b] is not None:
@@ -399,7 +414,7 @@ class AlmostComplex(LinearMap):
         missing = [i for i, c in enumerate(cols) if c is None]
         if missing:
             raise PreconditionError("pairing leaves indices %s unmatched" % missing)
-        return cls(LinearMap.from_sparse_columns(dim, dim, cols))
+        return cls(_columns_map(dim, dim, cols))
 
 
 class Connection:

@@ -21,6 +21,7 @@ from .lie_core import (
     LinearMap,
     _Sweep,
     _acc,
+    _direct_sum,
     _escapes,
     _is_ideal,
     _require,
@@ -33,7 +34,7 @@ from .lie_core import (
     check_symplectic,
     check_torsion_free,
 )
-from .constructions import tangent
+from .constructions import canonical_complex_structure, lifted_connection, tangent
 
 _ZERO = 0
 _ONE = 1
@@ -43,12 +44,7 @@ def block_complex_structure(J, I, sign=1):
     """Block diagonal structure (Jx, sign * Iv) on a semidirect product."""
     if sign not in (1, -1):
         raise PreconditionError("sign must be +1 or -1")
-    n, m = J.rows, I.rows
-    cols = [dict(c) for c in J.sparse_columns()]
-    for c in I.sparse_columns():
-        shifted = {n + k: (v if sign == 1 else -v) for k, v in c.items()}
-        cols.append(shifted)
-    return AlmostComplex(LinearMap.from_sparse_columns(n + m, n + m, cols))
+    return AlmostComplex(_direct_sum(J, I if sign == 1 else -I))
 
 
 def dual_structure(J):
@@ -90,6 +86,8 @@ def check_action_compatibility(g, rho, J, I, split, target=None):
     _require_almost_complex(g, J)
     if I.rows != m or I.cols != m:
         raise DimensionMismatchError("module structure does not match the module")
+    if not I.squares_to_minus_identity():
+        raise PreconditionError("map squared is not minus the identity")
     if any(len(v) != n for v in (*split.part0, *split.part1) if not isinstance(v, dict)):
         raise DimensionMismatchError("decomposition vectors must have length %d" % n)
     part0 = [_sparse(v) for v in split.part0]
@@ -139,14 +137,6 @@ def check_action_compatibility(g, rho, J, I, split, target=None):
         "mixed_identity_failures": identity_failures,
     }
     return sweep.done(notes=notes)
-
-
-def canonical_complex_structure(t_algebra):
-    """The swap structure (x, y) -> (y, -x) on a doubled algebra."""
-    if t_algebra.dim % 2:
-        raise PreconditionError("doubled algebra must have even dimension")
-    m = t_algebra.dim // 2
-    return AlmostComplex.from_pairs(t_algebra.dim, [(m + i, i) for i in range(m)])
 
 
 def check_torsion_integrability_equivalence(g, conn, target=None):
@@ -246,23 +236,6 @@ def reconstruct_connection(u, K, part, target=None):
         "k_image_abelian": abelian,
     }
     return sub, conn, sweep.done(notes=notes)
-
-
-def lifted_connection(conn, t_algebra=None):
-    """Connection on the tangent algebra acting through the base subscript."""
-    g = conn.algebra
-    if t_algebra is None:
-        t_algebra = tangent(g, conn, check_rep=False)
-    n = g.dim
-    maps = []
-    for i in range(n):
-        base = conn.maps[i].sparse_columns()
-        cols = [dict(c) for c in base]
-        cols += [{k + n: v for k, v in c.items()} for c in base]
-        maps.append(LinearMap.from_sparse_columns(2 * n, 2 * n, cols))
-    for i in range(n):
-        maps.append(LinearMap.zero(2 * n))
-    return Connection(t_algebra, maps)
 
 
 def _anticommutator(A, B, diag):
@@ -503,13 +476,6 @@ def levi_civita(g, B):
     return Connection(g, maps)
 
 
-def _diagonal_lift(B):
-    n = B.dim
-    cols = B.gram.sparse_columns()
-    cols = cols + [{n + i: v for i, v in c.items()} for c in cols]
-    return BilinearForm(LinearMap.from_sparse_columns(2 * n, 2 * n, cols), BilinearForm.SYMMETRIC)
-
-
 def check_pseudo_kahler(g, B, target=None):
     """Full verification of the tangent-algebra pseudo-Kahler structure.
 
@@ -526,7 +492,7 @@ def check_pseudo_kahler(g, B, target=None):
     K = canonical_complex_structure(talg)
     omega = symplectic_from_duality(conn, psi)
     lifted = lifted_connection(conn, talg)
-    G = _diagonal_lift(B)
+    G = BilinearForm(_direct_sum(B.gram, B.gram), BilinearForm.SYMMETRIC)
     subs = {
         "self_dual": check_self_dual(conn, psi),
         "omega_symplectic": check_symplectic(talg, omega),

@@ -342,6 +342,12 @@ def test_abelian_entry():
     assert ab.algebra.dim == 4 and not ab.algebra.table
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_abelian_refuses_an_empty_basis(n):
+    with pytest.raises(PreconditionError, match="needs n >= 1"):
+        catalog.abelian(n)
+
+
 def test_families_generalize_past_the_headline_range():
     # the rule-based builders are not tuned to the verified dimensions
     for n in (12, 13, 14):

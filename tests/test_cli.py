@@ -414,6 +414,20 @@ def test_catalog_unknown_name(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["catalog", "abelian", "0"], ["catalog", "abelian", "--", "-2"],
+     ["tower", "--base", "abelian:0", "--m", "1"]],
+    ids=["catalog_0", "catalog_minus_2", "tower_0"],
+)
+def test_abelian_of_no_dimensions_exits_two(argv, capsys):
+    """An empty basis would emit text that `lieforge check` refuses."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "abelian(n) needs n >= 1" in captured.err
+
+
 def test_tower_command(capsys):
     rc = main(["tower", "--base", "gl:2", "--m", "2"])
     out = capsys.readouterr().out

@@ -47,6 +47,7 @@ from lieforge.constructions import (
 )
 
 from lieforge.structures import (
+    block_complex_structure,
     canonical_complex_structure,
     check_action_compatibility,
     check_holomorphic,
@@ -58,6 +59,7 @@ from lieforge.structures import (
     lifted_connection,
     reconstruct_connection,
 )
+from lieforge.acceptance import complex_numbers_algebra
 
 from oracles import (
     is_integer_first,
@@ -314,7 +316,7 @@ _BUILDER_PARAMS = {
     "lorentz": [2, 3, 4],
     "gl": [1, 2, 3],
     "affine": [1, 2, 3],
-    "abelian": [0, 2],
+    "abelian": [1, 2],
     "euclidean": [3, 4, 5, 6, 7, 8],
     "poincare": [0, 1],
 }
@@ -798,6 +800,48 @@ def test_no_check_writes_a_table(build):
     assert [_typed(alg.table) for alg in algebras] == [_typed(t) for t in before]
 
 
+def _typed_columns(lm):
+    return [[(r, type(v), v) for r, v in c.items()] for c in lm.sparse_columns()]
+
+
+def test_no_check_writes_a_shared_map_column():
+    """block_complex_structure, lifted_connection and the metric of
+    check_pseudo_kahler share their inputs' column dicts; that is sound
+    only while nothing writes a map's columns after construction."""
+    gl2 = catalog.gl(2)
+    g, conn = gl2.algebra, gl2.structures["left_mult"]
+    _, RI = catalog.right_mult_structure(1)
+    D = tangent(g, conn)
+    lifted = lifted_connection(conn, D)
+    jp, jm = (block_complex_structure(RI, RI, sign) for sign in (1, -1))
+    K = canonical_complex_structure(D)
+    _, tower_conn, tower = clifford_tower(g, conn, 2)
+    so2 = catalog.so(2)
+    e2 = semidirect(so2.algebra, so2.structures["standard_rep"], check_rep=False)
+    B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
+    assert jp.sparse_columns()[0] is RI.sparse_columns()[0]
+    assert jm.sparse_columns()[0] is RI.sparse_columns()[0]
+    assert lifted.maps[1].sparse_columns()[0] is conn.maps[1].sparse_columns()[0]
+    shared = [RI, B.gram, *conn.maps]
+    before = [_typed_columns(m) for m in shared]
+    checks = [
+        lambda: check_integrable(D, jp),
+        lambda: check_integrable(D, jm),
+        lambda: check_complex_lie(D, jm),
+        lambda: check_parallel(lifted, jp),
+        lambda: check_parallel(lifted, jm),
+        lambda: check_parallel(lifted, K),
+        lambda: check_representation(lifted),
+        lambda: check_torsion_free(lifted),
+        lambda: hypercomplex_pair(g, conn, RI),
+        lambda: tower.certify(tower_conn),
+        lambda: check_pseudo_kahler(e2, B),
+    ]
+    for check in checks:
+        check()
+    assert [_typed_columns(m) for m in shared] == before
+
+
 def test_assoc_requires_associativity():
     bad = {(0, 0): {1: Q(1)}, (1, 0): {0: Q(1)}}
     with pytest.raises(PreconditionError):
@@ -824,8 +868,6 @@ def test_aff_algebra_of_reals():
 
 
 def test_aff_algebra_of_complexes():
-    from lieforge.acceptance import complex_numbers_algebra
-
     alg, K, conn = aff_algebra(complex_numbers_algebra())
     assert alg.dim == 4
     # product-table expansion: [x1, v1] = v1, [xi, vi] = -v1, [x1, xi] = 0
@@ -840,6 +882,29 @@ def test_aff_algebra_of_matrices_structure_integrable():
     assert alg.dim == 8
     assert check_representation(conn).passed
     assert check_integrable(alg, K).passed
+
+
+@pytest.mark.parametrize(
+    "make", [complex_numbers_algebra, lambda: matrix_assoc_algebra(2)], ids=["C", "M2"]
+)
+def test_aff_algebra_lifts_left_multiplication_onto_both_copies(make):
+    """The i-th operator of aff's connection is L_i on each copy, read
+    densely off the product table; the second-copy operators are zero and
+    K is the swap (x, y) -> (y, -x)."""
+    A = make()
+    n = A.dim
+    alg, K, conn = aff_algebra(A)
+    for i in range(n):
+        dense = [[Q(0)] * (2 * n) for _ in range(2 * n)]
+        for j in range(n):
+            for k, v in A.table.get((i, j), {}).items():
+                dense[k][j] = dense[n + k][n + j] = v
+        assert conn.maps[i] == LinearMap(dense)
+    assert conn.maps[n:] == [LinearMap.zero(2 * n)] * n
+    swap = [[Q(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        swap[i][n + i], swap[n + i][i] = Q(1), Q(-1)
+    assert K == LinearMap(swap)
 
 
 def test_contraction_base_at_one():

@@ -394,10 +394,11 @@ def test_construct_rejects_bad_preconditions_at_parse():
     [
         ("tangent(aff1, c1)", "connection module does not match the algebra"),
         ("nabla1(aff1, ls)", "algebra is not the double of the connection base"),
+        ("nabla1(aff1, c1)", "connection module does not match the algebra"),
         ("omega_psi(aff1, ls, J)", "algebra is not the double of the connection base"),
         ("jplus(aff1, J, J, +)", "block sizes do not sum to the algebra dimension"),
     ],
-    ids=["tangent", "nabla1", "omega_psi", "jplus"],
+    ids=["tangent", "nabla1", "nabla1_module", "omega_psi", "jplus"],
 )
 def test_construct_of_misfitting_sizes_is_a_shape_error_at_the_function(call, message):
     text = (

@@ -1376,6 +1376,18 @@ def test_almost_complex_shares_the_map_columns():
     assert AlmostComplex(lm).sparse_columns() is lm.sparse_columns()
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [[(0, 1), (2, 5)], [(0, -2), (2, 3)], [(-1, 0), (1, 2)]],
+    ids=["past_the_end", "negative_then_reused", "negative_first"],
+)
+def test_from_pairs_refuses_an_index_outside_the_basis(pairs):
+    """An index past the end, or a negative one that Python would read from
+    the end, is refused before any column is written."""
+    with pytest.raises(DimensionMismatchError, match="pairing index outside the basis"):
+        AlmostComplex.from_pairs(4, pairs)
+
+
 def test_from_sparse_columns_rejects_bad_shapes():
     with pytest.raises(DimensionMismatchError):
         LinearMap.from_sparse_columns(2, 2, [{0: 1}])

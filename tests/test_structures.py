@@ -126,6 +126,17 @@ def test_action_compatibility_refuses_a_representation_of_another_algebra():
     assert check_action_compatibility(a, rho, J, J, split).target == "a"
 
 
+def test_action_compatibility_refuses_a_module_map_that_is_not_complex():
+    """I = identity squares to plus the identity; it is refused after the
+    size check with the text AlmostComplex gives."""
+    cd = catalog.so3_on_c3().structures["compat"]
+    with pytest.raises(PreconditionError) as exc:
+        check_action_compatibility(cd.g, cd.rho, cd.j, LinearMap.identity(6), cd.split)
+    assert str(exc.value) == "map squared is not minus the identity"
+    with pytest.raises(DimensionMismatchError):
+        check_action_compatibility(cd.g, cd.rho, cd.j, LinearMap.identity(4), cd.split)
+
+
 def test_canonical_structure_blocks():
     ab = catalog.abelian(2).algebra
     t = tangent(ab, zero_connection(ab))
