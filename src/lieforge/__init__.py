@@ -44,6 +44,7 @@ from .constructions import (
     from_matrix_basis,
     lifted_connection,
     semidirect,
+    symplectic_from_duality,
     tangent,
 )
 from .structures import (
@@ -59,5 +60,4 @@ from .structures import (
     hypercomplex_pair,
     levi_civita,
     reconstruct_connection,
-    symplectic_from_duality,
 )

@@ -150,9 +150,7 @@ def criterion_2():
         if n % 4 in (0, 2):
             cd = e.structures["compat"]
             certs.append(
-                check_action_compatibility(
-                    cd.g, cd.rho, cd.j, cd.i, cd.split, target="e_%d compat" % n
-                )
+                check_action_compatibility(cd.rho, cd.j, cd.i, cd.split, target="e_%d compat" % n)
             )
     certs += [_holomorphic(*triple) for triple in catalog.inclusion_chain(1)]
     return _result(
@@ -215,9 +213,7 @@ def criterion_5():
         certs.append(check_integrable(entry.algebra, J, target=entry.name))
     sc = catalog.so3_on_c3()
     cd = sc.structures["compat"]
-    certs.append(
-        check_action_compatibility(cd.g, cd.rho, cd.j, cd.i, cd.split, target=sc.name)
-    )
+    certs.append(check_action_compatibility(cd.rho, cd.j, cd.i, cd.split, target=sc.name))
     for sign, tag in ((1, "plus"), (-1, "minus")):
         Jfull = block_complex_structure(cd.j, cd.i, sign)
         certs.append(check_integrable(sc.algebra, Jfull, target="%s J_%s" % (sc.name, tag)))
@@ -272,7 +268,7 @@ def criterion_7():
     extra_ok = True
     details = []
     for tag, g, conn, expect in _equivalence_corpus():
-        c = check_torsion_integrability_equivalence(g, conn, target=tag)
+        c = check_torsion_integrability_equivalence(conn, target=tag)
         certs.append(c)
         if c.notes["torsion_free"] != expect or c.notes["k_integrable"] != expect:
             extra_ok = False
@@ -304,14 +300,12 @@ def criterion_8():
     certs = []
     gl2 = catalog.gl(2)
     _, RI = catalog.right_mult_structure(1)
-    _, _, cert = hypercomplex_pair(
-        gl2.algebra, gl2.structures["left_mult"], RI, target="gl2"
-    )
+    _, _, cert = hypercomplex_pair(gl2.structures["left_mult"], RI, target="gl2")
     certs.append(cert)
     C = complex_numbers_algebra()
     affc, _, nab = aff_algebra(C)
     Jplus = AlmostComplex.from_pairs(4, [(1, 0), (2, 3)])
-    _, _, cert2 = hypercomplex_pair(affc, nab, Jplus, target="aff_C")
+    _, _, cert2 = hypercomplex_pair(nab, Jplus, target="aff_C")
     certs.append(cert2)
     keys = ("j_minus_parallel", "k_parallel", "lift_flat", "lift_torsion_free")
     extra_ok = all(c.notes[k] for c in (cert, cert2) for k in keys)

@@ -26,11 +26,11 @@ _ONE = 1
 class CompatData:
     """Everything needed to test the action-compatibility conditions.
 
-    ``g`` acts on a module through ``rho``; ``j`` lives on g, ``i`` on the
-    module, and ``split`` is the stored decomposition of g.
+    ``rho.algebra`` acts on a module through ``rho``; ``j`` lives on that
+    algebra, ``i`` on the module, and ``split`` is the stored decomposition
+    of the algebra.
     """
 
-    g: LieAlgebra
     rho: Connection
     j: AlmostComplex
     i: AlmostComplex
@@ -276,18 +276,19 @@ def _root_vectors(dim, fidx, r):
     return vecs
 
 
-def _compat(g, rho, jg, n, fidx, extra0=(), extra1=()):
+def _compat(rho, jg, fidx, extra0=(), extra1=()):
     """Compatibility data for so(n), extended or not, acting on R^n.
 
     part0 is f_(2i-1)(2i) for i <= n/2, u+ and v- then ``extra0``; part1
     is u- and v+ then ``extra1``.
     """
+    g, n = rho.algebra, rho.module_dim
     r = n // 2
     vecs = _root_vectors(g.dim, fidx, r)
     part0 = [g.basis_vector(fidx[(2 * i - 1, 2 * i)]) for i in range(1, r + 1)]
     part0 += vecs["u+"] + vecs["v-"] + list(extra0)
     part1 = vecs["u-"] + vecs["v+"] + list(extra1)
-    return CompatData(g, rho, jg, _identity_on(n), Decomposition(part0, part1))
+    return CompatData(rho, jg, _identity_on(n), Decomposition(part0, part1))
 
 
 def euclidean(n):
@@ -336,10 +337,9 @@ def _euclidean(n):
     entry.structures["j"] = AlmostComplex.from_pairs(alg.dim, pairs)
     entry.structures["split"] = [p[0] for p in pairs]
     if n % 4 == 0:
-        g = soa
         rho = so_entry.structures["standard_rep"]
-        jg = AlmostComplex.from_pairs(g.dim, _rotation_pairs(n, fidx))
-        entry.structures["compat"] = _compat(g, rho, jg, n, fidx)
+        jg = AlmostComplex.from_pairs(soa.dim, _rotation_pairs(n, fidx))
+        entry.structures["compat"] = _compat(rho, jg, fidx)
     elif n % 4 == 2:
         g = central_extension(soa, name="Rz+so_%d" % n)
         zero = LinearMap.zero(n)
@@ -347,9 +347,7 @@ def _euclidean(n):
         jp = _rotation_pairs(n, fidx)
         jp.append((fidx[(2 * r - 1, 2 * r)], g.dim - 1))
         jg = AlmostComplex.from_pairs(g.dim, jp)
-        entry.structures["compat"] = _compat(
-            g, rho, jg, n, fidx, extra0=[g.basis_vector(g.dim - 1)]
-        )
+        entry.structures["compat"] = _compat(rho, jg, fidx, extra0=[g.basis_vector(g.dim - 1)])
     if n == 3:
         gal = galilean()
         iota_labels = {
@@ -413,7 +411,7 @@ def poincare(k):
         jp.append((s_index(i), s_index(i + 1)))
     jg = AlmostComplex.from_pairs(g.dim, jp)
     entry.structures["compat"] = _compat(
-        g, rho, jg, q, fidx,
+        rho, jg, fidx,
         extra0=[g.basis_vector(g.dim - 1)],
         extra1=[g.basis_vector(s_index(i)) for i in range(1, q + 1)],
     )
@@ -474,7 +472,7 @@ def so3_on_c3():
     i_mod = AlmostComplex.from_pairs(6, [(0, 3), (1, 4), (2, 5)])
     entry = CatalogEntry("so3_c3", alg)
     entry.structures["compat"] = CompatData(
-        g, rho, jg, i_mod, Decomposition([g.basis_vector(i) for i in range(4)], [])
+        rho, jg, i_mod, Decomposition([g.basis_vector(i) for i in range(4)], [])
     )
     return entry
 

@@ -25,6 +25,7 @@ from .lie_core import (
     Connection,
     LieAlgebra,
     LinearMap,
+    MAX_DIM,
     check_representation,
     _direct_sum,
     _sparse,
@@ -118,6 +119,8 @@ def semidirect(g, rho, module_labels=None, name=None, check_rep=True):
     live on g itself or on an algebra with the same structure constants.
     """
     m = rho.module_dim
+    if g.dim + m > MAX_DIM:
+        raise PreconditionError("semidirect product has more than %d dimensions" % MAX_DIM)
     if not (rho.algebra is g or rho.algebra.same_constants(g)):
         raise PreconditionError("representation does not live on the given algebra")
     if check_rep:
@@ -174,11 +177,32 @@ def _lift(t_algebra, ops):
     return Connection(t_algebra, [_direct_sum(op, op) for op in ops] + zeros)
 
 
-def lifted_connection(conn, t_algebra=None):
+def _is_tangent(t_algebra, conn):
+    """Whether t_algebra has the structure constants of the tangent algebra
+    of conn, a connection on its own algebra."""
+    return conn.module_dim == conn.algebra.dim and t_algebra.same_constants(
+        tangent(conn.algebra, conn, check_rep=False)
+    )
+
+
+def lifted_connection(conn, t_algebra):
     """Connection on the tangent algebra acting through the base subscript."""
-    if t_algebra is None:
-        t_algebra = tangent(conn.algebra, conn, check_rep=False)
+    if not _is_tangent(t_algebra, conn):
+        raise PreconditionError("algebra is not the tangent algebra of the connection")
     return _lift(t_algebra, conn.maps)
+
+
+def symplectic_from_duality(psi):
+    """Skew pairing of the two tangent copies through a square duality map.
+
+    Always skew, nondegenerate exactly when the map is invertible; closed
+    precisely when the map is self-dual and the connection torsion-free.
+    """
+    n = psi.rows
+    # omega(b_i, b_(n+j)) = -psi[i][j], and omega is skew
+    cols = [{n + j: v for j, v in c.items()} for c in psi.transpose().sparse_columns()]
+    cols += [{i: -v for i, v in c.items()} for c in psi.sparse_columns()]
+    return BilinearForm(LinearMap.from_sparse_columns(2 * n, 2 * n, cols), BilinearForm.SKEW)
 
 
 def cotangent(g, conn, name=None, check_rep=True):
@@ -189,18 +213,14 @@ def cotangent(g, conn, name=None, check_rep=True):
     """
     if conn.module_dim != g.dim:
         raise DimensionMismatchError("cotangent construction needs a connection on g itself")
-    dual = conn.dual()
     alg = semidirect(
         g,
-        dual,
+        conn.dual(),
         module_labels=["α%d" % (i + 1) for i in range(g.dim)],
         name=name or ("T*(%s)" % g.name),
         check_rep=check_rep,
     )
-    n = g.dim
-    cols = [{n + i: _ONE} for i in range(n)] + [{i: -_ONE} for i in range(n)]
-    omega = BilinearForm(LinearMap.from_sparse_columns(2 * n, 2 * n, cols), BilinearForm.SKEW)
-    return alg, omega
+    return alg, symplectic_from_duality(LinearMap.identity(g.dim))
 
 
 def central_extension(g, label="z", name=None):

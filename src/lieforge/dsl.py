@@ -63,11 +63,14 @@ from .lie_core import (
 )
 from .constructions import (
     AssociativeAlgebra,
+    _is_tangent,
+    _lift,
     aff_algebra,
     central_extension,
     cotangent,
     eigenspace_split,
     semidirect,
+    symplectic_from_duality,
     tangent,
 )
 from . import structures as st
@@ -794,8 +797,8 @@ def _tower(name, g, conn, m):
 
 def _nabla1(name, talg, conn):
     _fit(conn.module_dim == conn.algebra.dim, "connection module does not match the algebra")
-    _fit(talg.dim == 2 * conn.module_dim, "algebra is not the double of the connection base")
-    return [("", "conn", st.lifted_connection(conn, talg))]
+    _fit(_is_tangent(talg, conn), "algebra is not the double of the connection base")
+    return [("", "conn", _lift(talg, conn.maps))]
 
 
 def _jplus(name, alg, J, I, sign):
@@ -804,8 +807,9 @@ def _jplus(name, alg, J, I, sign):
 
 
 def _omega_psi(name, alg, conn, psi):
-    _fit(alg.dim == 2 * conn.module_dim, "algebra is not the double of the connection base")
-    return [("", "form", st.symplectic_from_duality(conn, psi))]
+    _fit(_is_tangent(alg, conn), "algebra is not the double of the connection base")
+    _fit(psi.rows == conn.module_dim, "duality map does not match the module")
+    return [("", "form", symplectic_from_duality(psi))]
 
 
 # name: (signature, call on the construct's name and resolved arguments,
@@ -847,10 +851,8 @@ _CHECKS = {
     "product_structure": ("@endo", 0, check_product_structure),
     "eigensplit": ("@endo", 0, lambda g, J, target: eigenspace_split(g, AlmostComplex(J))[2]),
     "action_compatibility": ("conn endo endo decomp", 0, lambda c, J, I, d, target: (
-        st.check_action_compatibility(
-            c.algebra, c, AlmostComplex(J), AlmostComplex(I), d, target=target))),
-    "torsion_equivalence": ("[algebra] conn", -1, lambda c, target: (
-        st.check_torsion_integrability_equivalence(c.algebra, c, target=target))),
+        st.check_action_compatibility(c, AlmostComplex(J), AlmostComplex(I), d, target=target))),
+    "torsion_equivalence": ("[algebra] conn", -1, st.check_torsion_integrability_equivalence),
     "reconstruct": ("algebra endo label label*", 0, lambda g, K, *part, target: (
         st.reconstruct_connection(g, AlmostComplex(K), part, target=target)[2])),
     "self_dual": ("conn endo", 0, st.check_self_dual),
@@ -858,7 +860,7 @@ _CHECKS = {
     "holomorphic": ("@map endo endo", 0, lambda dom, cod, f, Jd, Jc, target: (
         st.check_holomorphic(dom, cod, f, AlmostComplex(Jd), AlmostComplex(Jc), target=target))),
     "hypercomplex": ("conn endo", 0, lambda c, J, target: (
-        st.hypercomplex_pair(c.algebra, c, AlmostComplex(J), target=target)[2])),
+        st.hypercomplex_pair(c, AlmostComplex(J), target=target)[2])),
 }
 
 

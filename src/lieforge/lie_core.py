@@ -30,6 +30,8 @@ _ZERO = 0
 _ONE = 1
 
 MAX_WITNESSES = 16
+# largest algebra a builder makes; a dim-2048 tower level takes about 400 MB
+MAX_DIM = 2048
 
 
 @dataclass(frozen=True)

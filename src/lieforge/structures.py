@@ -19,6 +19,7 @@ from .lie_core import (
     Connection,
     LieAlgebra,
     LinearMap,
+    MAX_DIM,
     _Sweep,
     _acc,
     _direct_sum,
@@ -34,7 +35,13 @@ from .lie_core import (
     check_symplectic,
     check_torsion_free,
 )
-from .constructions import canonical_complex_structure, lifted_connection, tangent
+from .constructions import (
+    _lift,
+    canonical_complex_structure,
+    lifted_connection,
+    symplectic_from_duality,
+    tangent,
+)
 
 _ZERO = 0
 _ONE = 1
@@ -67,8 +74,9 @@ class Decomposition:
     part1: list
 
 
-def check_action_compatibility(g, rho, J, I, split, target=None):
-    """The two conditions letting a structure on g extend to g acting on (v, I).
+def check_action_compatibility(rho, J, I, split, target=None):
+    """The two conditions letting a structure on g extend to g acting on (v, I),
+    where ``rho`` is a representation of g on v.
 
     Condition one: operators of the first part commute with the module
     structure.  Condition two: for x in the second part the operator of Jx
@@ -77,13 +85,9 @@ def check_action_compatibility(g, rho, J, I, split, target=None):
     whether the second part is zero (which licenses the sign-flipped block
     structure as well).
     """
-    n, m = g.dim, rho.module_dim
-    sweep = _Sweep("action_compatibility", target or g.name, m)
-    if rho.algebra.dim != n:
-        raise DimensionMismatchError("representation does not live on the given algebra")
-    if not (rho.algebra is g or rho.algebra.same_constants(g)):
-        raise PreconditionError("representation does not live on the given algebra")
-    _require_almost_complex(g, J)
+    n, m = rho.algebra.dim, rho.module_dim
+    sweep = _Sweep("action_compatibility", target or rho.algebra.name, m)
+    _require_almost_complex(rho.algebra, J)
     if I.rows != m or I.cols != m:
         raise DimensionMismatchError("module structure does not match the module")
     if not I.squares_to_minus_identity():
@@ -139,19 +143,19 @@ def check_action_compatibility(g, rho, J, I, split, target=None):
     return sweep.done(notes=notes)
 
 
-def check_torsion_integrability_equivalence(g, conn, target=None):
+def check_torsion_integrability_equivalence(conn, target=None):
     """Torsion-freeness of the connection against integrability of the swap
     structure on the tangent algebra, each computed by its own full sweep.
 
     The certificate passes when the two verdicts agree, in either truth
     value; both verdicts are recorded.
     """
-    sweep = _Sweep("torsion_integrability_equivalence", target or g.name)
+    sweep = _Sweep("torsion_integrability_equivalence", target or conn.algebra.name)
     _require(check_representation(conn), "connection is not flat")
-    talg = tangent(g, conn, check_rep=False)
+    talg = tangent(conn.algebra, conn, check_rep=False)
     K = canonical_complex_structure(talg)
     left = check_integrable(talg, K, target="K on %s" % talg.name)
-    right = check_torsion_free(conn, target=g.name)
+    right = check_torsion_free(conn, target=conn.algebra.name)
     if left.passed != right.passed:
         sweep.fail(("verdicts",), (Fraction(int(left.passed)), Fraction(int(right.passed))))
     return sweep.done(
@@ -361,21 +365,20 @@ def clifford_tower(g, conn, m, name=None):
     """
     if m < 1:
         raise PreconditionError("tower needs m >= 1")
+    if g.dim << m > MAX_DIM:
+        raise PreconditionError("tower of %d levels has more than %d dimensions" % (m, MAX_DIM))
     _require_flat_torsion_free(conn)
     alg, cur = g, conn
     members = []
-    for level in range(m):
-        talg = tangent(alg, cur, check_rep=False)
+    for level in range(1, m + 1):
+        alg = tangent(alg, cur, name=name if level == m else None, check_rep=False)
         lifted = [block_complex_structure(A, A, sign=-1) for A in members]
-        members = lifted + [canonical_complex_structure(talg)]
-        cur = lifted_connection(cur, talg)
-        alg = talg
-    if name:
-        alg.name = name
+        members = lifted + [canonical_complex_structure(alg)]
+        cur = _lift(alg, cur.maps)
     return alg, cur, CliffordFamily(alg, members)
 
 
-def hypercomplex_pair(g, conn, J, target=None):
+def hypercomplex_pair(conn, J, target=None):
     """Anticommuting pair on the tangent algebra of a parallel structure.
 
     Requires the connection flat and torsion-free with the given structure
@@ -383,13 +386,13 @@ def hypercomplex_pair(g, conn, J, target=None):
     certificate; the lifted connection is the unique torsion-free
     connection parallelizing the pair, recorded in the notes.
     """
-    sweep = _Sweep("hypercomplex", target or g.name)
+    sweep = _Sweep("hypercomplex", target or conn.algebra.name)
     _require_flat_torsion_free(conn)
     _require(check_parallel(conn, J), "structure is not parallel")
-    talg = tangent(g, conn, check_rep=False)
+    talg = tangent(conn.algebra, conn, check_rep=False)
     j_minus = block_complex_structure(J, J, sign=-1)
     K = canonical_complex_structure(talg)
-    lifted = lifted_connection(conn, talg)
+    lifted = _lift(talg, conn.maps)
     family = CliffordFamily(talg, [j_minus, K])
     subs = {
         "j_minus_integrable": check_integrable(talg, j_minus),
@@ -418,21 +421,6 @@ def check_self_dual(conn, psi, target=None):
     for i, (op, dual_op) in enumerate(zip(conn.maps, conn.dual().maps)):
         sweep.absorb((i,), _equal_maps(psi.compose(op), dual_op.compose(psi)))
     return sweep.done()
-
-
-def symplectic_from_duality(conn, psi):
-    """Skew pairing of the two tangent copies through a duality map.
-
-    Always skew, nondegenerate exactly when the map is invertible; closed
-    precisely when the map is self-dual and the connection torsion-free.
-    """
-    n = conn.module_dim
-    if psi.rows != n or psi.cols != n:
-        raise DimensionMismatchError("duality map does not match the module")
-    # omega(b_i, b_(n+j)) = -psi[i][j], and omega is skew
-    cols = [{n + j: v for j, v in c.items()} for c in psi.transpose().sparse_columns()]
-    cols += [{i: -v for i, v in c.items()} for c in psi.sparse_columns()]
-    return BilinearForm(LinearMap.from_sparse_columns(2 * n, 2 * n, cols), BilinearForm.SKEW)
 
 
 def levi_civita(g, B):
@@ -490,8 +478,8 @@ def check_pseudo_kahler(g, B, target=None):
     psi = B.gram
     talg = tangent(g, conn, check_rep=False)
     K = canonical_complex_structure(talg)
-    omega = symplectic_from_duality(conn, psi)
-    lifted = lifted_connection(conn, talg)
+    omega = symplectic_from_duality(psi)
+    lifted = _lift(talg, conn.maps)
     G = BilinearForm(_direct_sum(B.gram, B.gram), BilinearForm.SYMMETRIC)
     subs = {
         "self_dual": check_self_dual(conn, psi),

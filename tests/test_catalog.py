@@ -170,7 +170,7 @@ def test_poincare_1_dimension():
 def test_poincare_decomposition_contains_boosts():
     p0 = catalog.poincare(0)
     cd = p0.structures["compat"]
-    g = cd.g
+    g = cd.rho.algebra
     boosts = [g.index("s13"), g.index("s23")]
     part1_support = set()
     for v in cd.split.part1:
@@ -185,8 +185,8 @@ def test_decomposition_parts_disjoint_and_spanning():
         vecs1 = [[c for c in v] for v in cd.split.part1]
         r0, r1 = naive_rank(vecs0) if vecs0 else 0, naive_rank(vecs1) if vecs1 else 0
         assert r0 == len(vecs0) and r1 == len(vecs1)
-        assert r0 + r1 == cd.g.dim
-        assert naive_rank(vecs0 + vecs1) == cd.g.dim
+        assert r0 + r1 == cd.rho.algebra.dim
+        assert naive_rank(vecs0 + vecs1) == cd.rho.algebra.dim
 
 
 def test_decomposition_parts_structure_stable():
@@ -204,7 +204,7 @@ def test_euclidean_part0_is_subalgebra():
     for n in (4, 8):
         e = catalog.euclidean(n)
         cd = e.structures["compat"]
-        g = cd.g
+        g = cd.rho.algebra
         c = dense_constants(g)
         base = [list(v) for v in cd.split.part0]
         r = naive_rank(base)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import lieforge
-from lieforge import catalog, dsl
+from lieforge import catalog, dsl, structures
 from lieforge.cli import main
 
 GOLDEN_CATALOG = os.path.join(os.path.dirname(__file__), "golden", "catalog.lie")
@@ -137,6 +137,40 @@ def test_check_connection_of_another_algebra_exits_two_at_the_construct(capsys):
     assert captured.err == (
         "error: representation does not live on the given algebra (line 6, column 15)\n"
     )
+
+
+def test_check_lift_onto_the_double_of_another_algebra_exits_two_at_the_construct(capsys):
+    rc = main(["check", os.path.join(FIXTURES, "foreign_double.lie")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "error: algebra is not the double of the connection base (line 9, column 15)\n"
+    )
+
+
+def _no_tower_level(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a tower level was built")
+
+    monkeypatch.setattr(structures, "tangent", no_build)
+
+
+def test_check_tower_above_max_dim_exits_two_before_building(monkeypatch, capsys):
+    _no_tower_level(monkeypatch)
+    rc = main(["check", os.path.join(FIXTURES, "tower_past_cap.lie")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "error: tower of 40 levels has more than 2048 dimensions (line 6, column 15)\n"
+    )
+
+
+def test_tower_command_above_max_dim_exits_two_before_building(monkeypatch, capsys):
+    _no_tower_level(monkeypatch)
+    rc = main(["tower", "--base", "gl:2", "--m", "40"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: tower of 40 levels has more than 2048 dimensions\n"
 
 
 def test_check_pseudo_kahler_of_a_metric_that_is_not_flat_exits_two(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lieforge import catalog
+from lieforge import catalog, constructions
 from lieforge.scalar_linear import (
     DimensionMismatchError,
     GaussScalar,
@@ -19,6 +19,7 @@ from lieforge.lie_core import (
     Connection,
     LieAlgebra,
     LinearMap,
+    MAX_DIM,
     check_abelian_complex,
     check_closed,
     check_complex_lie,
@@ -244,6 +245,41 @@ def test_cotangent_abelian_standard_pairing():
          [Q(0), Q(1), Q(0), Q(0)]]
     )
     assert om.gram == expect
+
+
+def _foreign_double():
+    """a with a flat connection ls, and the tangent algebra of the abelian
+    plane b under its zero connection: twice a's dimension, other constants."""
+    a = LieAlgebra(["x", "y"], {(0, 1): {1: Q(1)}}, name="a")
+    ls = Connection(a, [LinearMap([[Q(0), Q(0)], [Q(0), Q(1)]]), LinearMap.zero(2)])
+    b = LieAlgebra(["p", "q"], {}, name="b")
+    return a, ls, tangent(b, Connection(b, [LinearMap.zero(2)] * 2))
+
+
+def test_lifted_connection_compares_structure_constants():
+    """The tangent algebra of another base, of the right dimension, is
+    refused; a copy of the tangent algebra under other labels and another
+    name is accepted and gets the same lift."""
+    a, ls, foreign = _foreign_double()
+    assert foreign.dim == 2 * ls.module_dim
+    with pytest.raises(PreconditionError, match="not the tangent algebra"):
+        lifted_connection(ls, foreign)
+    talg = tangent(a, ls)
+    copy_ = LieAlgebra(["p", "q", "r", "s"], talg.table, name="copy")
+    assert lifted_connection(ls, copy_).maps == lifted_connection(ls, talg).maps
+
+
+def test_semidirect_refuses_an_output_above_max_dim(monkeypatch):
+    """The size is checked first, so neither the representation sweep nor the
+    table is reached; an output of exactly MAX_DIM is built."""
+    ab = catalog.abelian(1).algebra
+    with pytest.raises(PreconditionError, match="more than %d dimensions" % MAX_DIM):
+        semidirect(ab, Connection(ab, [LinearMap.zero(MAX_DIM)]))
+    monkeypatch.setattr(constructions, "MAX_DIM", 4)
+    ab = catalog.abelian(2).algebra
+    assert semidirect(ab, Connection(ab, [LinearMap.zero(2)] * 2)).dim == 4
+    with pytest.raises(PreconditionError):
+        semidirect(ab, Connection(ab, [LinearMap.zero(3)] * 2))
 
 
 def test_cotangent_dual_maps_are_negative_transposes():
@@ -723,11 +759,11 @@ def _checks_on_euclidean(n):
     algebras = [L]
     cd = entry.structures.get("compat")
     if cd is not None:
-        algebras.append(cd.g)
+        algebras.append(cd.rho.algebra)
         checks += [
-            lambda: check_action_compatibility(cd.g, cd.rho, cd.j, cd.i, cd.split),
+            lambda: check_action_compatibility(cd.rho, cd.j, cd.i, cd.split),
             lambda: check_representation(cd.rho),
-            lambda: check_integrable(cd.g, cd.j),
+            lambda: check_integrable(cd.rho.algebra, cd.j),
         ]
     return algebras, checks
 
@@ -755,9 +791,9 @@ def _checks_on_gl2_doubles(kind):
             lambda: check_integrable(D, K),
             lambda: check_complex_lie(D, K),
             lambda: check_parallel(lifted, K),
-            lambda: check_torsion_integrability_equivalence(g, conn),
+            lambda: check_torsion_integrability_equivalence(conn),
             lambda: reconstruct_connection(D, K, range(4)),
-            lambda: hypercomplex_pair(g, conn, RI),
+            lambda: hypercomplex_pair(conn, RI),
             lambda: clifford_tower(g, conn, 2)[2].certify(),
         ]
     else:
@@ -833,7 +869,7 @@ def test_no_check_writes_a_shared_map_column():
         lambda: check_parallel(lifted, K),
         lambda: check_representation(lifted),
         lambda: check_torsion_free(lifted),
-        lambda: hypercomplex_pair(g, conn, RI),
+        lambda: hypercomplex_pair(conn, RI),
         lambda: tower.certify(tower_conn),
         lambda: check_pseudo_kahler(e2, B),
     ]

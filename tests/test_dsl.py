@@ -397,14 +397,21 @@ def test_construct_rejects_bad_preconditions_at_parse():
         ("nabla1(aff1, c1)", "connection module does not match the algebra"),
         ("omega_psi(aff1, ls, J)", "algebra is not the double of the connection base"),
         ("jplus(aff1, J, J, +)", "block sizes do not sum to the algebra dimension"),
+        # Tb is twice aff1's dimension, but the tangent algebra of the abelian b
+        ("nabla1(Tb, ls)", "algebra is not the double of the connection base"),
+        ("omega_psi(Tb, ls, J)", "algebra is not the double of the connection base"),
     ],
-    ids=["tangent", "nabla1", "nabla1_module", "omega_psi", "jplus"],
+    ids=["tangent", "nabla1", "nabla1_module", "omega_psi", "jplus",
+         "nabla1_foreign_double", "omega_psi_foreign_double"],
 )
 def test_construct_of_misfitting_sizes_is_a_shape_error_at_the_function(call, message):
     text = (
         AFF1
         + "conn c1 on aff1 { x => [[0]] ; y => [[0]] ; }\n"
         + "endo J on aff1 { x -> y ; y -> - x ; }\n"
+        + "algebra b { basis p q ; }\n"
+        + "conn z on b { p => [[0, 0], [0, 0]] ; q => [[0, 0], [0, 0]] ; }\n"
+        + "construct Tb = tangent(b, z)\n"
         + "construct N = %s\n" % call
     )
     with pytest.raises(ShapeError) as exc:
@@ -412,6 +419,27 @@ def test_construct_of_misfitting_sizes_is_a_shape_error_at_the_function(call, me
     span = _span_of(text, call.split("(")[0], text.count("\n"))
     assert exc.value.span == span
     assert str(exc.value) == "%s (%s)" % (message, span)
+
+
+def test_nabla1_and_omega_psi_accept_a_tangent_algebra_declared_as_text():
+    """The double is recognized by its structure constants, so a copy of
+    aff1's tangent algebra written out as an algebra statement fits."""
+    text = (
+        AFF1
+        + "endo J on aff1 { x -> y ; y -> - x ; }\n"
+        + "construct T = tangent(aff1, ls)\n"
+        + "algebra T2 { basis u v s t ; [u, v] = v ; [u, t] = t ; }\n"
+        + "construct N = nabla1(T, ls)\n"
+        + "construct N2 = nabla1(T2, ls)\n"
+        + "construct O2 = omega_psi(T2, ls, J)\n"
+        + "check flat(N2)\ncheck torsion_free(N2)\n"
+    )
+    ws = parse(text)
+    defs = {name: payload for name, (_, payload) in ws.definitions.items()}
+    assert defs["T2"].same_constants(defs["T"])
+    assert defs["N2"][1].maps == defs["N"][1].maps
+    assert defs["O2"][0] == "T2" and defs["O2"][1].dim == 4
+    assert all(c.passed for c in run(ws))
 
 
 def test_map_and_holomorphic_check():

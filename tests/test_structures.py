@@ -86,7 +86,7 @@ def test_block_structure_shape():
 def test_action_compatibility_passes_on_stored_data():
     e4 = catalog.euclidean(4)
     cd = e4.structures["compat"]
-    cert = check_action_compatibility(cd.g, cd.rho, cd.j, cd.i, cd.split)
+    cert = check_action_compatibility(cd.rho, cd.j, cd.i, cd.split)
     assert cert.passed
     assert cert.notes["mixed_identity_failures"] == 0
     assert not cert.notes["g1_zero"]
@@ -96,7 +96,7 @@ def test_action_compatibility_swapped_parts_fail():
     e4 = catalog.euclidean(4)
     cd = e4.structures["compat"]
     swapped = Decomposition(cd.split.part1, cd.split.part0)
-    cert = check_action_compatibility(cd.g, cd.rho, cd.j, cd.i, swapped)
+    cert = check_action_compatibility(cd.rho, cd.j, cd.i, swapped)
     assert not cert.passed
     assert cert.witnesses
 
@@ -104,26 +104,12 @@ def test_action_compatibility_swapped_parts_fail():
 def test_action_compatibility_rejects_unstable_split():
     e4 = catalog.euclidean(4)
     cd = e4.structures["compat"]
-    g = cd.g
+    g = cd.rho.algebra
     # split off a single non-stable line
     part0 = [g.basis_vector(0)]
     rest = [g.basis_vector(i) for i in range(1, g.dim)]
     with pytest.raises(PreconditionError):
-        check_action_compatibility(cd.g, cd.rho, cd.j, cd.i, Decomposition(part0, rest))
-
-
-def test_action_compatibility_refuses_a_representation_of_another_algebra():
-    """A representation of a is refused on b, which has the same dimension
-    and other structure constants."""
-    a = LieAlgebra(["x", "y"], {(0, 1): {1: Q(1)}}, name="a")
-    b = LieAlgebra(["p", "q"], {(0, 1): {0: Q(1)}}, name="b")
-    rho = Connection(a, [LinearMap([[Q(0), Q(0)], [Q(0), Q(1)]]), LinearMap.zero(2)])
-    J = AlmostComplex.from_pairs(2, [(0, 1)])
-    split = Decomposition([[1, 0], [0, 1]], [])
-    assert check_representation(rho).passed
-    with pytest.raises(PreconditionError, match="does not live on the given algebra"):
-        check_action_compatibility(b, rho, J, J, split)
-    assert check_action_compatibility(a, rho, J, J, split).target == "a"
+        check_action_compatibility(cd.rho, cd.j, cd.i, Decomposition(part0, rest))
 
 
 def test_action_compatibility_refuses_a_module_map_that_is_not_complex():
@@ -131,10 +117,10 @@ def test_action_compatibility_refuses_a_module_map_that_is_not_complex():
     size check with the text AlmostComplex gives."""
     cd = catalog.so3_on_c3().structures["compat"]
     with pytest.raises(PreconditionError) as exc:
-        check_action_compatibility(cd.g, cd.rho, cd.j, LinearMap.identity(6), cd.split)
+        check_action_compatibility(cd.rho, cd.j, LinearMap.identity(6), cd.split)
     assert str(exc.value) == "map squared is not minus the identity"
     with pytest.raises(DimensionMismatchError):
-        check_action_compatibility(cd.g, cd.rho, cd.j, LinearMap.identity(4), cd.split)
+        check_action_compatibility(cd.rho, cd.j, LinearMap.identity(4), cd.split)
 
 
 def test_canonical_structure_blocks():
@@ -147,10 +133,10 @@ def test_canonical_structure_blocks():
 
 def test_equivalence_certificate_records_both_verdicts():
     aff1, ls = left_symmetric_aff1()
-    cert = check_torsion_integrability_equivalence(aff1, ls)
+    cert = check_torsion_integrability_equivalence(ls)
     assert cert.passed and cert.notes == {"k_integrable": True, "torsion_free": True}
     ad = aff1.adjoint_connection()
-    cert = check_torsion_integrability_equivalence(aff1, ad)
+    cert = check_torsion_integrability_equivalence(ad)
     assert cert.passed and cert.notes == {"k_integrable": False, "torsion_free": False}
 
 
@@ -160,7 +146,7 @@ def test_equivalence_rejects_non_flat():
         so3, [[[Q(e, 2) for e in row] for row in m.matrix.data] for m in so3.adjoint_connection().maps]
     )
     with pytest.raises(PreconditionError):
-        check_torsion_integrability_equivalence(so3, half_ad)
+        check_torsion_integrability_equivalence(half_ad)
 
 
 def equivalence_corpus():
@@ -200,7 +186,7 @@ def test_equivalence_never_fails_across_corpus():
     corpus = equivalence_corpus()
     assert len(corpus) >= 10
     for g, conn, expect in corpus:
-        cert = check_torsion_integrability_equivalence(g, conn)
+        cert = check_torsion_integrability_equivalence(conn)
         assert cert.passed, g.name
         assert cert.notes["torsion_free"] == expect, g.name
         assert cert.notes["k_integrable"] == expect, g.name
@@ -303,6 +289,21 @@ def test_tower_rejects_torsion():
         clifford_tower(aff1, aff1.adjoint_connection(), 2)
 
 
+def test_tower_names_its_top_level():
+    ab2 = catalog.abelian(2).algebra
+    assert clifford_tower(ab2, zero_connection(ab2), 2, name="W")[0].name == "W"
+    assert clifford_tower(ab2, zero_connection(ab2), 2)[0].name == "T(T(abelian_2))"
+
+
+def test_tower_of_max_dim_is_built(monkeypatch):
+    """The refusal above MAX_DIM is tested through both commands in test_cli."""
+    monkeypatch.setattr(structures, "MAX_DIM", 8)
+    ab2 = catalog.abelian(2).algebra
+    assert clifford_tower(ab2, zero_connection(ab2), 2)[0].dim == 8
+    with pytest.raises(PreconditionError):
+        clifford_tower(ab2, zero_connection(ab2), 3)
+
+
 def test_clifford_family_detects_commuting_members():
     # each anticommute witness is the first nonzero entry of AB + BA - diag I
     ab = catalog.abelian(4).algebra
@@ -336,7 +337,7 @@ def test_hypercomplex_pair_requires_parallel_structure():
     skew = AlmostComplex.from_pairs(4, [(0, 3), (1, 2)])
     lm = gl2.structures["left_mult"]
     try:
-        hypercomplex_pair(gl2.algebra, lm, skew)
+        hypercomplex_pair(lm, skew)
         raised = False
     except PreconditionError:
         raised = True
@@ -347,7 +348,7 @@ def test_hypercomplex_pair_requires_parallel_structure():
 def test_hypercomplex_pair_gl2():
     gl2 = catalog.gl(2)
     _, RI = catalog.right_mult_structure(1)
-    fam, lifted, cert = hypercomplex_pair(gl2.algebra, gl2.structures["left_mult"], RI)
+    fam, lifted, cert = hypercomplex_pair(gl2.structures["left_mult"], RI)
     assert cert.passed
     assert len(fam.maps) == 2
     assert fam.generated_rank == 4
@@ -359,7 +360,7 @@ def test_hypercomplex_pair_gl2():
 def test_hypercomplex_pair_abelian_any_structure():
     ab = catalog.abelian(2).algebra
     J = AlmostComplex.from_pairs(2, [(0, 1)])
-    fam, lifted, cert = hypercomplex_pair(ab, zero_connection(ab), J)
+    fam, lifted, cert = hypercomplex_pair(zero_connection(ab), J)
     assert cert.passed
 
 
@@ -385,8 +386,7 @@ def test_self_dual_rejects_singular_map():
 
 
 def test_symplectic_from_duality_shape():
-    ab = catalog.abelian(2).algebra
-    om = symplectic_from_duality(zero_connection(ab), LinearMap.identity(2))
+    om = symplectic_from_duality(LinearMap.identity(2))
     assert om.kind == BilinearForm.SKEW
     expect = LinearMap(
         [[Q(0), Q(0), Q(-1), Q(0)],
@@ -405,11 +405,11 @@ def test_symplectic_transfer_closed_iff_self_dual_torsion_free():
     B = BilinearForm(LinearMap.identity(3), BilinearForm.SYMMETRIC)
     conn = levi_civita(e2, B)
     talg = tangent(e2, conn, check_rep=False)
-    om = symplectic_from_duality(conn, B.gram)
+    om = symplectic_from_duality(B.gram)
     assert check_symplectic(talg, om).passed
     aff1, ls = left_symmetric_aff1()
     talg1 = tangent(aff1, ls, check_rep=False)
-    om1 = symplectic_from_duality(ls, LinearMap.identity(2))
+    om1 = symplectic_from_duality(LinearMap.identity(2))
     assert not check_closed(talg1, om1).passed
 
 
@@ -545,7 +545,7 @@ def _composite_input(name):
     ab = catalog.abelian(2).algebra
     if name == "hypercomplex":
         J = AlmostComplex.from_pairs(2, [(0, 1)])
-        return lambda: hypercomplex_pair(ab, zero_connection(ab), J)[2]
+        return lambda: hypercomplex_pair(zero_connection(ab), J)[2]
     B = BilinearForm(LinearMap.identity(2), BilinearForm.SYMMETRIC)
     return lambda: check_pseudo_kahler(ab, B)
 
@@ -656,15 +656,10 @@ _WRONG_SIZE = {
     "holomorphic_cod_structure_of_other_algebra": lambda p: check_holomorphic(
         p.a, p.a, p.inc, p.Ja, p.Jb
     ),
-    "action_structure": lambda p: check_action_compatibility(p.b, p.rho_b, p.Ja, p.Ja, p.db),
-    "action_module_structure": lambda p: check_action_compatibility(
-        p.a, p.rho_a, p.Ja, p.Jb, p.da
-    ),
-    "action_representation": lambda p: check_action_compatibility(
-        p.a, p.rho_b, p.Ja, p.Ja, p.da
-    ),
+    "action_structure": lambda p: check_action_compatibility(p.rho_b, p.Ja, p.Ja, p.db),
+    "action_module_structure": lambda p: check_action_compatibility(p.rho_a, p.Ja, p.Jb, p.da),
     "action_decomposition_vectors": lambda p: check_action_compatibility(
-        p.a, p.rho_a, p.Ja, p.Ja, p.da_padded
+        p.rho_a, p.Ja, p.Ja, p.da_padded
     ),
 }
 
@@ -703,7 +698,7 @@ _PRECONDITION_FIRST = {
     "action_compatibility": (
         structures,
         "_require_almost_complex",
-        lambda p: check_action_compatibility(p.a, p.rho_a, p.Ja, p.Ja, p.da),
+        lambda p: check_action_compatibility(p.rho_a, p.Ja, p.Ja, p.da),
     ),
     "self_dual": (
         structures,
@@ -718,12 +713,12 @@ _PRECONDITION_FIRST = {
     "torsion_equivalence": (
         structures,
         "check_representation",
-        lambda p: check_torsion_integrability_equivalence(p.ab, p.zero),
+        lambda p: check_torsion_integrability_equivalence(p.zero),
     ),
     "hypercomplex": (
         structures,
         "_require_flat_torsion_free",
-        lambda p: hypercomplex_pair(p.ab, p.zero, p.J)[2],
+        lambda p: hypercomplex_pair(p.zero, p.J)[2],
     ),
 }
 
@@ -751,9 +746,9 @@ def test_block_structures_integrable_when_compat_holds():
     # positive direction across catalog instances
     for entry in (catalog.euclidean(4), catalog.euclidean(6), catalog.so3_on_c3()):
         cd = entry.structures["compat"]
-        cert = check_action_compatibility(cd.g, cd.rho, cd.j, cd.i, cd.split)
+        cert = check_action_compatibility(cd.rho, cd.j, cd.i, cd.split)
         assert cert.passed
-        full = semidirect(cd.g, cd.rho, check_rep=False)
+        full = semidirect(cd.rho.algebra, cd.rho, check_rep=False)
         jp = block_complex_structure(cd.j, cd.i, 1)
         assert check_integrable(full, jp).passed
         if cert.notes["g1_zero"]:
