@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalar_linear import PreconditionError
-from .lie_core import AlmostComplex, Connection, LieAlgebra, LinearMap, _columns_map, _direct_sum
+from .lie_core import (
+    MAX_DIM, AlmostComplex, Connection, LieAlgebra, LinearMap, _columns_map, _direct_sum,
+)
 from .constructions import central_extension, from_matrix_basis, semidirect
 from .structures import Decomposition
 
@@ -45,6 +47,12 @@ class CatalogEntry:
     inclusions: dict = field(default_factory=dict)
     realization: list = field(default_factory=list)
     label_maps: dict = field(default_factory=dict)
+
+
+def _bounded(dim, what):
+    """Refuse a builder's output above MAX_DIM before anything is built."""
+    if dim > MAX_DIM:
+        raise PreconditionError("%s has more than %d dimensions" % (what, MAX_DIM))
 
 
 def _unit(n, r, c):
@@ -84,6 +92,7 @@ def so(n):
     """Antisymmetric matrices; labels follow f_ij = e_ij - e_ji."""
     if n < 1:
         raise PreconditionError("so(n) needs n >= 1")
+    _bounded(n * (n - 1) // 2, "so(%d)" % n)
     pairs = _rot_pairs(n)
     mats = [_generator(n, i - 1, j - 1, -1) for i, j in pairs]
     labels = [_flabel("f", i, j) for i, j in pairs]
@@ -103,6 +112,7 @@ def lorentz(p):
     """so(p, 1) from the (p+1) x (p+1) realization with form diag(1,..,1,-1)."""
     if p < 2:
         raise PreconditionError("lorentz algebra needs p >= 2")
+    _bounded((p + 1) * p // 2, "lorentz(%d)" % p)
     n = p + 1
     rpairs = _rot_pairs(p)
     mats = [_generator(n, i - 1, j - 1, -1) for i, j in rpairs]
@@ -146,6 +156,7 @@ def gl(n):
     """Full matrix algebra on the unit-matrix basis."""
     if n < 1:
         raise PreconditionError("gl(n) needs n >= 1")
+    _bounded(n * n, "gl(%d)" % n)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     mats = [_unit(n, i - 1, j - 1) for i, j in pairs]
     labels = [_flabel("e", i, j) for i, j in pairs]
@@ -166,6 +177,9 @@ def gl(n):
 
 def affine(n):
     """Affine motion algebra gl(n) acting on translations."""
+    if n < 1:
+        raise PreconditionError("affine(n) needs n >= 1")
+    _bounded(n * n + n, "affine(%d)" % n)
     g = gl(n)
     alg = semidirect(
         g.algebra,
@@ -180,6 +194,7 @@ def affine(n):
 def abelian(n):
     if n < 1:
         raise PreconditionError("abelian(n) needs n >= 1")
+    _bounded(n, "abelian(%d)" % n)
     alg = LieAlgebra._normalized(["a%d" % (i + 1) for i in range(n)], {}, name="abelian_%d" % n)
     return CatalogEntry("abelian_%d" % n, alg)
 
@@ -300,6 +315,8 @@ def euclidean(n):
     """
     if n < 3:
         raise PreconditionError("euclidean entry needs n >= 3")
+    # so(n), the translations and, unless n = 0, 3 mod 4, a central z
+    _bounded(n * (n + 1) // 2 + (n % 4 in (1, 2)), "euclidean(%d)" % n)
     return _euclidean(n)
 
 
@@ -373,6 +390,7 @@ def poincare(k):
     if k < 0:
         raise PreconditionError("poincare entry needs k >= 0")
     q = 4 * k + 2
+    _bounded((q + 1) * (q + 2) // 2, "poincare(%d)" % k)
     lz = lorentz(q)
     lza = lz.algebra
     alg = semidirect(

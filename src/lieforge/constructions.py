@@ -95,11 +95,17 @@ class AssociativeAlgebra:
         return out
 
     def _associativity_defect(self):
+        """The first basis triple (i, j, k), in lexicographic order, with
+        (b_i b_j) b_k != b_i (b_j b_k), or None.  Both sides vanish unless
+        (i, j) or (j, k) has a product, so only such triples are visited."""
         n = self.dim
+        partners = defaultdict(list)  # j -> the k with a product (j, k), ascending
+        for j, k in sorted(self.table):
+            partners[j].append(k)
         for i in range(n):
-            for j in range(n):
+            for j in sorted(partners.keys() | set(partners.get(i, ()))):
                 ij = self.product_basis(i, j)
-                for k in range(n):
+                for k in range(n) if ij else partners[j]:
                     left = self.product_sparse(ij, {k: _ONE})
                     right = self.product_sparse({i: _ONE}, self.product_basis(j, k))
                     if left != right:
@@ -225,6 +231,8 @@ def cotangent(g, conn, name=None, check_rep=True):
 
 def central_extension(g, label="z", name=None):
     """Trivial central extension; the new central generator is appended last."""
+    if g.dim + 1 > MAX_DIM:
+        raise PreconditionError("central extension has more than %d dimensions" % MAX_DIM)
     if label in g.labels:
         raise PreconditionError("label %r already used in the algebra" % label)
     labels = list(g.labels) + [label]
@@ -369,6 +377,8 @@ def aff_algebra(A, name=None):
     connection.
     """
     n = A.dim
+    if 2 * n > MAX_DIM:
+        raise PreconditionError("affinization has more than %d dimensions" % MAX_DIM)
     labels = ["%s" % lab for lab in A.labels] + ["%s_t" % lab for lab in A.labels]
     table = {}
     for i in range(n):

@@ -41,7 +41,7 @@ from functools import partial
 
 from .scalar_linear import LieforgeError, PreconditionError, exact
 from .lie_core import (
-    AlmostComplex,
+    MAX_DIM,
     BilinearForm,
     Certificate,
     Connection,
@@ -351,6 +351,8 @@ class _Parser:
             self.next()
         if not labels:
             raise DslSyntaxError("empty basis", kw.span)
+        if len(labels) > MAX_DIM:
+            raise ShapeError("basis has more than %d labels" % MAX_DIM, kw.span)
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
             raise ShapeError("duplicate basis label", kw.span)
@@ -833,8 +835,8 @@ _CONSTRUCTS = {
 # checks reachable from the DSL
 
 # name: (signature, index of the target argument, library call on the
-# resolved arguments); AlmostComplex raises at run time, so that a map that
-# does not square to -1 gives a failing precondition certificate
+# resolved arguments); each library call verifies that its structures square
+# to -1, so such a map gives a failing precondition certificate at run time
 _CHECKS = {
     "jacobi": ("algebra", 0, check_jacobi),
     "integrable": ("@endo label*", 0, lambda g, J, *split, target: check_integrable(
@@ -849,18 +851,16 @@ _CHECKS = {
     "parallel": ("conn endo|form", 1, check_parallel),
     "metric": ("conn form", 0, check_metric),
     "product_structure": ("@endo", 0, check_product_structure),
-    "eigensplit": ("@endo", 0, lambda g, J, target: eigenspace_split(g, AlmostComplex(J))[2]),
-    "action_compatibility": ("conn endo endo decomp", 0, lambda c, J, I, d, target: (
-        st.check_action_compatibility(c, AlmostComplex(J), AlmostComplex(I), d, target=target))),
+    "eigensplit": ("@endo", 0, lambda g, J, target: eigenspace_split(g, J)[2]),
+    "action_compatibility": ("conn endo endo decomp", 0, st.check_action_compatibility),
     "torsion_equivalence": ("[algebra] conn", -1, st.check_torsion_integrability_equivalence),
     "reconstruct": ("algebra endo label label*", 0, lambda g, K, *part, target: (
-        st.reconstruct_connection(g, AlmostComplex(K), part, target=target)[2])),
+        st.reconstruct_connection(g, K, part, target=target)[2])),
     "self_dual": ("conn endo", 0, st.check_self_dual),
     "pseudo_kahler": ("algebra form", 0, st.check_pseudo_kahler),
-    "holomorphic": ("@map endo endo", 0, lambda dom, cod, f, Jd, Jc, target: (
-        st.check_holomorphic(dom, cod, f, AlmostComplex(Jd), AlmostComplex(Jc), target=target))),
+    "holomorphic": ("@map endo endo", 0, st.check_holomorphic),
     "hypercomplex": ("conn endo", 0, lambda c, J, target: (
-        st.hypercomplex_pair(c, AlmostComplex(J), target=target)[2])),
+        st.hypercomplex_pair(c, J, target=target)[2])),
 }
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress
@@ -442,13 +441,14 @@ class Connection:
     def __getitem__(self, i):
         return self.maps[i]
 
-    def apply_sparse(self, x, v):
-        """Sparse evaluation of the operator at x applied to module vector v."""
-        x = _sparse(x)
-        out = {}
+    def at(self, x):
+        """The operator sum_i x_i rho_i at a sparse algebra vector x, as one map."""
+        m = self.module_dim
+        cols = [{} for _ in range(m)]
         for i, c in x.items():
-            _acc(out, self.maps[i].apply_sparse(v), c)
-        return out
+            for col, icol in zip(cols, self.maps[i].sparse_columns()):
+                _acc(col, icol, c)
+        return _columns_map(m, m, [{r: exact(v) for r, v in col.items()} for col in cols])
 
     def dual(self):
         """Contragredient family: each operator becomes minus its transpose."""
@@ -487,9 +487,6 @@ class BilinearForm:
     @property
     def matrix(self):
         return self.gram.matrix
-
-    def value_basis(self, i, j):
-        return self.gram.sparse_columns()[j].get(i, _ZERO)
 
     def __repr__(self):
         return "BilinearForm(%s, dim=%d)" % (self.kind, self.dim)
@@ -993,8 +990,9 @@ def check_parallel(conn, tensor, target=None):
     Both derivatives are linear in the operator rho_i, so only what meets
     its nonzero columns is visited: for an endomorphism T, column k of
     rho_i T - T rho_i is summed from the rows of T and the nonzero columns
-    of rho_i; for a form, the pair (j, k) needs column j or column k of
-    rho_i to be nonzero.
+    of rho_i; for a form with Gram map G, row j of rho_i^T G + G rho_i is
+    G^T applied to column j of rho_i plus row j of G rho_i, so the pair
+    (j, k) needs column j or column k of rho_i to be nonzero.
     """
     m = conn.module_dim
     sweep = _Sweep("parallel", target or conn.algebra.name, m)
@@ -1019,24 +1017,22 @@ def check_parallel(conn, tensor, target=None):
     if isinstance(tensor, BilinearForm):
         if tensor.dim != m:
             raise DimensionMismatchError("form does not match the module")
+        gram = tensor.gram
+        transposed = gram.transpose()
         for i, op in enumerate(conn.maps):
             ocols = op.sparse_columns()
-            live = [j for j, c in enumerate(ocols) if c]
-            for j in range(live[-1] + 1 if live else 0):
-                cj = ocols[j]
-                ks = range(j, m) if cj else live[bisect_left(live, j):]
-                for k in ks:
-                    s = _ZERO
-                    for l, c in cj.items():
-                        e = tensor.value_basis(l, k)
-                        if e:
-                            s = s + c * e
-                    for l, c in ocols[k].items():
-                        e = tensor.value_basis(j, l)
-                        if e:
-                            s = s + c * e
-                    if s:
-                        sweep.fail((i, j, k), (s,))
+            # (G rho_i)[j, k] for k >= j, by row j
+            upper = defaultdict(dict)
+            for k, col in enumerate(ocols):
+                for j, v in gram.apply_sparse(col).items():
+                    if j <= k:
+                        upper[j][k] = v
+            for j in sorted(upper.keys() | {j for j, col in enumerate(ocols) if col}):
+                # row j of rho_i^T G + G rho_i, from column j on
+                row = {k: v for k, v in transposed.apply_sparse(ocols[j]).items() if k >= j}
+                _acc(row, upper[j])
+                for k in sorted(row):
+                    sweep.fail((i, j, k), (row[k],))
         return sweep.done()
     raise PreconditionError("parallel check expects a LinearMap or a BilinearForm")
 

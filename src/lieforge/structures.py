@@ -43,7 +43,6 @@ from .constructions import (
     tangent,
 )
 
-_ZERO = 0
 _ONE = 1
 
 
@@ -105,37 +104,28 @@ def check_action_compatibility(rho, J, I, split, target=None):
             if not solver.contains(J.apply_sparse(v)):
                 raise PreconditionError("%s is not stable under the structure" % name)
     icols = I.sparse_columns()
-    units = [{k: _ONE} for k in range(m)]
-    for a, u in enumerate(part0):
-        for k in range(m):
-            # rho(u) I e_k - I rho(u) e_k
-            acc = rho.apply_sparse(u, icols[k])
-            _acc(acc, I.apply_sparse(rho.apply_sparse(u, units[k])), -_ONE)
-            if acc:
-                sweep.fail(("part0", a, k), acc)
-    for a, u in enumerate(part1):
-        ju = J.apply_sparse(u)
-        for k in range(m):
-            # rho(Ju) I e_k - rho(u) e_k
-            acc = rho.apply_sparse(ju, icols[k])
-            _acc(acc, rho.apply_sparse(u, units[k]), -_ONE)
-            if acc:
-                sweep.fail(("part1", a, k), acc)
+    for name, vecs in (("part0", part0), ("part1", part1)):
+        for a, u in enumerate(vecs):
+            # rho(u) I - I rho(u) on part0, rho(Ju) I - rho(u) on part1
+            R = rho.at(u)
+            X, Y = (R, I.compose(R)) if name == "part0" else (rho.at(J.apply_sparse(u)), R)
+            for k, ycol in enumerate(Y.sparse_columns()):
+                acc = X.apply_sparse(icols[k])
+                _acc(acc, ycol, -_ONE)
+                if acc:
+                    sweep.fail((name, a, k), acc)
     identity_failures = 0
-    jcols_g = J.sparse_columns()
-    for i in range(n):
-        ocols = rho.maps[i].sparse_columns()
-        jb = jcols_g[i]
-        for k in range(m):
-            # [I, rho(b_i)] e_k - [I, rho(J b_i)] I e_k
-            iv = icols[k]
-            lhs = I.apply_sparse(ocols[k])
-            _acc(lhs, rho.maps[i].apply_sparse(iv), -_ONE)
-            rhs = I.apply_sparse(rho.apply_sparse(jb, iv))
-            _acc(rhs, rho.apply_sparse(jb, I.apply_sparse(iv)), -_ONE)
-            _acc(lhs, rhs, -_ONE)
-            if lhs:
-                identity_failures += 1
+    for i, jb in enumerate(J.sparse_columns()):
+        # [I, P] - [I, R] I with P = rho(b_i) and R = rho(J b_i); as I^2 = -1,
+        # [I, R] I = I R I + R, so column k is I (P - R I) e_k - P I e_k - R e_k
+        P, R = rho.maps[i], rho.at(jb)
+        for k, (pcol, rcol) in enumerate(zip(P.sparse_columns(), R.sparse_columns())):
+            acc = dict(pcol)
+            _acc(acc, R.apply_sparse(icols[k]), -_ONE)
+            acc = I.apply_sparse(acc)
+            _acc(acc, P.apply_sparse(icols[k]), -_ONE)
+            _acc(acc, rcol, -_ONE)
+            identity_failures += bool(acc)
     notes = {
         "g1_zero": s1.rank == 0,
         "mixed_identity_failures": identity_failures,
@@ -175,6 +165,7 @@ def reconstruct_connection(u, K, part, target=None):
     p = len(part)
     n = u.dim
     sweep = _Sweep("reconstruct", target or u.name, n)
+    _require_almost_complex(u, K)
     if 2 * p != n:
         raise PreconditionError("the subalgebra must span half the dimensions")
     _require(check_integrable(u, K), "structure is not integrable")
@@ -194,10 +185,7 @@ def reconstruct_connection(u, K, part, target=None):
     sub_table = {}
     for ai, i in enumerate(part):
         for bj in range(ai + 1, p):
-            j = part[bj]
-            w = u.bracket_basis(min(i, j), max(i, j))
-            if i > j:
-                w = {k: -v for k, v in w.items()}
+            w = u.bracket_basis(i, part[bj])
             if w:
                 sub_table[(ai, bj)] = {pos[k]: v for k, v in w.items()}
     sub = LieAlgebra._normalized([u.labels[i] for i in part], sub_table, name="%s|sub" % u.name)
@@ -228,10 +216,8 @@ def reconstruct_connection(u, K, part, target=None):
     for a in range(2 * p):
         for b in range(a + 1, 2 * p):
             lhs = u.bracket_sparse(frame[a], frame[b])
-            rhs = {}
             for k, v in talg.bracket_basis(a, b).items():
-                _acc(rhs, frame[k], v)
-            _acc(lhs, rhs, -_ONE)
+                _acc(lhs, frame[k], -v)
             if lhs:
                 sweep.fail(("iso", a, b), lhs)
     notes = {
@@ -387,6 +373,7 @@ def hypercomplex_pair(conn, J, target=None):
     connection parallelizing the pair, recorded in the notes.
     """
     sweep = _Sweep("hypercomplex", target or conn.algebra.name)
+    _require_almost_complex(conn.algebra, J)
     _require_flat_torsion_free(conn)
     _require(check_parallel(conn, J), "structure is not parallel")
     talg = tangent(conn.algebra, conn, check_rep=False)
@@ -434,32 +421,24 @@ def levi_civita(g, B):
         raise DimensionMismatchError("metric does not match algebra dimension")
     solver = _require_invertible(B.gram, "metric must be invertible")
     n = g.dim
+    G = B.gram
+    gcols = G.sparse_columns()
+    ad_t = [g.ad(i).transpose() for i in range(n)]
     half = Fraction(1, 2)
     maps = []
     for i in range(n):
         cols = []
         for j in range(n):
-            rhs = {}
-            bij = g.bracket_basis(i, j)
-            for k in range(n):
-                s = _ZERO
-                for l, c in bij.items():
-                    e = B.value_basis(l, k)
-                    if e:
-                        s = s + c * e
-                for l, c in g.bracket_basis(j, k).items():
-                    e = B.value_basis(l, i)
-                    if e:
-                        s = s - c * e
-                for l, c in g.bracket_basis(k, i).items():
-                    e = B.value_basis(l, j)
-                    if e:
-                        s = s + c * e
-                if s:
-                    rhs[k] = half * s
+            # 2 B(nabla_i b_j, b_k) = B([b_i, b_j], b_k) - B([b_j, b_k], b_i)
+            # + B([b_k, b_i], b_j), which is entry k of
+            # G [b_i, b_j] - ad_j^T G b_i - ad_i^T G b_j
+            rhs = G.apply_sparse(g.bracket_basis(i, j))
+            _acc(rhs, ad_t[j].apply_sparse(gcols[i]), -_ONE)
+            _acc(rhs, ad_t[i].apply_sparse(gcols[j]), -_ONE)
+            coeffs = solver.solve({k: half * v for k, v in rhs.items()})
             # rows in increasing order, which check_representation's
             # summation order relies on
-            cols.append(dict(sorted(solver.solve(rhs).items())))
+            cols.append(dict(sorted(coeffs.items())))
         maps.append(LinearMap.from_sparse_columns(n, n, cols))
     return Connection(g, maps)
 
@@ -510,10 +489,5 @@ def check_holomorphic(dom, cod, iota, J_dom, J_cod, target=None):
             _acc(acc, cod.bracket_sparse(cols[i], cols[j]), -_ONE)
             if acc:
                 sweep.fail(("hom", i, j), acc)
-    jd = J_dom.sparse_columns()
-    for i in range(dom.dim):
-        acc = dict(iota.apply_sparse(jd[i]))
-        _acc(acc, J_cod.apply_sparse(cols[i]), -_ONE)
-        if acc:
-            sweep.fail(("structure", i), acc)
+    sweep.absorb(("structure",), _equal_maps(iota.compose(J_dom), J_cod.compose(iota)))
     return sweep.done()

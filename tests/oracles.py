@@ -376,6 +376,77 @@ def connection_at(conn, x):
     return out
 
 
+def naive_action_compatibility(rho, jmat, imat, part0, part1):
+    """The failures of the action-compatibility sweep, densely.
+
+    Returns (fails, mixed): fails holds ((part, a, k), column k) for each
+    nonzero column k of rho(u) I - I rho(u), u the a-th vector of part0,
+    then of rho(J u) I - rho(u) for part1; mixed counts the nonzero columns
+    of [I, rho(b_i)] - [I, rho(J b_i)] I over every basis index i.
+    """
+    n, m = rho.algebra.dim, rho.module_dim
+    e = lambda a: [1 if t == a else 0 for t in range(n)]
+    diff = lambda x, y: [[p - q for p, q in zip(rx, ry)] for rx, ry in zip(x, y)]
+    column = lambda d, k: [d[r][k] for r in range(m)]
+    fails = []
+    for a, u in enumerate(part0):
+        at_u = connection_at(rho, u)
+        d = diff(naive_product(at_u, imat), naive_product(imat, at_u))
+        fails += [(("part0", a, k), column(d, k)) for k in range(m) if any(column(d, k))]
+    for a, u in enumerate(part1):
+        at_ju = connection_at(rho, naive_matvec(jmat, u))
+        d = diff(naive_product(at_ju, imat), connection_at(rho, u))
+        fails += [(("part1", a, k), column(d, k)) for k in range(m) if any(column(d, k))]
+    mixed = 0
+    for i in range(n):
+        left = naive_commutator(imat, connection_at(rho, e(i)))
+        at_jb = connection_at(rho, naive_matvec(jmat, e(i)))
+        d = diff(left, naive_product(naive_commutator(imat, at_jb), imat))
+        mixed += sum(1 for k in range(m) if any(column(d, k)))
+    return fails, mixed
+
+
+def naive_holomorphic_sweep(dom, cod, imat, jdom, jcod):
+    """Every failure of a holomorphic-map check, in order: (("hom", i, j),
+    iota [b_i, b_j] - [iota b_i, iota b_j]) for i < j, then
+    (("structure", i), column i of iota J_dom - J_cod iota)."""
+    cd, cc = dense_constants(dom), dense_constants(cod)
+    n = dom.dim
+    e = lambda a: [1 if t == a else 0 for t in range(n)]
+    image = [naive_matvec(imat, e(i)) for i in range(n)]
+    fails = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = naive_matvec(imat, naive_bracket(cd, e(i), e(j)))
+            d = [x - y for x, y in zip(lhs, naive_bracket(cc, image[i], image[j]))]
+            if any(d):
+                fails.append((("hom", i, j), d))
+    left, right = naive_product(imat, jdom), naive_product(jcod, imat)
+    for i in range(n):
+        d = [left[r][i] - right[r][i] for r in range(cod.dim)]
+        if any(d):
+            fails.append((("structure", i), d))
+    return fails
+
+
+def naive_associativity_defect(n, table):
+    """The first basis triple (i, j, k), in lexicographic order, where
+    (b_i b_j) b_k != b_i (b_j b_k) under a product table on n labels, or
+    None; the table is made dense and every triple is tried."""
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), coeffs in table.items():
+        for k, v in coeffs.items():
+            c[i][j][k] = v
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = [sum(c[i][j][l] * c[l][k][r] for l in range(n)) for r in range(n)]
+                right = [sum(c[j][k][l] * c[i][l][r] for l in range(n)) for r in range(n)]
+                if left != right:
+                    return (i, j, k)
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # ident | number | punct | end

@@ -232,6 +232,42 @@ def test_compat_identity_as_matrix_equation():
         assert lhs == connection_at(cd.rho, v)
 
 
+# builder -> (largest parameter whose output has at most ten dimensions,
+# that output's dimension)
+_BOUNDED_BUILDERS = {
+    "so": (5, 10),
+    "lorentz": (4, 10),
+    "gl": (3, 9),
+    "affine": (2, 6),
+    "abelian": (10, 10),
+    "euclidean": (4, 10),
+    "poincare": (0, 6),
+    "right_mult_structure": (1, 4),
+    "affine_complex_structure": (1, 6),
+}
+
+
+@pytest.mark.parametrize("name", list(_BOUNDED_BUILDERS))
+def test_builders_refuse_an_output_above_max_dim_before_building(name, monkeypatch):
+    """With MAX_DIM at ten, each builder builds its largest output within
+    the bound, and refuses the next parameter before any algebra is made."""
+    monkeypatch.setattr(catalog, "MAX_DIM", 10)
+    builder = getattr(catalog, name)
+    n, dim = _BOUNDED_BUILDERS[name]
+    built = builder(n)
+    entry = built[0] if isinstance(built, tuple) else built
+    assert entry.algebra.dim == dim
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    for fn in ("from_matrix_basis", "semidirect"):
+        monkeypatch.setattr(catalog, fn, no_build)
+    monkeypatch.setattr(catalog.LieAlgebra, "_normalized", no_build)
+    with pytest.raises(PreconditionError, match="has more than 10 dimensions$"):
+        builder(n + 1)
+
+
 def test_right_mult_structure_squares():
     entry, J = catalog.right_mult_structure(2)
     assert J.squares_to_minus_identity()

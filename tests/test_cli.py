@@ -462,6 +462,35 @@ def test_abelian_of_no_dimensions_exits_two(argv, capsys):
     assert "abelian(n) needs n >= 1" in captured.err
 
 
+def test_catalog_entry_above_max_dim_exits_two_before_building(monkeypatch, capsys):
+    """so(100) has 4 950 dimensions."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(catalog, "from_matrix_basis", no_build)
+    assert main(["catalog", "so", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: so(100) has more than 2048 dimensions\n"
+
+
+def test_basis_above_max_dim_exits_two(monkeypatch, tmp_path, capsys):
+    """The bound also holds for the bases of algebra and assoc statements,
+    at their basis keyword."""
+    monkeypatch.setattr(dsl, "MAX_DIM", 3)
+    for head, line in (("algebra g", 1), ("assoc A", 2)):
+        text = "\n" * (line - 1) + "%s { basis a b c d ; }\n" % head
+        assert main(["check", write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        column = len(head) + 4
+        assert captured.err == (
+            "error: basis has more than 3 labels (line %d, column %d)\n" % (line, column)
+        )
+    assert main(["check", write(tmp_path, "assoc A { basis a b c ; }\n")]) == 0
+
+
 def test_tower_command(capsys):
     rc = main(["tower", "--base", "gl:2", "--m", "2"])
     out = capsys.readouterr().out

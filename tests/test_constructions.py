@@ -65,6 +65,7 @@ from lieforge.acceptance import complex_numbers_algebra
 from oracles import (
     is_integer_first,
     matrix_assoc_algebra,
+    naive_associativity_defect,
     naive_commutator,
     naive_inverse,
     naive_product,
@@ -280,6 +281,25 @@ def test_semidirect_refuses_an_output_above_max_dim(monkeypatch):
     assert semidirect(ab, Connection(ab, [LinearMap.zero(2)] * 2)).dim == 4
     with pytest.raises(PreconditionError):
         semidirect(ab, Connection(ab, [LinearMap.zero(3)] * 2))
+
+
+def test_central_extension_and_affinization_refuse_an_output_above_max_dim(monkeypatch):
+    """Each size is checked before any algebra is built; an output of
+    exactly MAX_DIM is built."""
+    monkeypatch.setattr(constructions, "MAX_DIM", 4)
+    three, four = catalog.abelian(3).algebra, catalog.abelian(4).algebra
+    two_labels, three_labels = (AssociativeAlgebra(list(labs), {}) for labs in ("ab", "abc"))
+    assert central_extension(three).dim == 4
+    assert aff_algebra(two_labels)[0].dim == 4
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(LieAlgebra, "_normalized", no_build)
+    with pytest.raises(PreconditionError, match="^central extension has more than 4 dimensions$"):
+        central_extension(four)
+    with pytest.raises(PreconditionError, match="^affinization has more than 4 dimensions$"):
+        aff_algebra(three_labels)
 
 
 def test_cotangent_dual_maps_are_negative_transposes():
@@ -882,6 +902,52 @@ def test_assoc_requires_associativity():
     bad = {(0, 0): {1: Q(1)}, (1, 0): {0: Q(1)}}
     with pytest.raises(PreconditionError):
         AssociativeAlgebra(["x", "y"], bad)
+
+
+def test_assoc_without_products_multiplies_nothing(monkeypatch):
+    """Both sides of the associativity law vanish at a triple unless one of
+    its two pairs has a product, so a table with none takes no product."""
+    from lieforge.dsl import parse
+
+    calls = [0]
+    product_sparse = AssociativeAlgebra.product_sparse
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return product_sparse(self, u, v)
+
+    monkeypatch.setattr(AssociativeAlgebra, "product_sparse", counted)
+    labels = " ".join("e%d" % i for i in range(40))
+    ws = parse("assoc A { basis %s ; }\n" % labels)
+    assert ws.definitions["A"][1].dim == 40
+    assert calls[0] == 0
+
+
+_assoc_tables = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.dictionaries(st.integers(0, n - 1), st.sampled_from([1, -1, 2, Q(1, 2)]), max_size=2),
+        max_size=6,
+    ),
+))
+
+
+@given(_assoc_tables)
+@settings(max_examples=300, deadline=None)
+def test_associativity_refusal_names_the_oracles_first_triple(case):
+    """Random sparse tables, most of them not associative: the constructor
+    refuses exactly when the dense oracle finds a failing triple, and names
+    the first one in lexicographic order."""
+    n, table = case
+    expect = naive_associativity_defect(n, table)
+    labels = ["a%d" % i for i in range(n)]
+    if expect is None:
+        assert AssociativeAlgebra(labels, table).dim == n
+    else:
+        with pytest.raises(PreconditionError) as exc:
+            AssociativeAlgebra(labels, table)
+        assert str(exc.value) == "product table is not associative at triple %s" % (expect,)
 
 
 def test_assoc_rejects_indices_outside_the_basis():

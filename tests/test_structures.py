@@ -48,8 +48,12 @@ from lieforge.acceptance import (
 )
 
 from oracles import (
+    connection_at,
     dense_constants,
+    is_integer_first,
     matrix_assoc_algebra,
+    naive_action_compatibility,
+    naive_holomorphic_sweep,
     naive_inverse,
     naive_matvec,
     naive_product,
@@ -121,6 +125,95 @@ def test_action_compatibility_refuses_a_module_map_that_is_not_complex():
     assert str(exc.value) == "map squared is not minus the identity"
     with pytest.raises(DimensionMismatchError):
         check_action_compatibility(cd.rho, cd.j, LinearMap.identity(4), cd.split)
+
+
+def _dense_vector(n, v):
+    return [v.get(i, 0) for i in range(n)] if isinstance(v, dict) else list(v)
+
+
+def _stored(cd):
+    return cd.rho, cd.j, cd.i, cd.split
+
+
+def _swapped(cd):
+    return cd.rho, cd.j, cd.i, Decomposition(cd.split.part1, cd.split.part0)
+
+
+def _other_module_structure(cd):
+    """The e(4) data with the module structure paired the other way round,
+    which breaks the mixed identity."""
+    return cd.rho, cd.j, AlmostComplex.from_pairs(4, [(0, 2), (1, 3)]), cd.split
+
+
+_COMPAT_CASES = {
+    "e4": lambda: _stored(catalog.euclidean(4).structures["compat"]),
+    "e4_swapped": lambda: _swapped(catalog.euclidean(4).structures["compat"]),
+    "e6_swapped": lambda: _swapped(catalog.euclidean(6).structures["compat"]),
+    "so3_c3_swapped": lambda: _swapped(catalog.so3_on_c3().structures["compat"]),
+    "e4_other_module_structure": lambda: _other_module_structure(
+        catalog.euclidean(4).structures["compat"]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_COMPAT_CASES))
+def test_action_compatibility_matches_the_dense_oracle(case):
+    """Witnesses, total_failures and mixed_identity_failures agree with
+    dense sums of rho(x) = sum_i x_i rho_i, taken by connection_at."""
+    rho, J, I, split = _COMPAT_CASES[case]()
+    n = rho.algebra.dim
+    part0 = [_dense_vector(n, v) for v in split.part0]
+    part1 = [_dense_vector(n, v) for v in split.part1]
+    fails, mixed = naive_action_compatibility(rho, J.matrix.data, I.matrix.data, part0, part1)
+    cert = check_action_compatibility(rho, J, I, split)
+    assert cert.witnesses == [Witness(key, tuple(d)) for key, d in fails[:16]]
+    assert cert.total_failures == len(fails)
+    assert cert.notes["mixed_identity_failures"] == mixed
+    if case.startswith("e4_"):
+        assert fails
+    if case == "e4_other_module_structure":
+        assert mixed > 0
+
+
+@given(st.sampled_from(["e4", "e6", "so3_c3", "gl2_left"]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_connection_at_matches_the_dense_sum(name, data):
+    if name == "gl2_left":
+        rho = catalog.gl(2).structures["left_mult"]
+    elif name == "so3_c3":
+        rho = catalog.so3_on_c3().structures["compat"].rho
+    else:
+        rho = catalog.euclidean(int(name[1:])).structures["compat"].rho
+    n = rho.algebra.dim
+    # Fraction(2) is integral, so the map must store 2 * entry as an int
+    scalars = st.sampled_from([1, -1, Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+    x = data.draw(st.dictionaries(st.integers(0, n - 1), scalars, max_size=4))
+    at = rho.at(x)
+    assert (at.rows, at.cols) == (rho.module_dim, rho.module_dim)
+    assert at.matrix.data == connection_at(rho, _dense_vector(n, x))
+    assert all(v and is_integer_first(v) for col in at.sparse_columns() for v in col.values())
+
+
+@given(
+    st.one_of(st.just(list(range(10))), st.permutations(range(10))),
+    st.permutations(range(10)),
+)
+@settings(max_examples=60, deadline=None)
+def test_holomorphic_witnesses_match_the_dense_oracle(order, pairing):
+    """The identity of e(4), or a permutation of its basis, which breaks
+    many brackets, as the map, and a random pairing as the codomain
+    structure: the "hom" failures come first, then the ("structure", i)
+    columns of iota J_dom - J_cod iota, kept up to sixteen."""
+    e4 = catalog.euclidean(4)
+    L, J = e4.algebra, e4.structures["j"]
+    iota = LinearMap.from_sparse_columns(10, 10, [{r: 1} for r in order])
+    J_cod = AlmostComplex.from_pairs(10, list(zip(pairing[::2], pairing[1::2])))
+    fails = naive_holomorphic_sweep(
+        L, L, iota.matrix.data, J.matrix.data, J_cod.matrix.data
+    )
+    cert = check_holomorphic(L, L, iota, J, J_cod)
+    assert cert.witnesses == [Witness(key, tuple(d)) for key, d in fails[:16]]
+    assert cert.total_failures == len(fails)
 
 
 def test_canonical_structure_blocks():
