@@ -1,5 +1,7 @@
 import codecs
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -18,6 +20,7 @@ GOLDEN_EIGENSPLIT_FAIL = os.path.join(os.path.dirname(__file__), "golden", "eige
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "corpus")
 GOLDEN_ACCEPTANCE = os.path.join(os.path.dirname(__file__), "golden", "acceptance.json")
+GOLDEN_CHECK_REPORTS = os.path.join(os.path.dirname(__file__), "golden", "check_reports.json")
 ZERO_DENOMINATOR = os.path.join(FIXTURES, "zero_denominator.lie")
 
 
@@ -589,3 +592,57 @@ def test_eigensplit_fail_report_matches_golden(capsys):
     """Failing eigenspace, abelian-complex and product-structure sweeps on
     e(4), each past the witness cap: the status is 1."""
     _assert_report_matches_golden(capsys, "eigensplit_fail.lie", GOLDEN_EIGENSPLIT_FAIL, 1)
+
+
+def _normalized_check(path):
+    """What `lieforge check` prints for ``path``, with its timings taken out.
+
+    Returns the exit status, the text run's stdout with each ``(x.x ms)``
+    masked, its stderr, and the SHA-256 of the ``--json -`` report with each
+    ``elapsed_ms`` set to 0 (e15's report alone is 35 KB).  The ``--json -``
+    run must end with the same status and stderr as the text run.
+    """
+    runs = []
+    for argv in (["check", path], ["check", "--json", "-", path]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        runs.append((status, out.getvalue(), err.getvalue()))
+    (status, text, err), (json_status, report, json_err) = runs
+    assert (json_status, json_err) == (status, err), path
+    if report:
+        report = json.dumps(
+            json.loads(
+                report,
+                object_hook=lambda d: {k: 0 if k == "elapsed_ms" else v for k, v in d.items()},
+            ),
+            indent=2,
+        )
+    return {
+        "status": status,
+        "stdout": re.sub(r"\(\d+\.\d ms\)", "(x.x ms)", text),
+        "stderr": err,
+        "report_sha256": hashlib.sha256(report.encode("utf-8")).hexdigest(),
+    }
+
+
+def _check_report_inputs():
+    """Every fixture and corpus file, keyed by its path from the repository root."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return {
+        os.path.relpath(os.path.join(folder, f), root).replace(os.sep, "/"): os.path.join(folder, f)
+        for folder in (FIXTURES, CORPUS)
+        for f in sorted(os.listdir(folder))
+    }
+
+
+def test_check_reports_match_golden():
+    """`lieforge check` on every fixture and corpus file gives the committed
+    status, text, stderr and report digest.  A refactor must not change
+    them; a deliberate change regenerates the golden in the same commit."""
+    with open(GOLDEN_CHECK_REPORTS, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    inputs = _check_report_inputs()
+    assert sorted(inputs) == sorted(golden)
+    for name, path in inputs.items():
+        assert _normalized_check(path) == golden[name], name
