@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lie_core import (
@@ -50,14 +49,16 @@ from .structures import (
 from . import catalog
 
 
-@dataclass
 class CriterionResult:
-    ident: str
-    label: str
-    passed: bool
-    certificates: list = field(default_factory=list)
-    details: str = ""
-    elapsed_s: float = 0.0
+    """One criterion's verdict and certificates; :func:`_timed` sets ``elapsed_s``."""
+
+    def __init__(self, ident, label, passed, certificates, details=""):
+        self.ident = ident
+        self.label = label
+        self.passed = passed
+        self.certificates = certificates
+        self.details = details
+        self.elapsed_s = 0.0
 
 
 def _result(ident, label, certs, extra_ok=True, details=""):

@@ -12,7 +12,7 @@ central generator z last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .scalar_linear import PreconditionError
 from .lie_core import (
@@ -24,29 +24,25 @@ from .structures import Decomposition
 _ONE = 1
 
 
-@dataclass
-class CompatData:
-    """Everything needed to test the action-compatibility conditions.
-
-    ``rho.algebra`` acts on a module through ``rho``; ``j`` lives on that
-    algebra, ``i`` on the module, and ``split`` is the stored decomposition
-    of the algebra.
-    """
-
-    rho: Connection
-    j: AlmostComplex
-    i: AlmostComplex
-    split: Decomposition
+# Everything needed to test the action-compatibility conditions:
+# ``rho.algebra`` acts on a module through ``rho``; ``j`` lives on that
+# algebra, ``i`` on the module, and ``split`` is the stored decomposition
+# of the algebra.
+CompatData = namedtuple("CompatData", "rho j i split")
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    algebra: LieAlgebra
-    structures: dict = field(default_factory=dict)
-    inclusions: dict = field(default_factory=dict)
-    realization: list = field(default_factory=list)
-    label_maps: dict = field(default_factory=dict)
+    """A named algebra with its matrix realization (a list of maps, empty
+    when it has none) and its own dicts of structures, inclusions and label
+    maps, which the builders fill in."""
+
+    def __init__(self, name, algebra, realization=None):
+        self.name = name
+        self.algebra = algebra
+        self.structures = {}
+        self.inclusions = {}
+        self.realization = realization or []
+        self.label_maps = {}
 
 
 def _bounded(dim, what):

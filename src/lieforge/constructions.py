@@ -22,6 +22,7 @@ from .scalar_linear import (
 from .lie_core import (
     AlmostComplex,
     BilinearForm,
+    Certificate,
     Connection,
     LieAlgebra,
     LinearMap,
@@ -30,7 +31,6 @@ from .lie_core import (
     _direct_sum,
     _sparse,
     _acc,
-    _Sweep,
     _escapes,
     _require,
     _require_almost_complex,
@@ -271,16 +271,16 @@ def eigenspace_split(L, J):
     conj [u, v]: the -i certificate is the +i one with each defect
     conjugated.  Both clocks start before the preconditions.
     """
-    sweeps = tuple(_Sweep("eigenspace_" + key, L.name, L.dim) for key in ("plus", "minus"))
+    certs = tuple(Certificate("eigenspace_" + key, L.name, L.dim) for key in ("plus", "minus"))
     _require_almost_complex(L, J)
     plus, minus = holomorphic_eigenbasis(L, J)
     solver = SpanSolver(L.dim)
     basis = [v for v in plus if solver.add(v)]
     if next(_escapes(L, solver, basis), None) is not None:
         for ab, w in _escapes(L, solver, plus):
-            sweeps[0].fail(ab, w)
-            sweeps[1].fail(ab, {k: x.conjugate() for k, x in w.items()})
-    return plus, minus, tuple(sweep.done() for sweep in sweeps)
+            certs[0].fail(ab, w)
+            certs[1].fail(ab, {k: x.conjugate() for k, x in w.items()})
+    return plus, minus, tuple(cert.done() for cert in certs)
 
 
 def from_matrix_basis(mats, labels=None, name="matrix_algebra"):

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -58,7 +57,6 @@ from .lie_core import (
     check_representation,
     check_symplectic,
     check_torsion_free,
-    _Sweep,
     _sparse,
 )
 from .constructions import (
@@ -92,11 +90,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
-    line: int
-    column: int
-    length: int
+class SourceSpan(namedtuple("SourceSpan", "line column length")):
+    __slots__ = ()
 
     def __str__(self):
         return "line %d, column %d" % (self.line, self.column)
@@ -338,6 +333,13 @@ class _Parser:
 
     # statement bodies ---------------------------------------------------
 
+    def _head(self):
+        """``NAME on ALG``: the name token, the algebra-name token and the algebra."""
+        name = self.expect_ident()
+        self.expect("on")
+        alg_name = self.expect_ident()
+        return name, alg_name, self.ws.algebra(alg_name.text, alg_name.span)
+
     def _basis(self):
         """The basis labels, as a label -> index dict in declaration order."""
         self.expect("{")
@@ -529,10 +531,7 @@ class _Parser:
         return [images[lab] for lab in dom.labels]
 
     def _stmt_endo(self):
-        name = self.expect_ident()
-        self.expect("on")
-        alg_name = self.expect_ident()
-        alg = self.ws.algebra(alg_name.text, alg_name.span)
+        name, alg_name, alg = self._head()
         cols = self._endo_body(alg, alg)
         lm = LinearMap.from_sparse_columns(alg.dim, alg.dim, cols)
         self.ws.define(name.text, "endo", (alg_name.text, lm), name.span)
@@ -550,10 +549,7 @@ class _Parser:
         self.ws.define(name.text, "map", (dom_name.text, cod_name.text, lm), name.span)
 
     def _stmt_conn(self):
-        name = self.expect_ident()
-        self.expect("on")
-        alg_name = self.expect_ident()
-        alg = self.ws.algebra(alg_name.text, alg_name.span)
+        name, alg_name, alg = self._head()
         self.expect("{")
         mats = {}
         mdim = None
@@ -581,10 +577,7 @@ class _Parser:
         self.ws.define(name.text, "conn", (alg_name.text, conn), name.span)
 
     def _stmt_form(self):
-        name = self.expect_ident()
-        self.expect("on")
-        alg_name = self.expect_ident()
-        alg = self.ws.algebra(alg_name.text, alg_name.span)
+        name, alg_name, alg = self._head()
         kind_tok = self.expect_ident()
         kinds = {"sym": BilinearForm.SYMMETRIC, "skew": BilinearForm.SKEW}
         if kind_tok.text not in kinds:
@@ -599,10 +592,7 @@ class _Parser:
         self.ws.define(name.text, "form", (alg_name.text, form), name.span)
 
     def _stmt_decomp(self):
-        name = self.expect_ident()
-        self.expect("on")
-        alg_name = self.expect_ident()
-        alg = self.ws.algebra(alg_name.text, alg_name.span)
+        name, alg_name, alg = self._head()
         self.expect("{")
         parts = {}
         for key in ("part0", "part1"):
@@ -867,12 +857,12 @@ _CHECKS = {
 def _run_one(call, fname, target):
     """Run one check; a violated precondition becomes a failing certificate
     whose ``elapsed_ms`` is the time spent up to the exception."""
-    sweep = _Sweep(fname, target)
+    cert = Certificate(fname, target)
     try:
         certs = call()
     except LieforgeError as exc:
-        sweep.fail(("precondition",), ())
-        return [sweep.done(notes={"precondition": str(exc)})]
+        cert.fail(("precondition",), ())
+        return [cert.done(notes={"precondition": str(exc)})]
     return [certs] if isinstance(certs, Certificate) else list(certs)
 
 

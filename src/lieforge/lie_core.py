@@ -1,17 +1,16 @@
 """Structure-constant Lie algebras and the exact tensor checks.
 
 An algebra is a labeled basis plus an antisymmetric structure-constant
-table.  Every check sweeps basis tuples, collects witnesses for failures
-and returns a :class:`Certificate`; a check passes exactly when its
-witness list is empty.
+table.  Every check builds a :class:`Certificate`, reports each failing
+basis tuple to it and returns it; a check passes exactly when no tuple
+failed.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from itertools import compress
 from operator import itemgetter
 
@@ -33,10 +32,8 @@ MAX_WITNESSES = 16
 MAX_DIM = 2048
 
 
-@dataclass(frozen=True)
-class Witness:
-    indices: tuple
-    defect: tuple
+class Witness(namedtuple("Witness", "indices defect")):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -45,21 +42,52 @@ class Witness:
         }
 
 
-@dataclass
 class Certificate:
-    """Verdict of one named check on one target.
+    """Verdict of one named check on one target, built by the check's sweep.
 
-    ``witnesses`` holds at most MAX_WITNESSES entries; ``total_failures``
-    counts every failing tuple.  ``passed`` is true iff nothing failed.
+    A check makes its certificate first, which starts the clock, so
+    ``elapsed_ms`` covers its preconditions; it reports each failing tuple
+    to :meth:`fail` and returns :meth:`done`.  A defect is a sparse dict,
+    made dense to length ``dim`` only for a kept witness, or a tuple of
+    scalars, kept as given.  ``witnesses`` holds at most MAX_WITNESSES
+    entries; ``total_failures`` counts every failing tuple.
     """
 
-    check_name: str
-    target: str
-    passed: bool
-    witnesses: list
-    total_failures: int
-    elapsed_ms: float
-    notes: dict = field(default_factory=dict)
+    def __init__(self, check_name, target, dim=None):
+        self.check_name = check_name
+        self.target = target
+        self.dim = dim
+        self.witnesses = []
+        self.total_failures = 0
+        self.elapsed_ms = 0.0
+        self.notes = {}
+        self._t0 = time.perf_counter()
+
+    @property
+    def passed(self):
+        return self.total_failures == 0
+
+    def fail(self, indices, defect):
+        self.total_failures += 1
+        if len(self.witnesses) < MAX_WITNESSES:
+            if isinstance(defect, dict):
+                defect = _dense(defect, self.dim)
+            self.witnesses.append(Witness(tuple(indices), tuple(defect)))
+
+    def absorb(self, prefix, cert):
+        """Fail once for each witness of a sub-check, its indices after
+        ``prefix``, count the failures it did not keep, and return whether
+        it passed."""
+        for w in cert.witnesses:
+            self.fail(prefix + w.indices, w.defect)
+        self.total_failures += cert.total_failures - len(cert.witnesses)
+        return cert.passed
+
+    def done(self, notes=None):
+        """Stop the clock, set the notes and return the certificate."""
+        self.elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
+        self.notes = notes or {}
+        return self
 
     def to_json(self):
         d = {
@@ -73,50 +101,6 @@ class Certificate:
         if self.notes:
             d["notes"] = self.notes
         return d
-
-
-class _Sweep:
-    """Witness accumulator shared by all check implementations.
-
-    A defect is a sparse dict, made dense to length ``dim`` only for a kept
-    witness, or a tuple of scalars, kept as given.  The clock starts when
-    the sweep is made, so a check makes it before its preconditions.
-    """
-
-    def __init__(self, check_name, target, dim=None):
-        self.check_name = check_name
-        self.target = target
-        self.dim = dim
-        self.witnesses = []
-        self.total = 0
-        self.t0 = time.perf_counter()
-
-    def fail(self, indices, defect):
-        self.total += 1
-        if len(self.witnesses) < MAX_WITNESSES:
-            if isinstance(defect, dict):
-                defect = _dense(defect, self.dim)
-            self.witnesses.append(Witness(tuple(indices), tuple(defect)))
-
-    def absorb(self, prefix, cert):
-        """Fail once for each witness of a sub-check, its indices after
-        ``prefix``, count the failures it did not keep, and return whether
-        it passed."""
-        for w in cert.witnesses:
-            self.fail(prefix + w.indices, w.defect)
-        self.total += cert.total_failures - len(cert.witnesses)
-        return cert.passed
-
-    def done(self, notes=None):
-        return Certificate(
-            check_name=self.check_name,
-            target=self.target,
-            passed=self.total == 0,
-            witnesses=self.witnesses,
-            total_failures=self.total,
-            elapsed_ms=(time.perf_counter() - self.t0) * 1000.0,
-            notes=notes or {},
-        )
 
 
 def _sparse(vec):
@@ -327,8 +311,9 @@ class LinearMap:
         """self after other."""
         if self.cols != other.rows:
             raise DimensionMismatchError("composition shape mismatch")
-        cols = [self.apply_sparse(c) for c in other._columns]
-        return LinearMap.from_sparse_columns(self.rows, other.cols, cols)
+        # apply_sparse drops zeros and stays in range; only exact is left to do
+        cols = [{i: exact(v) for i, v in self.apply_sparse(c).items()} for c in other._columns]
+        return _columns_map(self.rows, other.cols, cols)
 
     def __neg__(self):
         return _columns_map(
@@ -617,10 +602,10 @@ def _cyclic_sums(L, act):
 
 def check_jacobi(L, target=None):
     """Cyclic Jacobi sum over the basis triples i < j < k that can fail."""
-    sweep = _Sweep("jacobi", target or L.name, L.dim)
+    cert = Certificate("jacobi", target or L.name, L.dim)
     for ijk, s in _cyclic_sums(L, L._ad_rows()):
-        sweep.fail(ijk, s)
-    return sweep.done()
+        cert.fail(ijk, s)
+    return cert.done()
 
 
 def _require_almost_complex(L, J):
@@ -726,7 +711,7 @@ def _is_ideal(L, solver, vectors):
     return True
 
 
-def _orbit_sweep(sweep, L, J):
+def _orbit_sweep(cert, L, J):
     """Full sweep of a signed pairing J b_p = s_p b_sigma(p) from its
     representative pairs; False, sweeping nothing, for any other J.
 
@@ -762,8 +747,8 @@ def _orbit_sweep(sweep, L, J):
             t = [signs[sigma[m]] * t[sigma[m]] for m in range(L.dim)]
         elif turns == 2:
             c = -c  # J^2 = -1
-        sweep.fail(key, tuple(c * v for v in t))
-    sweep.total = 4 * len(failing)
+        cert.fail(key, tuple(c * v for v in t))
+    cert.total_failures = 4 * len(failing)
     return True
 
 
@@ -778,10 +763,10 @@ def check_integrable(L, J, split=None, target=None):
     its representative pairs and derives the others (:func:`_orbit_sweep`);
     any other J sweeps every pair.  The certificate is the same either way.
     """
-    sweep = _Sweep("integrable", target or L.name, L.dim)
+    cert = Certificate("integrable", target or L.name, L.dim)
     _require_almost_complex(L, J)
-    if split is None and _orbit_sweep(sweep, L, J):
-        return sweep.done()
+    if split is None and _orbit_sweep(cert, L, J):
+        return cert.done()
     n = L.dim
     if split is None:
         vectors = [{i: _ONE} for i in range(n)]
@@ -800,8 +785,8 @@ def check_integrable(L, J, split=None, target=None):
             )
         notes = {"split": True}
     for ab, out in _torsions(L, J, vectors, images):
-        sweep.fail(ab, out)
-    return sweep.done(notes=notes)
+        cert.fail(ab, out)
+    return cert.done(notes=notes)
 
 
 def check_complex_lie(L, J, target=None):
@@ -812,7 +797,7 @@ def check_complex_lie(L, J, target=None):
     and those with a table entry [b_i, b_j].  Rows stream by i, one at a
     time in a flat dict keyed j*n + k, regrouped by j for its nonzero entries.
     """
-    sweep = _Sweep("complex_lie", target or L.name, L.dim)
+    cert = Certificate("complex_lie", target or L.name, L.dim)
     _require_almost_complex(L, J)
     n = L.dim
     jcols = J.sparse_columns()
@@ -831,8 +816,8 @@ def check_complex_lie(L, J, target=None):
                     key = q * n + t
                     sums[key] = get(key, _ZERO) - s * v * x
         for j, row in _rows(sums, n):
-            sweep.fail((i, j), row)
-    return sweep.done()
+            cert.fail((i, j), row)
+    return cert.done()
 
 
 def check_abelian_complex(L, J, target=None):
@@ -843,15 +828,15 @@ def check_abelian_complex(L, J, target=None):
     """
     from .constructions import holomorphic_eigenbasis
 
-    sweep = _Sweep("abelian_complex", target or L.name, L.dim)
+    cert = Certificate("abelian_complex", target or L.name, L.dim)
     _require_almost_complex(L, J)
     plus, _ = holomorphic_eigenbasis(L, J)
     fails = list(_escapes(L, SpanSolver(L.dim), plus))
     for ab, w in fails:
-        sweep.fail(("eigen_plus",) + ab, w)
+        cert.fail(("eigen_plus",) + ab, w)
     for ab, w in fails:
-        sweep.fail(("eigen_minus",) + ab, {k: x.conjugate() for k, x in w.items()})
-    return sweep.done()
+        cert.fail(("eigen_minus",) + ab, {k: x.conjugate() for k, x in w.items()})
+    return cert.done()
 
 
 def check_representation(rho, target=None):
@@ -867,7 +852,7 @@ def check_representation(rho, target=None):
     """
     L = rho.algebra
     n, m = L.dim, rho.module_dim
-    sweep = _Sweep("representation", target or L.name, m)
+    cert = Certificate("representation", target or L.name, m)
     cols = [[(k, c) for k, c in enumerate(op.sparse_columns()) if c] for op in rho.maps]
     by_row = [[] for _ in range(m)]
     live = [[] for _ in range(m)]
@@ -903,8 +888,8 @@ def check_representation(rho, target=None):
                     _acc(sums[j, k], col, -c)
         for jk in sorted(sums):
             if sums[jk]:
-                sweep.fail((i,) + jk, sums[jk])
-    return sweep.done()
+                cert.fail((i,) + jk, sums[jk])
+    return cert.done()
 
 
 def torsion(conn, i, j):
@@ -930,7 +915,7 @@ def check_torsion_free(conn, target=None):
     of rho_i or column i of rho_j, so only those pairs are visited.
     """
     L = conn.algebra
-    sweep = _Sweep("torsion_free", target or L.name, L.dim)
+    cert = Certificate("torsion_free", target or L.name, L.dim)
     if conn.module_dim != L.dim:
         raise DimensionMismatchError("torsion needs a connection on the algebra itself")
     pairs = set(L.table)
@@ -941,12 +926,12 @@ def check_torsion_free(conn, target=None):
     for i, j in sorted(pairs):
         t = _torsion(conn, i, j)
         if t:
-            sweep.fail((i, j), t)
-    return sweep.done()
+            cert.fail((i, j), t)
+    return cert.done()
 
 
-def _closed_sweep(sweep, L, form):
-    """Fail ``sweep``, made with dim 1, at each basis triple where d omega
+def _closed_sweep(cert, L, form):
+    """Fail ``cert``, made with dim 1, at each basis triple where d omega
     is nonzero, after the closedness preconditions."""
     if form.kind != BilinearForm.SKEW:
         raise PreconditionError("closedness applies to skew forms")
@@ -960,28 +945,28 @@ def _closed_sweep(sweep, L, form):
         if a < b
     }
     for ijk, s in _cyclic_sums(L, _signed_rows(L.dim, pairs)):
-        sweep.fail(ijk, s)
+        cert.fail(ijk, s)
 
 
 def check_closed(L, form, target=None):
     """Vanishing of the Chevalley-Eilenberg differential on basis triples."""
-    sweep = _Sweep("closed", target or L.name, 1)
-    _closed_sweep(sweep, L, form)
-    return sweep.done()
+    cert = Certificate("closed", target or L.name, 1)
+    _closed_sweep(cert, L, form)
+    return cert.done()
 
 
 def check_symplectic(L, form, target=None):
     """Closed and nondegenerate; a degenerate form fails once more, with a
     kernel vector as the witness."""
-    sweep = _Sweep("symplectic", target or L.name, 1)
-    _closed_sweep(sweep, L, form)
-    notes = {"closed": sweep.total == 0, "nondegenerate": True}
+    cert = Certificate("symplectic", target or L.name, 1)
+    _closed_sweep(cert, L, form)
+    notes = {"closed": cert.passed, "nondegenerate": True}
     try:
         _require_invertible(form.gram, "form is degenerate")
     except PreconditionError as exc:
         notes["nondegenerate"] = False
-        sweep.fail(("kernel",), tuple(exc.details))
-    return sweep.done(notes=notes)
+        cert.fail(("kernel",), tuple(exc.details))
+    return cert.done(notes=notes)
 
 
 def check_parallel(conn, tensor, target=None):
@@ -995,7 +980,7 @@ def check_parallel(conn, tensor, target=None):
     (j, k) needs column j or column k of rho_i to be nonzero.
     """
     m = conn.module_dim
-    sweep = _Sweep("parallel", target or conn.algebra.name, m)
+    cert = Certificate("parallel", target or conn.algebra.name, m)
     if isinstance(tensor, LinearMap):
         if tensor.rows != m or tensor.cols != m:
             raise DimensionMismatchError("endomorphism does not match the module")
@@ -1012,8 +997,8 @@ def check_parallel(conn, tensor, target=None):
                 _acc(sums[l], tensor.apply_sparse(col), -_ONE)
             for k in sorted(sums):
                 if sums[k]:
-                    sweep.fail((i, k), sums[k])
-        return sweep.done()
+                    cert.fail((i, k), sums[k])
+        return cert.done()
     if isinstance(tensor, BilinearForm):
         if tensor.dim != m:
             raise DimensionMismatchError("form does not match the module")
@@ -1032,8 +1017,8 @@ def check_parallel(conn, tensor, target=None):
                 row = {k: v for k, v in transposed.apply_sparse(ocols[j]).items() if k >= j}
                 _acc(row, upper[j])
                 for k in sorted(row):
-                    sweep.fail((i, j, k), (row[k],))
-        return sweep.done()
+                    cert.fail((i, j, k), (row[k],))
+        return cert.done()
     raise PreconditionError("parallel check expects a LinearMap or a BilinearForm")
 
 
@@ -1044,7 +1029,7 @@ def check_metric(conn, form, target=None):
     the certificate notes report each sub-check separately, and each witness
     starts with the name of the sub-check it comes from.
     """
-    sweep = _Sweep("metric", target or conn.algebra.name)
+    cert = Certificate("metric", target or conn.algebra.name)
     if form.kind != BilinearForm.SYMMETRIC:
         raise PreconditionError("metric check needs a symmetric form")
     _require_invertible(form.gram, "metric check needs an invertible form")
@@ -1053,8 +1038,8 @@ def check_metric(conn, form, target=None):
         "torsion_free": check_torsion_free(conn),
         "flat": check_representation(conn),
     }
-    notes = {key: sweep.absorb((key,), sub) for key, sub in subs.items()}
-    return sweep.done(notes=notes)
+    notes = {key: cert.absorb((key,), sub) for key, sub in subs.items()}
+    return cert.done(notes=notes)
 
 
 def check_product_structure(L, E, target=None):
@@ -1065,7 +1050,7 @@ def check_product_structure(L, E, target=None):
     whether the splitting is degenerate.
     """
     n = L.dim
-    sweep = _Sweep("product_structure", target or L.name, n)
+    cert = Certificate("product_structure", target or L.name, n)
     if E.rows != n or E.cols != n:
         raise DimensionMismatchError("endomorphism does not match algebra dimension")
     if not E.compose(E).is_identity():
@@ -1084,8 +1069,8 @@ def check_product_structure(L, E, target=None):
         closed = True
         for ab, w in _escapes(L, solver, basis):
             closed = False
-            sweep.fail((key,) + ab, w)
+            cert.fail((key,) + ab, w)
         notes["%s_closed" % key] = closed
         notes["%s_ideal" % key] = closed and _is_ideal(L, solver, basis)
     notes["minus_abelian"] = next(_escapes(L, SpanSolver(n), minus), None) is None
-    return sweep.done(notes=notes)
+    return cert.done(notes=notes)

@@ -9,18 +9,18 @@ symplectic forms and pseudo-Kahler verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalar_linear import DimensionMismatchError, PreconditionError, SpanSolver
 from .lie_core import (
     AlmostComplex,
     BilinearForm,
+    Certificate,
     Connection,
     LieAlgebra,
     LinearMap,
     MAX_DIM,
-    _Sweep,
     _acc,
     _direct_sum,
     _escapes,
@@ -65,12 +65,8 @@ def _span_of(dim, vectors):
     return solver
 
 
-@dataclass
-class Decomposition:
-    """Two disjoint jointly-spanning vector lists of a stated subspace."""
-
-    part0: list
-    part1: list
+# two disjoint jointly-spanning vector lists of a stated subspace
+Decomposition = namedtuple("Decomposition", "part0 part1")
 
 
 def check_action_compatibility(rho, J, I, split, target=None):
@@ -85,7 +81,7 @@ def check_action_compatibility(rho, J, I, split, target=None):
     structure as well).
     """
     n, m = rho.algebra.dim, rho.module_dim
-    sweep = _Sweep("action_compatibility", target or rho.algebra.name, m)
+    cert = Certificate("action_compatibility", target or rho.algebra.name, m)
     _require_almost_complex(rho.algebra, J)
     if I.rows != m or I.cols != m:
         raise DimensionMismatchError("module structure does not match the module")
@@ -113,7 +109,7 @@ def check_action_compatibility(rho, J, I, split, target=None):
                 acc = X.apply_sparse(icols[k])
                 _acc(acc, ycol, -_ONE)
                 if acc:
-                    sweep.fail((name, a, k), acc)
+                    cert.fail((name, a, k), acc)
     identity_failures = 0
     for i, jb in enumerate(J.sparse_columns()):
         # [I, P] - [I, R] I with P = rho(b_i) and R = rho(J b_i); as I^2 = -1,
@@ -130,7 +126,7 @@ def check_action_compatibility(rho, J, I, split, target=None):
         "g1_zero": s1.rank == 0,
         "mixed_identity_failures": identity_failures,
     }
-    return sweep.done(notes=notes)
+    return cert.done(notes=notes)
 
 
 def check_torsion_integrability_equivalence(conn, target=None):
@@ -140,15 +136,15 @@ def check_torsion_integrability_equivalence(conn, target=None):
     The certificate passes when the two verdicts agree, in either truth
     value; both verdicts are recorded.
     """
-    sweep = _Sweep("torsion_integrability_equivalence", target or conn.algebra.name)
+    cert = Certificate("torsion_integrability_equivalence", target or conn.algebra.name)
     _require(check_representation(conn), "connection is not flat")
     talg = tangent(conn.algebra, conn, check_rep=False)
     K = canonical_complex_structure(talg)
     left = check_integrable(talg, K, target="K on %s" % talg.name)
     right = check_torsion_free(conn, target=conn.algebra.name)
     if left.passed != right.passed:
-        sweep.fail(("verdicts",), (Fraction(int(left.passed)), Fraction(int(right.passed))))
-    return sweep.done(
+        cert.fail(("verdicts",), (Fraction(int(left.passed)), Fraction(int(right.passed))))
+    return cert.done(
         notes={"k_integrable": left.passed, "torsion_free": right.passed}
     )
 
@@ -164,7 +160,7 @@ def reconstruct_connection(u, K, part, target=None):
     part = list(part)
     p = len(part)
     n = u.dim
-    sweep = _Sweep("reconstruct", target or u.name, n)
+    cert = Certificate("reconstruct", target or u.name, n)
     _require_almost_complex(u, K)
     if 2 * p != n:
         raise PreconditionError("the subalgebra must span half the dimensions")
@@ -210,7 +206,7 @@ def reconstruct_connection(u, K, part, target=None):
     abelian = True
     for ab, w in _escapes(u, SpanSolver(n), kg):
         abelian = False
-        sweep.fail(("k_image",) + ab, w)
+        cert.fail(("k_image",) + ab, w)
     talg = tangent(sub, conn, check_rep=False)
     frame = [{i: _ONE} for i in part] + kg
     for a in range(2 * p):
@@ -219,13 +215,13 @@ def reconstruct_connection(u, K, part, target=None):
             for k, v in talg.bracket_basis(a, b).items():
                 _acc(lhs, frame[k], -v)
             if lhs:
-                sweep.fail(("iso", a, b), lhs)
+                cert.fail(("iso", a, b), lhs)
     notes = {
-        "flat": sweep.absorb(("flat",), check_representation(conn)),
-        "torsion_free": sweep.absorb(("torsion_free",), check_torsion_free(conn)),
+        "flat": cert.absorb(("flat",), check_representation(conn)),
+        "torsion_free": cert.absorb(("torsion_free",), check_torsion_free(conn)),
         "k_image_abelian": abelian,
     }
-    return sub, conn, sweep.done(notes=notes)
+    return sub, conn, cert.done(notes=notes)
 
 
 def _anticommutator(A, B, diag):
@@ -234,7 +230,7 @@ def _anticommutator(A, B, diag):
     row, with that entry as the defect."""
     if A.rows != A.cols or (B.rows, B.cols) != (A.rows, A.cols):
         raise DimensionMismatchError("anticommutator needs square maps of one size")
-    sweep = _Sweep("anticommute", None)
+    cert = Certificate("anticommute", None)
     acols, bcols = A.sparse_columns(), B.sparse_columns()
     for c in range(A.cols):
         img = A.apply_sparse(bcols[c])
@@ -243,22 +239,22 @@ def _anticommutator(A, B, diag):
             _acc(img, {c: -diag})
         if img:
             r = min(img)
-            sweep.fail((r, c), (img[r],))
+            cert.fail((r, c), (img[r],))
             break
-    return sweep.done()
+    return cert.done()
 
 
 def _equal_maps(A, B):
     """Certificate that two maps of one shape are equal.  It fails at each
     column c where they differ, with column c of A - B as the defect."""
-    sweep = _Sweep("equal", None, A.rows)
+    cert = Certificate("equal", None, A.rows)
     bcols = B.sparse_columns()
     for c, col in enumerate(A.sparse_columns()):
         acc = dict(col)
         _acc(acc, bcols[c], -_ONE)
         if acc:
-            sweep.fail((c,), acc)
-    return sweep.done()
+            cert.fail((c,), acc)
+    return cert.done()
 
 
 class CliffordFamily:
@@ -305,26 +301,26 @@ class CliffordFamily:
 
     def certify(self, conn=None, target=None):
         """Anticommutation, integrability, rank and optional parallelism."""
-        sweep = _Sweep("clifford_family", target or self.algebra.name)
+        cert = Certificate("clifford_family", target or self.algebra.name)
         for a in range(len(self.maps)):
             for b in range(a, len(self.maps)):
                 diag = -2 if a == b else 0
-                sweep.absorb(
+                cert.absorb(
                     ("anticommute", a, b), _anticommutator(self.maps[a], self.maps[b], diag)
                 )
         integrable = [
-            sweep.absorb(("integrable", a), check_integrable(self.algebra, J))
+            cert.absorb(("integrable", a), check_integrable(self.algebra, J))
             for a, J in enumerate(self.maps)
         ]
         if conn is not None:
             parallel = [
-                sweep.absorb(("parallel", a), check_parallel(conn, J))
+                cert.absorb(("parallel", a), check_parallel(conn, J))
                 for a, J in enumerate(self.maps)
             ]
         rank = self.generated_rank
         expected = 2 ** len(self.maps)
         if rank != expected:
-            sweep.fail(("generated_rank",), (Fraction(rank), Fraction(expected)))
+            cert.fail(("generated_rank",), (Fraction(rank), Fraction(expected)))
         notes = {
             "generated_rank": rank,
             "expected_rank": expected,
@@ -332,7 +328,7 @@ class CliffordFamily:
         }
         if conn is not None:
             notes["parallel"] = parallel
-        return sweep.done(notes=notes)
+        return cert.done(notes=notes)
 
 
 def _require_flat_torsion_free(conn):
@@ -372,7 +368,7 @@ def hypercomplex_pair(conn, J, target=None):
     certificate; the lifted connection is the unique torsion-free
     connection parallelizing the pair, recorded in the notes.
     """
-    sweep = _Sweep("hypercomplex", target or conn.algebra.name)
+    cert = Certificate("hypercomplex", target or conn.algebra.name)
     _require_almost_complex(conn.algebra, J)
     _require_flat_torsion_free(conn)
     _require(check_parallel(conn, J), "structure is not parallel")
@@ -390,24 +386,24 @@ def hypercomplex_pair(conn, J, target=None):
         "lift_flat": check_representation(lifted),
         "lift_torsion_free": check_torsion_free(lifted),
     }
-    notes = {key: sweep.absorb((key,), sub) for key, sub in subs.items()}
+    notes = {key: cert.absorb((key,), sub) for key, sub in subs.items()}
     notes["obata"] = (
         "lifted connection is torsion-free and parallelizes both members, "
         "hence coincides with the Obata connection by uniqueness"
     )
-    return family, lifted, sweep.done(notes=notes)
+    return family, lifted, cert.done(notes=notes)
 
 
 def check_self_dual(conn, psi, target=None):
     """Whether psi intertwines the family with its contragredient."""
     n = conn.module_dim
-    sweep = _Sweep("self_dual", target or conn.algebra.name)
+    cert = Certificate("self_dual", target or conn.algebra.name)
     _require_invertible(psi, "duality map is singular")
     if psi.rows != n or psi.cols != n:
         raise DimensionMismatchError("duality map does not match the module")
     for i, (op, dual_op) in enumerate(zip(conn.maps, conn.dual().maps)):
-        sweep.absorb((i,), _equal_maps(psi.compose(op), dual_op.compose(psi)))
-    return sweep.done()
+        cert.absorb((i,), _equal_maps(psi.compose(op), dual_op.compose(psi)))
+    return cert.done()
 
 
 def levi_civita(g, B):
@@ -451,7 +447,7 @@ def check_pseudo_kahler(g, B, target=None):
     transferred form, then checks every compatibility exactly.  The metric
     must be flat; each sub-check's verdict is itemized in the notes.
     """
-    sweep = _Sweep("pseudo_kahler", target or g.name)
+    cert = Certificate("pseudo_kahler", target or g.name)
     conn = levi_civita(g, B)
     _require_flat_torsion_free(conn)
     psi = B.gram
@@ -469,13 +465,13 @@ def check_pseudo_kahler(g, B, target=None):
         "metric_parallel": check_parallel(lifted, G),
     }
     notes = {"flat": True, "torsion_free": True}
-    notes.update((key, sweep.absorb((key,), sub)) for key, sub in subs.items())
-    return sweep.done(notes=notes)
+    notes.update((key, cert.absorb((key,), sub)) for key, sub in subs.items())
+    return cert.done(notes=notes)
 
 
 def check_holomorphic(dom, cod, iota, J_dom, J_cod, target=None):
     """Injective homomorphism intertwining the two structures."""
-    sweep = _Sweep("holomorphic", target or ("%s->%s" % (dom.name, cod.name)), cod.dim)
+    cert = Certificate("holomorphic", target or ("%s->%s" % (dom.name, cod.name)), cod.dim)
     if iota.cols != dom.dim or iota.rows != cod.dim:
         raise DimensionMismatchError("map shape does not match the algebras")
     _require_almost_complex(dom, J_dom)
@@ -488,6 +484,6 @@ def check_holomorphic(dom, cod, iota, J_dom, J_cod, target=None):
             acc = dict(iota.apply_sparse(dom.bracket_basis(i, j)))
             _acc(acc, cod.bracket_sparse(cols[i], cols[j]), -_ONE)
             if acc:
-                sweep.fail(("hom", i, j), acc)
-    sweep.absorb(("structure",), _equal_maps(iota.compose(J_dom), J_cod.compose(iota)))
-    return sweep.done()
+                cert.fail(("hom", i, j), acc)
+    cert.absorb(("structure",), _equal_maps(iota.compose(J_dom), J_cod.compose(iota)))
+    return cert.done()

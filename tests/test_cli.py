@@ -295,6 +295,23 @@ def test_importing_the_cli_does_not_load_hashlib():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_cli_does_not_load_dataclasses_or_inspect():
+    """Records are namedtuples or plain classes: a start loads none of the
+    modules ``dataclasses`` brings in."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lieforge.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, lieforge.cli; "
+         "loaded = {'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules); "
+         "assert not loaded, sorted(loaded)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_check_byte_offset_after_a_byte_order_mark_counts_the_mark(tmp_path, capsys):
     path = tmp_path / "bad.lie"
     path.write_bytes(codecs.BOM_UTF8 + b"algebra g { basis x ; }\n# caf\xe9\n")

@@ -21,12 +21,12 @@ from lieforge import lie_core
 from lieforge.lie_core import (
     AlmostComplex,
     BilinearForm,
+    Certificate,
     Connection,
     LieAlgebra,
     LinearMap,
     MAX_WITNESSES,
     Witness,
-    _Sweep,
     _acc,
     _dense,
     check_abelian_complex,
@@ -561,7 +561,7 @@ def test_witness_cap_and_total():
 
 
 def test_sweep_keeps_sixteen_dense_witnesses_and_counts_every_failure():
-    sweep = _Sweep("probe", "x", 3)
+    sweep = Certificate("probe", "x", 3)
     for k in range(20):
         sweep.fail((k,), {k % 3: Q(k + 1)})
     cert = sweep.done()
@@ -571,7 +571,7 @@ def test_sweep_keeps_sixteen_dense_witnesses_and_counts_every_failure():
 
 
 def test_sweep_never_makes_a_discarded_defect_dense():
-    sweep = _Sweep("probe", "x", 3)
+    sweep = Certificate("probe", "x", 3)
     for k in range(MAX_WITNESSES):
         sweep.fail((k,), {0: Q(1)})
     sweep.fail(("past_cap",), {7: Q(1)})  # would not fit in length 3
@@ -1451,3 +1451,21 @@ def test_certificate_text_ignores_the_order_of_mixed_terms(terms, data):
             _acc(acc, {k: v})
         texts.add(json.dumps(Witness((0,), tuple(_dense(acc, 3))).to_json()))
     assert len(texts) == 1
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_compose_keeps_the_columns_and_types_of_from_sparse_columns(data):
+    """compose takes its product columns as they are, without the range check
+    of from_sparse_columns; the columns and their scalar types are the same."""
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    entries = st.one_of(st.integers(-3, 3), small_rationals)
+    A = LinearMap([[data.draw(entries) for _ in range(k)] for _ in range(r)])
+    B = LinearMap([[data.draw(entries) for _ in range(c)] for _ in range(k)])
+    AB = A.compose(B)
+    ref = LinearMap.from_sparse_columns(r, c, [A.apply_sparse(col) for col in B.sparse_columns()])
+    typed = [
+        [[(i, v, type(v)) for i, v in sorted(col.items())] for col in m.sparse_columns()]
+        for m in (AB, ref)
+    ]
+    assert (AB.rows, AB.cols) == (r, c) and typed[0] == typed[1]

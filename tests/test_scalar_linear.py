@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -416,6 +415,7 @@ def test_div_is_exact_and_integer_first(a, b):
 
 def _nodes(obj, seen=None):
     """obj and everything reachable from it through lieforge objects and containers."""
+    from lieforge.catalog import CatalogEntry
     from lieforge.constructions import AssociativeAlgebra
     from lieforge.lie_core import BilinearForm, Connection, LieAlgebra, LinearMap
 
@@ -441,8 +441,8 @@ def _nodes(obj, seen=None):
         children = list(obj.values())
     elif isinstance(obj, (list, tuple)):
         children = list(obj)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, CatalogEntry):
+        children = list(vars(obj).values())
     else:
         return
     for child in children:

@@ -675,7 +675,7 @@ def test_composite_keeps_every_failure_of_a_part(composite, key, name, call, mon
     part does: its kept witnesses under the part's key, and its total."""
     certify = _composite_input(composite)
     assert certify().passed
-    part = lie_core._Sweep("part", "t")
+    part = lie_core.Certificate("part", "t")
     for k in range(20):
         part.fail((k, k + 1), (Fraction(k + 1),))
     part = part.done()
