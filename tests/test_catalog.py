@@ -1,8 +1,15 @@
+import hashlib
+import json
+import os
+from fractions import Fraction
+
 import pytest
 
 from lieforge import catalog
-from lieforge.scalar_linear import PreconditionError, Q
+from lieforge.scalar_linear import GaussScalar, PreconditionError, Q, scalar_to_str
 from lieforge.lie_core import (
+    Connection,
+    LieAlgebra,
     LinearMap,
     check_integrable,
     check_jacobi,
@@ -402,3 +409,84 @@ def test_families_generalize_past_the_headline_range():
     assert check_holomorphic(
         dom.algebra, cod.algebra, iota, dom.structures["j"], cod.structures["j"]
     ).passed
+
+
+GOLDEN_BUILDERS = os.path.join(os.path.dirname(__file__), "golden", "catalog_builders.json")
+
+# every builder call whose whole output the golden pins, keyed by its text
+BUILDER_CALLS = (
+    [("so(%d)" % n, catalog.so, n) for n in range(2, 7)]
+    + [("lorentz(%d)" % p, catalog.lorentz, p) for p in range(2, 5)]
+    + [("gl(%d)" % n, catalog.gl, n) for n in range(1, 4)]
+    + [("affine(%d)" % n, catalog.affine, n) for n in range(1, 3)]
+    + [("abelian(%d)" % n, catalog.abelian, n) for n in range(1, 4)]
+    + [("sl2c_real()", catalog.sl2c_real), ("galilean()", catalog.galilean)]
+    + [("euclidean(%d)" % n, catalog.euclidean, n) for n in range(3, 12)]
+    + [("poincare(%d)" % k, catalog.poincare, k) for k in range(3)]
+    + [("so3_on_c3()", catalog.so3_on_c3)]
+    + [("inclusion_chain(%d)" % k, catalog.inclusion_chain, k) for k in range(1, 3)]
+    + [("poincare_inclusion(%d)" % k, catalog.poincare_inclusion, k) for k in range(3)]
+    + [
+        ("right_mult_structure(1)", catalog.right_mult_structure, 1),
+        ("affine_complex_structure(1)", catalog.affine_complex_structure, 1),
+    ]
+)
+
+
+_SCALARS = (int, Fraction, GaussScalar)
+
+
+def _entries(items):
+    """(index, text, type name) of each scalar, so integer-first typing is pinned."""
+    return [[i, scalar_to_str(v), type(v).__name__] for i, v in sorted(items)]
+
+
+def _dump(obj):
+    """A JSON-ready canonical form of a builder's output, walked recursively."""
+    if isinstance(obj, catalog.CatalogEntry):
+        return {
+            "name": obj.name,
+            "algebra": _dump(obj.algebra),
+            "structures": _dump(obj.structures),
+            "inclusions": _dump(obj.inclusions),
+            "label_maps": _dump(obj.label_maps),
+            "realization": _dump(obj.realization),
+        }
+    if isinstance(obj, LieAlgebra):
+        table = [[i, j, _entries(c.items())] for (i, j), c in sorted(obj.table.items())]
+        return {"name": obj.name, "labels": obj.labels, "table": table}
+    if isinstance(obj, LinearMap):
+        columns = [_entries(c.items()) for c in obj.sparse_columns()]
+        return {"class": type(obj).__name__, "shape": [obj.rows, obj.cols], "columns": columns}
+    if isinstance(obj, Connection):
+        return {"algebra": _dump(obj.algebra), "maps": _dump(obj.maps)}
+    if isinstance(obj, dict):
+        return {k: _dump(v) for k, v in sorted(obj.items())}
+    if hasattr(obj, "_asdict"):
+        return {type(obj).__name__: _dump(obj._asdict())}
+    if isinstance(obj, (list, tuple)):
+        if obj and all(isinstance(v, _SCALARS) for v in obj):
+            return _entries(enumerate(obj))
+        return [_dump(v) for v in obj]
+    return obj
+
+
+def _builder_digests():
+    return {
+        call: hashlib.sha256(
+            json.dumps(_dump(fn(*args)), sort_keys=True, separators=(",", ":")).encode("utf-8")
+        ).hexdigest()
+        for call, fn, *args in BUILDER_CALLS
+    }
+
+
+def test_catalog_builders_match_golden():
+    """Each builder call gives the committed digest of its labels, table,
+    structures, inclusions, label maps and realization.  A refactor must not
+    change them; a deliberate change regenerates the golden in the same commit."""
+    with open(GOLDEN_BUILDERS, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    digests = _builder_digests()
+    assert sorted(digests) == sorted(golden)
+    changed = [call for call in digests if digests[call] != golden[call]]
+    assert not changed, changed
