@@ -75,6 +75,19 @@ def _rot_pairs(n):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+def _translations(rep, name):
+    """The algebra of ``rep`` acting through it on translations e1 .. em."""
+    labels = ["e%d" % (l + 1) for l in range(rep.module_dim)]
+    return semidirect(rep.algebra, rep, module_labels=labels, name=name, check_rep=False)
+
+
+def _inclusion(dom, cod, rename):
+    """The map sending each basis element of ``dom`` to the one of ``cod``
+    labelled ``rename.get(label, label)``."""
+    cols = [{cod.index(rename.get(lab, lab)): _ONE} for lab in dom.labels]
+    return LinearMap.from_sparse_columns(cod.dim, dom.dim, cols)
+
+
 def _identity_on(module_dim):
     """Pairing e_{2i-1} -> e_{2i} on a module of even dimension."""
     if module_dim % 2:
@@ -176,14 +189,7 @@ def affine(n):
     if n < 1:
         raise PreconditionError("affine(n) needs n >= 1")
     _bounded(n * n + n, "affine(%d)" % n)
-    g = gl(n)
-    alg = semidirect(
-        g.algebra,
-        g.structures["standard_rep"],
-        module_labels=["e%d" % (l + 1) for l in range(n)],
-        name="aff_%d" % n,
-        check_rep=False,
-    )
+    alg = _translations(gl(n).structures["standard_rep"], "aff_%d" % n)
     return CatalogEntry("affine_%d" % n, alg)
 
 
@@ -321,13 +327,7 @@ def _euclidean(n):
     # smallest Poincare algebra.
     so_entry = so(n)
     soa = so_entry.algebra
-    e_alg = semidirect(
-        soa,
-        so_entry.structures["standard_rep"],
-        module_labels=["e%d" % (l + 1) for l in range(n)],
-        name="e_%d" % n,
-        check_rep=False,
-    )
+    e_alg = _translations(so_entry.structures["standard_rep"], "e_%d" % n)
     s = 0 if n % 4 in (0, 3) else 1
     alg = central_extension(e_alg, name="Rz+e_%d" % n) if s else e_alg
     rot = _rot_pairs(n)
@@ -363,21 +363,8 @@ def _euclidean(n):
         entry.structures["compat"] = _compat(rho, jg, fidx, extra0=[g.basis_vector(g.dim - 1)])
     if n == 3:
         gal = galilean()
-        iota_labels = {
-            "h": "h",
-            "f13": "f13",
-            "f23": "f23",
-            "e1": "e1'",
-            "e2": "e2'",
-            "e3": "e3'",
-        }
-        cols = [
-            {gal.algebra.index(iota_labels[lab]): _ONE} for lab in alg.labels
-        ]
-        entry.inclusions["galilean"] = (
-            gal,
-            LinearMap.from_sparse_columns(gal.algebra.dim, alg.dim, cols),
-        )
+        primed = {"e1": "e1'", "e2": "e2'", "e3": "e3'"}
+        entry.inclusions["galilean"] = (gal, _inclusion(alg, gal.algebra, primed))
     return entry
 
 
@@ -388,14 +375,7 @@ def poincare(k):
     q = 4 * k + 2
     _bounded((q + 1) * (q + 2) // 2, "poincare(%d)" % k)
     lz = lorentz(q)
-    lza = lz.algebra
-    alg = semidirect(
-        lza,
-        lz.structures["standard_rep"],
-        module_labels=["e%d" % (l + 1) for l in range(q + 1)],
-        name="e_%d_1" % q,
-        check_rep=False,
-    )
+    alg = _translations(lz.structures["standard_rep"], "e_%d_1" % q)
     rot = _rot_pairs(q)
     fidx = {pq: i for i, pq in enumerate(rot)}
     nf = len(rot)
@@ -414,11 +394,9 @@ def poincare(k):
 
     # compatibility data: the central-extension carrier with the spatially
     # projected action (boosts act by zero on the spatial module)
-    g = central_extension(lza, name="Rz+so_%d_1" % q)
-    so_q = so(q)
-    zero = LinearMap.zero(q)
-    rho_maps = so_q.realization + [zero] * q + [zero]
-    rho = Connection(g, rho_maps)
+    g = central_extension(lz.algebra, name="Rz+so_%d_1" % q)
+    rotations = [_generator(q, i - 1, j - 1, -1) for i, j in rot]
+    rho = Connection(g, rotations + [LinearMap.zero(q)] * (q + 1))
     jp = _rotation_pairs(q, fidx)
     jp.append((fidx[(2 * r - 1, 2 * r)], g.dim - 1))
     for i in range(1, q + 1, 2):
@@ -503,12 +481,7 @@ def inclusion_chain(k):
     triples = []
     for step in range(3):
         dom, cod = entries[step], entries[step + 1]
-        next_e = "e%d" % (4 * k + step + 1)
-        cols = []
-        for lab in dom.algebra.labels:
-            target = next_e if lab == "z" else lab
-            cols.append({cod.algebra.index(target): _ONE})
-        iota = LinearMap.from_sparse_columns(cod.algebra.dim, dom.algebra.dim, cols)
+        iota = _inclusion(dom.algebra, cod.algebra, {"z": "e%d" % (4 * k + step + 1)})
         triples.append((dom, cod, iota))
     return triples
 
@@ -517,19 +490,10 @@ def poincare_inclusion(k):
     """Embedding of the extended Euclidean algebra into the Poincare algebra."""
     dom = _euclidean(4 * k + 2)
     cod = poincare(k)
-    next_e = "e%d" % (4 * k + 3)
-    cod_labels = set(cod.algebra.labels)
-    cols = []
-    for lab in dom.algebra.labels:
-        if lab == "z":
-            target = next_e
-        elif lab not in cod_labels and lab == "f12":
-            target = "h"  # the smallest rotation generator is named h there
-        else:
-            target = lab
-        cols.append({cod.algebra.index(target): _ONE})
-    iota = LinearMap.from_sparse_columns(cod.algebra.dim, dom.algebra.dim, cols)
-    return dom, cod, iota
+    rename = {"z": "e%d" % (4 * k + 3)}
+    if "f12" not in cod.algebra.labels:
+        rename["f12"] = "h"  # the smallest rotation generator is named h there
+    return dom, cod, _inclusion(dom.algebra, cod.algebra, rename)
 
 
 _BUILDERS = {

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .dsl import DslError, parse, run, entry_to_dsl
+from .dsl import parse, run, entry_to_dsl
 from .lie_core import Connection, LinearMap
 from .scalar_linear import LieforgeError, scalar_to_str
 
@@ -79,12 +79,7 @@ def _cmd_check(args):
             file=sys.stderr,
         )
         return 2
-    try:
-        ws = parse(text)
-        certs = run(ws)
-    except DslError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    certs = run(parse(text))
     if args.json != "-":
         emit_text(certs)
     if args.json:
@@ -150,11 +145,7 @@ def _cmd_tower(args):
             file=sys.stderr,
         )
         return 2
-    try:
-        alg, lifted, family = clifford_tower(entry.algebra, conn, args.m)
-    except LieforgeError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    alg, lifted, family = clifford_tower(entry.algebra, conn, args.m)
     cert = family.certify(lifted, target="tower %s m=%d" % (args.base, args.m))
     if args.json != "-":
         print(

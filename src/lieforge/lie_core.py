@@ -423,9 +423,6 @@ class Connection:
         self.maps = maps
         self.module_dim = md
 
-    def __getitem__(self, i):
-        return self.maps[i]
-
     def at(self, x):
         """The operator sum_i x_i rho_i at a sparse algebra vector x, as one map."""
         m = self.module_dim
@@ -717,37 +714,27 @@ def _orbit_sweep(cert, L, J):
 
     As b_sigma(p) = s_p J b_p and N(Jx, y) = N(x, Jy) = -J N(x, y), each pair
     of the orbit {p, sigma p} x {q, sigma q} has torsion +-T or +-J T, where
-    T = N(b_p, b_q) at the representatives p = min(p, sigma p), q alike, and
-    (J T)[sigma k] = s_k T[k].  Orbits with p = q vanish; each other holds 4
-    pairs.  Failing orbits are kept as keys; witness torsions are recomputed.
+    T = N(b_p, b_q) at the representatives p = min(p, sigma p), q alike, so it
+    fails exactly when they do.  Orbits with p = q vanish; each other holds 4
+    pairs.  Only the representatives are swept; the witnesses are the smallest
+    pairs of the failing orbits, each torsion evaluated at its own pair.
     """
     cols = J.sparse_columns()
     if not all(len(c) == 1 and next(iter(c.values())) in (1, -1) for c in cols):
         return False
     sigma = [next(iter(c)) for c in cols]
-    signs = [c[q] for c, q in zip(cols, sigma)]
     reps = [p for p in range(L.dim) if p < sigma[p]]
     units = [{p: _ONE} for p in reps]
     torsions = _torsions(L, J, units, [cols[p] for p in reps])
     failing = [(reps[a], reps[b]) for (a, b), _ in torsions]
     orbits = (
-        ((x, y) if x < y else (y, x), p, q, x, y)
+        (x, y) if x < y else (y, x)
         for p, q in failing
         for x in (p, sigma[p])
         for y in (q, sigma[q])
     )
-    for key, p, q, x, y in heapq.nsmallest(MAX_WITNESSES, orbits):
-        t = nijenhuis(L, J, L.basis_vector(p), L.basis_vector(q))
-        c, turns = (-1 if x > y else 1), 0  # negate when sorting swaps the slots
-        if x != p:
-            c, turns = -signs[p] * c, turns + 1
-        if y != q:
-            c, turns = -signs[q] * c, turns + 1
-        if turns == 1:
-            t = [signs[sigma[m]] * t[sigma[m]] for m in range(L.dim)]
-        elif turns == 2:
-            c = -c  # J^2 = -1
-        cert.fail(key, tuple(c * v for v in t))
+    for x, y in heapq.nsmallest(MAX_WITNESSES, orbits):
+        cert.fail((x, y), nijenhuis(L, J, L.basis_vector(x), L.basis_vector(y)))
     cert.total_failures = 4 * len(failing)
     return True
 

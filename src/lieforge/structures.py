@@ -38,7 +38,6 @@ from .lie_core import (
 from .constructions import (
     _lift,
     canonical_complex_structure,
-    lifted_connection,
     symplectic_from_duality,
     tangent,
 )

@@ -43,6 +43,7 @@ from lieforge.constructions import (
     cotangent,
     eigenspace_split,
     from_matrix_basis,
+    lifted_connection,
     semidirect,
     tangent,
 )
@@ -57,7 +58,6 @@ from lieforge.structures import (
     check_torsion_integrability_equivalence,
     clifford_tower,
     hypercomplex_pair,
-    lifted_connection,
     reconstruct_connection,
 )
 from lieforge.acceptance import complex_numbers_algebra

@@ -139,6 +139,52 @@ def test_syntax_error_carries_span():
     assert exc.value.span.line == 1
 
 
+_AXY = "algebra a { basis x y ; [x, y] = y ; }\n"
+
+
+@pytest.mark.parametrize(
+    "text, cls, message, line, column",
+    [
+        ("algebra a { basis ; }", DslSyntaxError, "empty basis", 1, 13),
+        ("algebra a { basis x x ; }", ShapeError, "duplicate basis label", 1, 13),
+        (_AXY + "conn c on a { x => [[1, 0], [0]] ; }", ShapeError, "ragged matrix rows", 2, 32),
+        ("assoc A { basis u ; u * w = u ; }", UnknownNameError, "unknown basis label 'w'", 1, 25),
+        (_AXY + "conn c on a { x => [[1]] ; x => [[0]] ; }",
+         ShapeError, "map at 'x' declared twice", 2, 28),
+        (_AXY + "conn c on a { x => [[1, 0]] ; }",
+         ShapeError, "connection maps must be square", 2, 15),
+        (_AXY + "conn c on a { x => [[1]] ; }", ShapeError, "missing maps for y", 2, 28),
+        (_AXY + "form B on a sym [[1]]",
+         ShapeError, "form size does not match the algebra", 2, 6),
+        (_AXY + "decomp D on a { part1 : x ; part0 : y ; }",
+         DslSyntaxError, "expected 'part0'", 2, 17),
+        (_AXY + "check jacobi(;)", DslSyntaxError, "bad argument ';'", 2, 14),
+        (_AXY + "construct T = frob(a)", UnknownNameError, "unknown construction 'frob'", 2, 15),
+        (_AXY + "construct T = central_ext(a, a)",
+         ArityError, "'central_ext' takes 1 argument(s)", 2, 15),
+        (_AXY + "endo K on a { x -> y ; y -> - x ; }\nconstruct P = jplus(a, K, K, 1)",
+         ShapeError, "expected + or -", 3, 30),
+        (_AXY + "conn c on a { x => [[1]] ; y => [[0]] ; }\nconstruct T = tower(a, c, 0)",
+         ShapeError, "tower level must be a positive integer", 3, 27),
+        (_AXY + "construct T = central_ext(1)", ShapeError, "expected a name", 2, 27),
+    ],
+    ids=[
+        "empty_basis", "duplicate_label", "ragged_rows", "assoc_unknown_label",
+        "conn_map_twice", "conn_not_square", "conn_missing_map", "form_size",
+        "decomp_part0", "bad_argument", "unknown_construction", "construct_arity",
+        "sign_argument", "tower_level", "name_argument",
+    ],
+)
+def test_each_parse_error_names_its_class_message_and_span(text, cls, message, line, column):
+    """Every input ends in certificates or a spanned DslError: one short
+    input for each of these parser raises."""
+    with pytest.raises(DslError) as exc:
+        parse(text)
+    assert type(exc.value) is cls
+    assert (exc.value.span.line, exc.value.span.column) == (line, column)
+    assert str(exc.value) == "%s (line %d, column %d)" % (message, line, column)
+
+
 def test_checks_run_in_order_and_pass():
     text = AFF1 + "check jacobi(aff1)\ncheck torsion_free(ls)\ncheck flat(adc)\n"
     ws = parse(text)

@@ -412,7 +412,8 @@ def test_parallel_zero_connection():
 
 def test_parallel_swap_structure_on_tangent():
     # the lifted connection leaves the swap structure fixed
-    from lieforge.structures import canonical_complex_structure, lifted_connection
+    from lieforge.constructions import lifted_connection
+    from lieforge.structures import canonical_complex_structure
 
     aff = catalog.affine(1).algebra
     ls = Connection(aff, [LinearMap([[Q(0), Q(0)], [Q(0), Q(1)]]), LinearMap.zero(2)])

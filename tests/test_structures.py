@@ -22,7 +22,7 @@ from lieforge.lie_core import (
     check_symplectic,
     check_torsion_free,
 )
-from lieforge.constructions import aff_algebra, semidirect, tangent
+from lieforge.constructions import aff_algebra, lifted_connection, semidirect, tangent
 from lieforge.structures import (
     CliffordFamily,
     Decomposition,
@@ -37,7 +37,6 @@ from lieforge.structures import (
     dual_structure,
     hypercomplex_pair,
     levi_civita,
-    lifted_connection,
     reconstruct_connection,
     symplectic_from_duality,
 )
