@@ -66,8 +66,13 @@ def _result(ident, label, certs, extra_ok=True, details=""):
     return CriterionResult(ident, label, passed, certs, details)
 
 
+# the criteria in definition order; :func:`_timed` appends each one
+CRITERIA = []
+
+
 def _timed(criterion):
-    """Set the result's ``elapsed_s`` to the wall time of the whole criterion."""
+    """Set the result's ``elapsed_s`` to the wall time of the whole criterion,
+    and append the timed criterion to ``CRITERIA``."""
 
     @functools.wraps(criterion)
     def timed():
@@ -76,6 +81,7 @@ def _timed(criterion):
         res.elapsed_s = time.perf_counter() - t0
         return res
 
+    CRITERIA.append(timed)
     return timed
 
 
@@ -453,22 +459,6 @@ def criterion_12():
         extra_ok=ok,
         details="; ".join(details) or ("e(23) sweep %.2f s" % gate_s),
     )
-
-
-CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-]
 
 
 def run_all():

@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .scalar_linear import PreconditionError
 from .lie_core import (
-    MAX_DIM, AlmostComplex, Connection, LieAlgebra, LinearMap, _columns_map, _direct_sum,
+    AlmostComplex, Connection, LieAlgebra, LinearMap, _bounded, _columns_map, _direct_sum,
 )
 from .constructions import central_extension, from_matrix_basis, semidirect
 from .structures import Decomposition
@@ -43,12 +43,6 @@ class CatalogEntry:
         self.inclusions = {}
         self.realization = realization or []
         self.label_maps = {}
-
-
-def _bounded(dim, what):
-    """Refuse a builder's output above MAX_DIM before anything is built."""
-    if dim > MAX_DIM:
-        raise PreconditionError("%s has more than %d dimensions" % (what, MAX_DIM))
 
 
 def _unit(n, r, c):
@@ -88,6 +82,22 @@ def _inclusion(dom, cod, rename):
     return LinearMap.from_sparse_columns(cod.dim, dom.dim, cols)
 
 
+def _matrix_entry(name, alg_name, mats, labels):
+    """The entry bracketed from the realization ``mats``, with its standard_rep."""
+    alg, real = from_matrix_basis(mats, labels=labels, name=alg_name)
+    entry = CatalogEntry(name, alg, realization=real)
+    entry.structures["standard_rep"] = Connection(alg, real)
+    return entry
+
+
+def _pairing(entry, pairs, key="j"):
+    """Store the structure pairing ``pairs`` under ``key`` and its split, the
+    first member of each pair; return the structure."""
+    J = entry.structures[key] = AlmostComplex.from_pairs(entry.algebra.dim, pairs)
+    entry.structures["split"] = [p[0] for p in pairs]
+    return J
+
+
 def _identity_on(module_dim):
     """Pairing e_{2i-1} -> e_{2i} on a module of even dimension."""
     if module_dim % 2:
@@ -107,13 +117,9 @@ def so(n):
     labels = [_flabel("f", i, j) for i, j in pairs]
     if n == 3:
         labels[0] = "h"
-    alg, real = from_matrix_basis(mats, labels=labels, name="so_%d" % n)
-    entry = CatalogEntry("so_%d" % n, alg, realization=real)
-    entry.structures["standard_rep"] = Connection(alg, real)
+    entry = _matrix_entry("so_%d" % n, "so_%d" % n, mats, labels)
     if n % 4 in (0, 1) and n >= 4:
-        jp = _rotation_pairs(n, {pq: k for k, pq in enumerate(pairs)})
-        entry.structures["j"] = AlmostComplex.from_pairs(alg.dim, jp)
-        entry.structures["split"] = [p[0] for p in jp]
+        _pairing(entry, _rotation_pairs(n, {pq: k for k, pq in enumerate(pairs)}))
     return entry
 
 
@@ -131,9 +137,7 @@ def lorentz(p):
     for i in range(1, p + 1):
         mats.append(_generator(n, i - 1, n - 1, 1))
         labels.append(_flabel("s", i, n))
-    alg, real = from_matrix_basis(mats, labels=labels, name="so_%d_1" % p)
-    entry = CatalogEntry("lorentz_%d" % p, alg, realization=real)
-    entry.structures["standard_rep"] = Connection(alg, real)
+    entry = _matrix_entry("lorentz_%d" % p, "so_%d_1" % p, mats, labels)
     if p == 3:
         _attach_deformation_structure(entry)
     return entry
@@ -141,16 +145,11 @@ def lorentz(p):
 
 def _attach_deformation_structure(entry):
     # fixed structure on so(3,1) that degenerates onto the Euclidean one
-    idx = {lab: k for k, lab in enumerate(entry.algebra.labels)}
-    pairs = [
-        (idx["f12"], idx["s34"]),
-        (idx["f13"], idx["f23"]),
-        (idx["s14"], idx["s24"]),
-    ]
-    entry.structures["deformation_j"] = AlmostComplex.from_pairs(6, pairs)
-    entry.structures["split"] = [p[0] for p in pairs]
-    entry.structures["rotation_indices"] = [idx["f12"], idx["f13"], idx["f23"]]
-    entry.structures["boost_indices"] = [idx["s14"], idx["s24"], idx["s34"]]
+    ix = entry.algebra.index
+    pairs = [(ix("f12"), ix("s34")), (ix("f13"), ix("f23")), (ix("s14"), ix("s24"))]
+    _pairing(entry, pairs, key="deformation_j")
+    entry.structures["rotation_indices"] = [ix("f12"), ix("f13"), ix("f23")]
+    entry.structures["boost_indices"] = [ix("s14"), ix("s24"), ix("s34")]
     entry.label_maps["euclidean_3"] = {
         "f12": "h",
         "f13": "f13",
@@ -169,18 +168,17 @@ def gl(n):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     mats = [_unit(n, i - 1, j - 1) for i, j in pairs]
     labels = [_flabel("e", i, j) for i, j in pairs]
-    alg, real = from_matrix_basis(mats, labels=labels, name="gl_%d" % n)
-    entry = CatalogEntry("gl_%d" % n, alg, realization=real)
-    entry.structures["standard_rep"] = Connection(alg, real)
+    entry = _matrix_entry("gl_%d" % n, "gl_%d" % n, mats, labels)
+    # e_ij is basis element i * n + j (from 0), and e_ij e_kl = δ_jk e_il: left
+    # multiplication by e_ij sends each e_jl to e_il and every other e_kl to zero
     left = []
-    for a in real:
-        # the unit matrix e_rc is basis element r * n + c
-        cols = []
-        for b in real:
-            prod = a.compose(b).sparse_columns()
-            cols.append({r * n + c: v for c, col in enumerate(prod) for r, v in col.items()})
-        left.append(LinearMap.from_sparse_columns(alg.dim, alg.dim, cols))
-    entry.structures["left_mult"] = Connection(alg, left)
+    for i in range(n):
+        for j in range(n):
+            cols = [{} for _ in range(n * n)]
+            for l in range(n):
+                cols[j * n + l] = {i * n + l: _ONE}
+            left.append(_columns_map(n * n, n * n, cols))
+    entry.structures["left_mult"] = Connection(entry.algebra, left)
     return entry
 
 
@@ -252,10 +250,7 @@ def galilean():
     labels = ["h", "f13", "f23", "e1", "e2", "e3", "e1'", "e2'", "e3'", "e4'"]
     alg, real = from_matrix_basis(mats, labels=labels, name="galilean_3_1")
     entry = CatalogEntry("galilean", alg, realization=real)
-    entry.structures["j"] = AlmostComplex.from_pairs(
-        10, [(0, 8), (1, 2), (3, 4), (6, 7), (5, 9)]
-    )
-    entry.structures["split"] = [0, 1, 3, 6, 5]
+    _pairing(entry, [(0, 8), (1, 2), (3, 4), (6, 7), (5, 9)])
     return entry
 
 
@@ -280,12 +275,11 @@ def _root_vectors(dim, fidx, r):
     vecs = {"u+": [], "u-": [], "v+": [], "v-": []}
     for j in range(1, r + 1):
         for l in range(j + 1, r + 1):
-            for tag, (p, q, sign) in {
-                "u+": (fidx[(2 * j - 1, 2 * l - 1)], fidx[(2 * j, 2 * l)], _ONE),
-                "u-": (fidx[(2 * j - 1, 2 * l - 1)], fidx[(2 * j, 2 * l)], -_ONE),
-                "v+": (fidx[(2 * j - 1, 2 * l)], fidx[(2 * j, 2 * l - 1)], _ONE),
-                "v-": (fidx[(2 * j - 1, 2 * l)], fidx[(2 * j, 2 * l - 1)], -_ONE),
-            }.items():
+            u = (fidx[(2 * j - 1, 2 * l - 1)], fidx[(2 * j, 2 * l)])
+            w = (fidx[(2 * j - 1, 2 * l)], fidx[(2 * j, 2 * l - 1)])
+            for tag, (p, q), sign in (
+                ("u+", u, _ONE), ("u-", u, -_ONE), ("v+", w, _ONE), ("v-", w, -_ONE)
+            ):
                 v = [0] * dim
                 v[p] = _ONE
                 v[q] = sign
@@ -293,14 +287,16 @@ def _root_vectors(dim, fidx, r):
     return vecs
 
 
-def _compat(rho, jg, fidx, extra0=(), extra1=()):
+def _compat(rho, fidx, pairs=(), extra0=(), extra1=()):
     """Compatibility data for so(n), extended or not, acting on R^n.
 
+    jg pairs the rotations as :func:`_rotation_pairs` does, then ``pairs``.
     part0 is f_(2i-1)(2i) for i <= n/2, u+ and v- then ``extra0``; part1
     is u- and v+ then ``extra1``.
     """
     g, n = rho.algebra, rho.module_dim
     r = n // 2
+    jg = AlmostComplex.from_pairs(g.dim, _rotation_pairs(n, fidx) + list(pairs))
     vecs = _root_vectors(g.dim, fidx, r)
     part0 = [g.basis_vector(fidx[(2 * i - 1, 2 * i)]) for i in range(1, r + 1)]
     part0 += vecs["u+"] + vecs["v-"] + list(extra0)
@@ -328,39 +324,29 @@ def _euclidean(n):
     so_entry = so(n)
     soa = so_entry.algebra
     e_alg = _translations(so_entry.structures["standard_rep"], "e_%d" % n)
-    s = 0 if n % 4 in (0, 3) else 1
-    alg = central_extension(e_alg, name="Rz+e_%d" % n) if s else e_alg
+    alg = central_extension(e_alg) if n % 4 in (1, 2) else e_alg
     rot = _rot_pairs(n)
     fidx = {pq: k for k, pq in enumerate(rot)}
-    nf = len(rot)
-    e_index = lambda l: nf + l - 1
-    z_index = alg.dim - 1
-    r = n // 2
-    pairs = _rotation_pairs(n, fidx)
-    lim = n if n % 2 == 0 else n - 1
-    for l in range(1, lim, 2):
-        pairs.append((e_index(l), e_index(l + 1)))
+    nf, r = len(rot), n // 2
+    top, e_last, z = fidx[(2 * r - 1, 2 * r)], nf + n - 1, alg.dim - 1
+    # rotations, then the translations e_l, e_(l+1) for odd l < n
+    pairs = _rotation_pairs(n, fidx) + [(nf + l, nf + l + 1) for l in range(0, n - 1, 2)]
     if n % 4 == 1:
-        pairs.append((e_index(n), z_index))
+        pairs.append((e_last, z))
     elif n % 4 == 2:
-        pairs.append((fidx[(2 * r - 1, 2 * r)], z_index))
+        pairs.append((top, z))
     elif n % 4 == 3:
-        pairs.append((fidx[(2 * r - 1, 2 * r)], e_index(n)))
+        pairs.append((top, e_last))
     entry = CatalogEntry("euclidean_%d" % n, alg)
-    entry.structures["j"] = AlmostComplex.from_pairs(alg.dim, pairs)
-    entry.structures["split"] = [p[0] for p in pairs]
+    _pairing(entry, pairs)
     if n % 4 == 0:
-        rho = so_entry.structures["standard_rep"]
-        jg = AlmostComplex.from_pairs(soa.dim, _rotation_pairs(n, fidx))
-        entry.structures["compat"] = _compat(rho, jg, fidx)
+        entry.structures["compat"] = _compat(so_entry.structures["standard_rep"], fidx)
     elif n % 4 == 2:
-        g = central_extension(soa, name="Rz+so_%d" % n)
-        zero = LinearMap.zero(n)
-        rho = Connection(g, so_entry.realization + [zero])
-        jp = _rotation_pairs(n, fidx)
-        jp.append((fidx[(2 * r - 1, 2 * r)], g.dim - 1))
-        jg = AlmostComplex.from_pairs(g.dim, jp)
-        entry.structures["compat"] = _compat(rho, jg, fidx, extra0=[g.basis_vector(g.dim - 1)])
+        g = central_extension(soa)
+        rho = Connection(g, so_entry.realization + [LinearMap.zero(n)])
+        entry.structures["compat"] = _compat(
+            rho, fidx, [(top, g.dim - 1)], extra0=[g.basis_vector(g.dim - 1)]
+        )
     if n == 3:
         gal = galilean()
         primed = {"e1": "e1'", "e2": "e2'", "e3": "e3'"}
@@ -379,77 +365,57 @@ def poincare(k):
     rot = _rot_pairs(q)
     fidx = {pq: i for i, pq in enumerate(rot)}
     nf = len(rot)
-    s_index = lambda i: nf + i - 1
-    e_index = lambda l: nf + q + l - 1
-    r = q // 2
-    pairs = _rotation_pairs(q, fidx)
-    pairs.append((fidx[(2 * r - 1, 2 * r)], e_index(q + 1)))
-    for i in range(1, q + 1, 2):
-        pairs.append((s_index(i), s_index(i + 1)))
-    for l in range(1, q + 1, 2):
-        pairs.append((e_index(l), e_index(l + 1)))
+    top = fidx[(q - 1, q)]
+    # boosts s_i, s_(i+1) for odd i; the translations e1 .. e(q+1) follow them
+    boosts = [(nf + i, nf + i + 1) for i in range(0, q, 2)]
+    pairs = _rotation_pairs(q, fidx) + [(top, nf + 2 * q)] + boosts
+    pairs += [(nf + q + l, nf + q + l + 1) for l in range(0, q, 2)]
     entry = CatalogEntry("poincare_%d" % k, alg)
-    entry.structures["j"] = AlmostComplex.from_pairs(alg.dim, pairs)
-    entry.structures["split"] = [p[0] for p in pairs]
+    _pairing(entry, pairs)
 
     # compatibility data: the central-extension carrier with the spatially
     # projected action (boosts act by zero on the spatial module)
-    g = central_extension(lz.algebra, name="Rz+so_%d_1" % q)
+    g = central_extension(lz.algebra)
     rotations = [_generator(q, i - 1, j - 1, -1) for i, j in rot]
     rho = Connection(g, rotations + [LinearMap.zero(q)] * (q + 1))
-    jp = _rotation_pairs(q, fidx)
-    jp.append((fidx[(2 * r - 1, 2 * r)], g.dim - 1))
-    for i in range(1, q + 1, 2):
-        jp.append((s_index(i), s_index(i + 1)))
-    jg = AlmostComplex.from_pairs(g.dim, jp)
     entry.structures["compat"] = _compat(
-        rho, jg, fidx,
+        rho, fidx, [(top, g.dim - 1)] + boosts,
         extra0=[g.basis_vector(g.dim - 1)],
-        extra1=[g.basis_vector(s_index(i)) for i in range(1, q + 1)],
+        extra1=[g.basis_vector(nf + i) for i in range(q)],
     )
     return entry
 
 
 def right_mult_structure(n):
-    """Right multiplication by the standard module structure, on gl(2n)."""
+    """Right multiplication by the standard module structure, on gl(2n).
+
+    e_ab is basis element (a-1)·2n + b-1, and u -> u·I sends e_a(2m) to
+    e_a(2m-1), so the pairs are (2t+1, 2t) over the whole basis.
+    """
     if n < 1:
         raise PreconditionError("needs n >= 1")
     entry = gl(2 * n)
-    order = [(i, j) for i in range(1, 2 * n + 1) for j in range(1, 2 * n + 1)]
-    idx = {ij: k for k, ij in enumerate(order)}
-    pairs = []
-    for a in range(1, 2 * n + 1):
-        for m in range(1, n + 1):
-            pairs.append((idx[(a, 2 * m)], idx[(a, 2 * m - 1)]))
+    pairs = [(k + 1, k) for k in range(0, entry.algebra.dim, 2)]
     return entry, AlmostComplex.from_pairs(entry.algebra.dim, pairs)
 
 
 def affine_complex_structure(n):
-    """Block structure on the affine motion algebra of even rank 2n."""
+    """Block structure on the affine motion algebra of even rank 2n.
+
+    Minus right multiplication pairs e_a(2m-1) with e_a(2m), and the
+    translations pair e(2i-1) with e(2i), so the pairs are (2t, 2t+1) over
+    the whole basis.
+    """
     if n < 1:
         raise PreconditionError("needs n >= 1")
     entry = affine(2 * n)
-    N = 2 * n
-    order = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
-    idx = {ij: k for k, ij in enumerate(order)}
-    pairs = []
-    for a in range(1, N + 1):
-        for m in range(1, n + 1):
-            # minus right multiplication pairs the columns the other way round
-            pairs.append((idx[(a, 2 * m - 1)], idx[(a, 2 * m)]))
-    base = N * N
-    for i in range(n):
-        pairs.append((base + 2 * i, base + 2 * i + 1))
-    J = AlmostComplex.from_pairs(entry.algebra.dim, pairs)
-    entry.structures["j"] = J
-    entry.structures["split"] = [p[0] for p in pairs]
-    return entry, J
+    return entry, _pairing(entry, [(k, k + 1) for k in range(0, entry.algebra.dim, 2)])
 
 
 def so3_on_c3():
     """Central extension of so(3) acting complex-linearly on a complex module."""
     so3 = so(3)
-    g = central_extension(so3.algebra, name="Rz+so_3")
+    g = central_extension(so3.algebra)
     # each rotation on the real and on the imaginary copy; z acts as zero
     maps = [_direct_sum(m, m) for m in so3.realization] + [LinearMap.zero(6)]
     rho = Connection(g, maps)
@@ -513,7 +479,7 @@ _BUILDERS = {
 def build(name, *params):
     """CLI-facing dispatcher over the named builders."""
     if name not in _BUILDERS:
-        raise KeyError(
+        raise PreconditionError(
             "unknown catalog entry %r (have: %s)" % (name, ", ".join(sorted(_BUILDERS)))
         )
     fn, arity = _BUILDERS[name]
@@ -521,4 +487,8 @@ def build(name, *params):
         raise PreconditionError(
             "catalog entry %r takes %d parameter(s), got %d" % (name, arity, len(params))
         )
-    return fn(*[int(p) for p in params])
+    try:
+        args = [int(p) for p in params]
+    except ValueError:
+        raise PreconditionError("catalog entry %r takes integer parameters" % name) from None
+    return fn(*args)

@@ -92,11 +92,7 @@ def _cmd_check(args):
 def _cmd_catalog(args):
     from . import catalog
 
-    try:
-        entry = catalog.build(args.name, *args.params)
-    except (KeyError, LieforgeError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    entry = catalog.build(args.name, *args.params)
     if args.emit == "dsl":
         print(entry_to_dsl(entry), end="")
     else:
@@ -133,11 +129,7 @@ def _cmd_tower(args):
     from .structures import clifford_tower
 
     parts = args.base.split(":")
-    try:
-        entry = catalog.build(parts[0], *parts[1:])
-    except (KeyError, LieforgeError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    entry = catalog.build(parts[0], *parts[1:])
     conn = _tower_connection(entry, parts[0])
     if conn is None:
         print(

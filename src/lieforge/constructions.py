@@ -26,7 +26,7 @@ from .lie_core import (
     Connection,
     LieAlgebra,
     LinearMap,
-    MAX_DIM,
+    _bounded,
     check_representation,
     _direct_sum,
     _sparse,
@@ -125,8 +125,7 @@ def semidirect(g, rho, module_labels=None, name=None, check_rep=True):
     live on g itself or on an algebra with the same structure constants.
     """
     m = rho.module_dim
-    if g.dim + m > MAX_DIM:
-        raise PreconditionError("semidirect product has more than %d dimensions" % MAX_DIM)
+    _bounded(g.dim + m, "semidirect product")
     if not (rho.algebra is g or rho.algebra.same_constants(g)):
         raise PreconditionError("representation does not live on the given algebra")
     if check_rep:
@@ -231,8 +230,7 @@ def cotangent(g, conn, name=None, check_rep=True):
 
 def central_extension(g, label="z", name=None):
     """Trivial central extension; the new central generator is appended last."""
-    if g.dim + 1 > MAX_DIM:
-        raise PreconditionError("central extension has more than %d dimensions" % MAX_DIM)
+    _bounded(g.dim + 1, "central extension")
     if label in g.labels:
         raise PreconditionError("label %r already used in the algebra" % label)
     labels = list(g.labels) + [label]
@@ -377,8 +375,7 @@ def aff_algebra(A, name=None):
     connection.
     """
     n = A.dim
-    if 2 * n > MAX_DIM:
-        raise PreconditionError("affinization has more than %d dimensions" % MAX_DIM)
+    _bounded(2 * n, "affinization")
     labels = ["%s" % lab for lab in A.labels] + ["%s_t" % lab for lab in A.labels]
     table = {}
     for i in range(n):

@@ -32,6 +32,12 @@ MAX_WITNESSES = 16
 MAX_DIM = 2048
 
 
+def _bounded(dim, what):
+    """Refuse an output above MAX_DIM before anything is built."""
+    if dim > MAX_DIM:
+        raise PreconditionError("%s has more than %d dimensions" % (what, MAX_DIM))
+
+
 class Witness(namedtuple("Witness", "indices defect")):
     __slots__ = ()
 

@@ -20,8 +20,8 @@ from .lie_core import (
     Connection,
     LieAlgebra,
     LinearMap,
-    MAX_DIM,
     _acc,
+    _bounded,
     _direct_sum,
     _escapes,
     _is_ideal,
@@ -346,8 +346,7 @@ def clifford_tower(g, conn, m, name=None):
     """
     if m < 1:
         raise PreconditionError("tower needs m >= 1")
-    if g.dim << m > MAX_DIM:
-        raise PreconditionError("tower of %d levels has more than %d dimensions" % (m, MAX_DIM))
+    _bounded(g.dim << m, "tower of %d levels" % m)
     _require_flat_torsion_free(conn)
     alg, cur = g, conn
     members = []

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from lieforge import catalog
+from lieforge import catalog, lie_core
 from lieforge.scalar_linear import GaussScalar, PreconditionError, Q, scalar_to_str
 from lieforge.lie_core import (
+    AlmostComplex,
     Connection,
     LieAlgebra,
     LinearMap,
@@ -258,7 +259,7 @@ _BOUNDED_BUILDERS = {
 def test_builders_refuse_an_output_above_max_dim_before_building(name, monkeypatch):
     """With MAX_DIM at ten, each builder builds its largest output within
     the bound, and refuses the next parameter before any algebra is made."""
-    monkeypatch.setattr(catalog, "MAX_DIM", 10)
+    monkeypatch.setattr(lie_core, "MAX_DIM", 10)
     builder = getattr(catalog, name)
     n, dim = _BOUNDED_BUILDERS[name]
     built = builder(n)
@@ -294,6 +295,46 @@ def test_right_mult_structure_is_right_composition():
         for kk, (r, c) in enumerate(order):
             expect[kk] = ui[r - 1][c - 1]
         assert naive_matvec(J.matrix.data, entry.algebra.basis_vector(k)) == expect
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gl_left_mult_is_the_product_of_unit_matrices(n):
+    """The left multiplication built from e_ij e_kl = delta_jk e_il equals the
+    realization's products, flattened so that e_rc is element r * n + c."""
+    entry = catalog.gl(n)
+    real = entry.realization
+    expect = []
+    for a in real:
+        cols = []
+        for b in real:
+            prod = a.compose(b).sparse_columns()
+            cols.append({r * n + c: v for c, col in enumerate(prod) for r, v in col.items()})
+        expect.append(LinearMap.from_sparse_columns(n * n, n * n, cols))
+    left = entry.structures["left_mult"]
+    assert left.algebra is entry.algebra
+    assert left.maps == expect
+    for got, want in zip(left.maps, expect):
+        assert [[type(v) for v in c.values()] for c in got.sparse_columns()] == [
+            [type(v) for v in c.values()] for c in want.sparse_columns()
+        ]
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_right_mult_and_affine_structures_match_the_enumerated_pairs(n):
+    N = 2 * n
+    order = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+    idx = {ij: k for k, ij in enumerate(order)}
+    cols = [(2 * m - 1, 2 * m) for m in range(1, n + 1)]
+    right = [(idx[(a, c)], idx[(a, b)]) for a in range(1, N + 1) for b, c in cols]
+    _, J = catalog.right_mult_structure(n)
+    assert J == AlmostComplex.from_pairs(N * N, right)
+
+    affine = [(idx[(a, b)], idx[(a, c)]) for a in range(1, N + 1) for b, c in cols]
+    affine += [(N * N + 2 * i, N * N + 2 * i + 1) for i in range(n)]
+    entry, J = catalog.affine_complex_structure(n)
+    assert J == AlmostComplex.from_pairs(N * N + N, affine)
+    assert entry.structures["j"] is J
+    assert entry.structures["split"] == [p[0] for p in affine]
 
 
 def test_inclusion_chain_maps_are_injective():
@@ -366,8 +407,10 @@ def test_galilean_euclidean_subalgebra():
 def test_build_dispatcher():
     entry = catalog.build("euclidean", "4")
     assert entry.name == "euclidean_4"
-    with pytest.raises(KeyError):
+    with pytest.raises(PreconditionError, match="^unknown catalog entry 'nonsense' "):
         catalog.build("nonsense")
+    with pytest.raises(PreconditionError, match="^catalog entry 'so' takes integer parameters$"):
+        catalog.build("so", "x")
     with pytest.raises(PreconditionError):
         catalog.build("euclidean")
 

@@ -466,6 +466,22 @@ def test_catalog_json_emission(capsys):
 def test_catalog_unknown_name(capsys):
     rc = main(["catalog", "bogus"])
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: unknown catalog entry 'bogus' (have: abelian, affine, euclidean, "
+        "galilean, gl, lorentz, poincare, sl2c, so, so3_c3)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["catalog", "so", "x"], "so"), (["tower", "--base", "gl:x", "--m", "1"], "gl")],
+    ids=["catalog", "tower"],
+)
+def test_catalog_parameter_that_is_not_an_integer(argv, name, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: catalog entry '%s' takes integer parameters\n" % name
 
 
 @pytest.mark.parametrize(

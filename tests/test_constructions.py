@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lieforge import catalog, constructions
+from lieforge import catalog, lie_core
 from lieforge.scalar_linear import (
     DimensionMismatchError,
     GaussScalar,
@@ -276,7 +276,7 @@ def test_semidirect_refuses_an_output_above_max_dim(monkeypatch):
     ab = catalog.abelian(1).algebra
     with pytest.raises(PreconditionError, match="more than %d dimensions" % MAX_DIM):
         semidirect(ab, Connection(ab, [LinearMap.zero(MAX_DIM)]))
-    monkeypatch.setattr(constructions, "MAX_DIM", 4)
+    monkeypatch.setattr(lie_core, "MAX_DIM", 4)
     ab = catalog.abelian(2).algebra
     assert semidirect(ab, Connection(ab, [LinearMap.zero(2)] * 2)).dim == 4
     with pytest.raises(PreconditionError):
@@ -286,7 +286,7 @@ def test_semidirect_refuses_an_output_above_max_dim(monkeypatch):
 def test_central_extension_and_affinization_refuse_an_output_above_max_dim(monkeypatch):
     """Each size is checked before any algebra is built; an output of
     exactly MAX_DIM is built."""
-    monkeypatch.setattr(constructions, "MAX_DIM", 4)
+    monkeypatch.setattr(lie_core, "MAX_DIM", 4)
     three, four = catalog.abelian(3).algebra, catalog.abelian(4).algebra
     two_labels, three_labels = (AssociativeAlgebra(list(labs), {}) for labs in ("ab", "abc"))
     assert central_extension(three).dim == 4

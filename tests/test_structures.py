@@ -389,7 +389,7 @@ def test_tower_names_its_top_level():
 
 def test_tower_of_max_dim_is_built(monkeypatch):
     """The refusal above MAX_DIM is tested through both commands in test_cli."""
-    monkeypatch.setattr(structures, "MAX_DIM", 8)
+    monkeypatch.setattr(lie_core, "MAX_DIM", 8)
     ab2 = catalog.abelian(2).algebra
     assert clifford_tower(ab2, zero_connection(ab2), 2)[0].dim == 8
     with pytest.raises(PreconditionError):
