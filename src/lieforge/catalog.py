@@ -270,7 +270,7 @@ def _rotation_pairs(n, fidx):
     return pairs
 
 
-def _root_vectors(dim, fidx, r):
+def _root_vectors(fidx, r):
     """The u/v combinations of rotation generators indexed by 1 <= j < l <= r."""
     vecs = {"u+": [], "u-": [], "v+": [], "v-": []}
     for j in range(1, r + 1):
@@ -280,10 +280,7 @@ def _root_vectors(dim, fidx, r):
             for tag, (p, q), sign in (
                 ("u+", u, _ONE), ("u-", u, -_ONE), ("v+", w, _ONE), ("v-", w, -_ONE)
             ):
-                v = [0] * dim
-                v[p] = _ONE
-                v[q] = sign
-                vecs[tag].append(v)
+                vecs[tag].append({p: _ONE, q: sign})
     return vecs
 
 
@@ -297,7 +294,7 @@ def _compat(rho, fidx, pairs=(), extra0=(), extra1=()):
     g, n = rho.algebra, rho.module_dim
     r = n // 2
     jg = AlmostComplex.from_pairs(g.dim, _rotation_pairs(n, fidx) + list(pairs))
-    vecs = _root_vectors(g.dim, fidx, r)
+    vecs = _root_vectors(fidx, r)
     part0 = [g.basis_vector(fidx[(2 * i - 1, 2 * i)]) for i in range(1, r + 1)]
     part0 += vecs["u+"] + vecs["v-"] + list(extra0)
     part1 = vecs["u-"] + vecs["v+"] + list(extra1)

@@ -29,7 +29,6 @@ from .lie_core import (
     _bounded,
     check_representation,
     _direct_sum,
-    _sparse,
     _acc,
     _escapes,
     _require,
@@ -64,7 +63,7 @@ class AssociativeAlgebra:
         self.name = name
         self.table = {}
         for (i, j), coeffs in table.items():
-            cd = {k: exact(v) for k, v in _sparse(coeffs).items() if v}
+            cd = {k: exact(v) for k, v in coeffs.items() if v}
             if not all(0 <= x < self.dim for x in (i, j, *cd)):
                 raise DimensionMismatchError("product table index outside the basis")
             if cd:

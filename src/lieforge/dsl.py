@@ -57,7 +57,6 @@ from .lie_core import (
     check_representation,
     check_symplectic,
     check_torsion_free,
-    _sparse,
 )
 from .constructions import (
     AssociativeAlgebra,
@@ -986,7 +985,7 @@ def workspace_to_dsl(ws):
                 chunks.append("%s %s %s" % (head, sym, _matrix_to_dsl(obj.matrix)))
             else:
                 parts = [
-                    " %s " % " , ".join(_combo_to_dsl(_sparse(v), labels) for v in vs)
+                    " %s " % " , ".join(_combo_to_dsl(v, labels) for v in vs)
                     if vs else ""
                     for vs in (obj.part0, obj.part1)
                 ]

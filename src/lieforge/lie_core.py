@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import time
 from collections import defaultdict, namedtuple
-from itertools import compress
 from operator import itemgetter
 
 from .scalar_linear import (
@@ -77,7 +76,10 @@ class Certificate:
         self.total_failures += 1
         if len(self.witnesses) < MAX_WITNESSES:
             if isinstance(defect, dict):
-                defect = _dense(defect, self.dim)
+                dense = [_ZERO] * self.dim
+                for k, v in defect.items():
+                    dense[k] = v
+                defect = dense
             self.witnesses.append(Witness(tuple(indices), tuple(defect)))
 
     def absorb(self, prefix, cert):
@@ -109,17 +111,15 @@ class Certificate:
         return d
 
 
-def _sparse(vec):
-    if isinstance(vec, dict):
-        return vec
-    return {i: vec[i] for i in compress(range(len(vec)), vec)}
-
-
-def _dense(vec, dim):
-    out = [_ZERO] * dim
-    for k, v in vec.items():
-        out[k] = v
-    return out
+def _require_vectors(dim, vectors):
+    """Refuse any vector that is not a sparse dict indexed inside a basis
+    of ``dim`` elements."""
+    basis = range(dim)
+    for v in vectors:
+        if not isinstance(v, dict) or not all(k in basis for k in v):
+            raise DimensionMismatchError(
+                "vectors must be {index: scalar} dicts with indices below %d" % dim
+            )
 
 
 def _acc(target, vec, factor=_ONE):
@@ -147,7 +147,7 @@ class LieAlgebra:
                 raise PreconditionError(
                     "structure constants must be given for ordered pairs i < j"
                 )
-            cd = {k: exact(v) for k, v in _sparse(coeffs).items() if v}
+            cd = {k: exact(v) for k, v in coeffs.items() if v}
             for k in cd:
                 if not 0 <= k < self.dim:
                     raise DimensionMismatchError("coefficient index out of range")
@@ -202,9 +202,8 @@ class LieAlgebra:
             raise KeyError("no basis element labeled %r in %s" % (label, self.name))
 
     def basis_vector(self, i):
-        v = [_ZERO] * self.dim
-        v[i] = _ONE
-        return v
+        """The i-th basis element as the sparse vector {i: 1}."""
+        return {i: _ONE}
 
     def bracket_basis(self, i, j):
         """Sparse [b_i, b_j]."""
@@ -619,16 +618,15 @@ def _require_almost_complex(L, J):
 
 
 def nijenhuis(L, J, x, y):
-    """Torsion of the almost complex structure at the pair (x, y)."""
-    if len(x) != L.dim or len(y) != L.dim:
-        raise DimensionMismatchError("vectors must have length %d" % L.dim)
-    u, v = _sparse(x), _sparse(y)
-    Ju, Jv = J.apply_sparse(u), J.apply_sparse(v)
-    out = J.apply_sparse(L.bracket_sparse(u, v))
-    _acc(out, L.bracket_sparse(Ju, v), -_ONE)
-    _acc(out, L.bracket_sparse(u, Jv), -_ONE)
-    _acc(out, J.apply_sparse(L.bracket_sparse(Ju, Jv)), -_ONE)
-    return _dense(out, L.dim)
+    """Torsion of the almost complex structure at the sparse vectors (x, y),
+    as a sparse dict."""
+    _require_vectors(L.dim, (x, y))
+    Jx, Jy = J.apply_sparse(x), J.apply_sparse(y)
+    out = J.apply_sparse(L.bracket_sparse(x, y))
+    _acc(out, L.bracket_sparse(Jx, y), -_ONE)
+    _acc(out, L.bracket_sparse(x, Jy), -_ONE)
+    _acc(out, J.apply_sparse(L.bracket_sparse(Jx, Jy)), -_ONE)
+    return out
 
 
 def _torsions(L, J, vectors, images):
@@ -748,9 +746,10 @@ def _orbit_sweep(cert, L, J):
 def check_integrable(L, J, split=None, target=None):
     """Vanishing of the structure torsion on basis pairs.
 
-    With ``split`` given (a half basis u whose union with Ju spans the
-    algebra, verified here), only pairs inside the half basis are swept;
-    that suffices because vanishing there forces identical vanishing.
+    With ``split`` given (a half basis u of sparse vectors whose union with
+    Ju spans the algebra, verified here), only pairs inside the half basis
+    are swept; that suffices because vanishing there forces identical
+    vanishing.
 
     Without it, a signed pairing J (one entry +-1 per column) sweeps only
     its representative pairs and derives the others (:func:`_orbit_sweep`);
@@ -766,7 +765,8 @@ def check_integrable(L, J, split=None, target=None):
         images = J.sparse_columns()
         notes = None
     else:
-        vectors = [_sparse(v) for v in split]
+        vectors = list(split)
+        _require_vectors(n, vectors)
         images = [J.apply_sparse(v) for v in vectors]
         solver = SpanSolver(n)
         for v in vectors + images:
@@ -886,15 +886,10 @@ def check_representation(rho, target=None):
 
 
 def torsion(conn, i, j):
-    """Deviation of the connection from reproducing the bracket at (i, j)."""
-    L = conn.algebra
-    if conn.module_dim != L.dim:
+    """Deviation of the connection from reproducing the bracket at the basis
+    pair (i, j), as a sparse dict."""
+    if conn.module_dim != conn.algebra.dim:
         raise DimensionMismatchError("torsion needs a connection on the algebra itself")
-    return _dense(_torsion(conn, i, j), L.dim)
-
-
-def _torsion(conn, i, j):
-    """Sparse torsion at the basis pair (i, j) of a connection on its algebra."""
     acc = conn.maps[i].apply_sparse({j: _ONE})
     _acc(acc, conn.maps[j].apply_sparse({i: _ONE}), -_ONE)
     _acc(acc, conn.algebra.bracket_basis(i, j), -_ONE)
@@ -917,7 +912,7 @@ def check_torsion_free(conn, target=None):
             if col and i != j:
                 pairs.add((min(i, j), max(i, j)))
     for i, j in sorted(pairs):
-        t = _torsion(conn, i, j)
+        t = torsion(conn, i, j)
         if t:
             cert.fail((i, j), t)
     return cert.done()

@@ -28,7 +28,7 @@ from .lie_core import (
     _require,
     _require_almost_complex,
     _require_invertible,
-    _sparse,
+    _require_vectors,
     check_integrable,
     check_parallel,
     check_representation,
@@ -60,11 +60,12 @@ def dual_structure(J):
 def _span_of(dim, vectors):
     solver = SpanSolver(dim)
     for v in vectors:
-        solver.add(_sparse(v))
+        solver.add(v)
     return solver
 
 
-# two disjoint jointly-spanning vector lists of a stated subspace
+# two disjoint jointly-spanning lists of sparse {index: scalar} vectors
+# of a stated subspace
 Decomposition = namedtuple("Decomposition", "part0 part1")
 
 
@@ -86,10 +87,8 @@ def check_action_compatibility(rho, J, I, split, target=None):
         raise DimensionMismatchError("module structure does not match the module")
     if not I.squares_to_minus_identity():
         raise PreconditionError("map squared is not minus the identity")
-    if any(len(v) != n for v in (*split.part0, *split.part1) if not isinstance(v, dict)):
-        raise DimensionMismatchError("decomposition vectors must have length %d" % n)
-    part0 = [_sparse(v) for v in split.part0]
-    part1 = [_sparse(v) for v in split.part1]
+    part0, part1 = list(split.part0), list(split.part1)
+    _require_vectors(n, part0 + part1)
     s0 = _span_of(n, part0)
     s1 = _span_of(n, part1)
     if s0.rank + s1.rank != n or _span_of(n, part0 + part1).rank != n:

@@ -15,6 +15,19 @@ from lieforge.lie_core import LieAlgebra
 from lieforge.scalar_linear import exact
 
 
+def dense(vec, n):
+    """The sparse {index: scalar} vector ``vec`` as a dense list of length n."""
+    out = [0] * n
+    for k, v in vec.items():
+        out[k] = v
+    return out
+
+
+def sparse(xs):
+    """The nonzero entries of the dense list ``xs`` as an {index: scalar} dict."""
+    return {i: x for i, x in enumerate(xs) if x}
+
+
 def dense_constants(L):
     """Structure constants as a dense dim^3 array c[i][j][k]."""
     n = L.dim

@@ -19,6 +19,7 @@ from lieforge.lie_core import (
 
 from oracles import (
     connection_at,
+    dense,
     dense_constants,
     naive_bracket,
     naive_matvec,
@@ -182,15 +183,16 @@ def test_poincare_decomposition_contains_boosts():
     boosts = [g.index("s13"), g.index("s23")]
     part1_support = set()
     for v in cd.split.part1:
-        part1_support |= {i for i, c in enumerate(v) if c}
+        part1_support |= {i for i, c in enumerate(dense(v, g.dim)) if c}
     assert set(boosts) <= part1_support
 
 
 def test_decomposition_parts_disjoint_and_spanning():
     for entry in (catalog.euclidean(4), catalog.euclidean(6), catalog.poincare(0)):
         cd = entry.structures["compat"]
-        vecs0 = [[c for c in v] for v in cd.split.part0]
-        vecs1 = [[c for c in v] for v in cd.split.part1]
+        n = cd.rho.algebra.dim
+        vecs0 = [dense(v, n) for v in cd.split.part0]
+        vecs1 = [dense(v, n) for v in cd.split.part1]
         r0, r1 = naive_rank(vecs0) if vecs0 else 0, naive_rank(vecs1) if vecs1 else 0
         assert r0 == len(vecs0) and r1 == len(vecs1)
         assert r0 + r1 == cd.rho.algebra.dim
@@ -200,10 +202,11 @@ def test_decomposition_parts_disjoint_and_spanning():
 def test_decomposition_parts_structure_stable():
     e4 = catalog.euclidean(4)
     cd = e4.structures["compat"]
+    n = cd.rho.algebra.dim
     for vecs in (cd.split.part0, cd.split.part1):
-        base = [list(v) for v in vecs]
+        base = [dense(v, n) for v in vecs]
         r = naive_rank(base)
-        for v in vecs:
+        for v in base:
             assert naive_rank(base + [naive_matvec(cd.j.matrix.data, v)]) == r
 
 
@@ -214,7 +217,7 @@ def test_euclidean_part0_is_subalgebra():
         cd = e.structures["compat"]
         g = cd.rho.algebra
         c = dense_constants(g)
-        base = [list(v) for v in cd.split.part0]
+        base = [dense(v, g.dim) for v in cd.split.part0]
         r = naive_rank(base)
         assert r == len(base)
         for a in range(len(base)):
@@ -234,7 +237,7 @@ def test_compat_identity_as_matrix_equation():
     # the second condition holds as a matrix identity rho(J x) I = rho(x)
     e4 = catalog.euclidean(4)
     cd = e4.structures["compat"]
-    for v in cd.split.part1:
+    for v in (dense(u, cd.rho.algebra.dim) for u in cd.split.part1):
         jv = naive_matvec(cd.j.matrix.data, v)
         lhs = naive_product(connection_at(cd.rho, jv), cd.i.matrix.data)
         assert lhs == connection_at(cd.rho, v)
@@ -294,7 +297,7 @@ def test_right_mult_structure_is_right_composition():
         expect = [Q(0)] * 4
         for kk, (r, c) in enumerate(order):
             expect[kk] = ui[r - 1][c - 1]
-        assert naive_matvec(J.matrix.data, entry.algebra.basis_vector(k)) == expect
+        assert naive_matvec(J.matrix.data, dense(entry.algebra.basis_vector(k), 4)) == expect
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -504,6 +507,8 @@ def _dump(obj):
     if isinstance(obj, Connection):
         return {"algebra": _dump(obj.algebra), "maps": _dump(obj.maps)}
     if isinstance(obj, dict):
+        if obj and all(isinstance(v, _SCALARS) for v in obj.values()):
+            return _entries(obj.items())
         return {k: _dump(v) for k, v in sorted(obj.items())}
     if hasattr(obj, "_asdict"):
         return {type(obj).__name__: _dump(obj._asdict())}

@@ -32,7 +32,7 @@ from lieforge.dsl import (
     workspace_to_dsl,
 )
 
-from oracles import Token, naive_integrable_sweep, naive_tokenize
+from oracles import Token, dense, is_integer_first, naive_integrable_sweep, naive_tokenize
 
 
 AFF1 = """
@@ -243,7 +243,7 @@ def test_integrable_checks_on_a_random_e7_pairing_match_the_oracle():
     ws.define("rand", "endo", (entry.name, J), None)
     text = workspace_to_dsl(ws) + "\ncheck integrable(rand)\ncheck integrable(rand, %s)\n" % split
     full, half = run(parse(text))
-    units = [alg.basis_vector(i) for i in range(n)]
+    units = [dense(alg.basis_vector(i), n) for i in range(n)]
     for cert, vectors in ((full, units), (half, [units[a] for a, _ in pairs])):
         fails = naive_integrable_sweep(alg, J.matrix.data, vectors)
         assert fails and cert.total_failures == len(fails)
@@ -525,6 +525,20 @@ def test_decomp_parts_are_sparse_integer_first():
     assert dec.part0 == [{0: 2, 1: -2}, {1: Fraction(1, 2)}] and dec.part1 == []
     assert type(dec.part0[0][1]) is int
     assert workspace_to_dsl(parse(workspace_to_dsl(ws))) == workspace_to_dsl(ws)
+    # the catalog's compatibility decompositions come in the same format
+    decomps = [(2, dec)] + [
+        (cd.rho.algebra.dim, cd.split)
+        for cd in (
+            entry.structures["compat"]
+            for entry in (catalog.so3_on_c3(), catalog.euclidean(4), catalog.euclidean(6),
+                          catalog.poincare(0))
+        )
+    ]
+    for dim, d in decomps:
+        for v in d.part0 + d.part1:
+            assert type(v) is dict and list(v) == sorted(v)
+            assert all(type(k) is int and 0 <= k < dim for k in v)
+            assert all(x and is_integer_first(x) for x in v.values())
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from lieforge.lie_core import (
     AlmostComplex,
     BilinearForm,
     LieAlgebra,
-    _dense,
     check_closed,
     check_integrable,
     check_jacobi,
@@ -17,10 +16,12 @@ from lieforge.lie_core import (
 from lieforge.dsl import entry_to_dsl, parse
 
 from oracles import (
+    dense,
     dense_constants,
     naive_bracket,
     naive_differential,
     naive_nijenhuis,
+    sparse,
 )
 
 
@@ -55,9 +56,7 @@ def test_random_brackets_match_oracle():
     for _ in range(20):
         x = [Q(rng.randint(-4, 4)) for _ in range(L.dim)]
         y = [Q(rng.randint(-4, 4)) for _ in range(L.dim)]
-        sx = {i: v for i, v in enumerate(x) if v}
-        sy = {i: v for i, v in enumerate(y) if v}
-        assert _dense(L.bracket_sparse(sx, sy), L.dim) == naive_bracket(c, x, y)
+        assert dense(L.bracket_sparse(sparse(x), sparse(y)), L.dim) == naive_bracket(c, x, y)
 
 
 def test_random_skew_forms_match_differential_oracle():

@@ -28,7 +28,6 @@ from lieforge.lie_core import (
     MAX_WITNESSES,
     Witness,
     _acc,
-    _dense,
     check_abelian_complex,
     check_closed,
     check_complex_lie,
@@ -46,6 +45,7 @@ from lieforge.lie_core import (
 from lieforge.constructions import cotangent, eigenspace_split, tangent
 
 from oracles import (
+    dense,
     dense_constants,
     naive_bracket,
     naive_commutator,
@@ -66,6 +66,7 @@ from oracles import (
     naive_square,
     is_minus_identity,
     naive_rank,
+    sparse,
     unchecked_algebra,
 )
 
@@ -170,15 +171,15 @@ def test_construction_jacobi_check_raises():
 
 def test_nijenhuis_same_vector_vanishes(e3):
     L, J = e3.algebra, e3.structures["j"]
-    x = [Q(1), Q(2), Q(-1), Q(0), Q(3), Q(5)]
-    assert nijenhuis(L, J, x, x) == [Q(0)] * 6
+    x = sparse([Q(1), Q(2), Q(-1), Q(0), Q(3), Q(5)])
+    assert dense(nijenhuis(L, J, x, x), 6) == [Q(0)] * 6
 
 
 def test_nijenhuis_abelian_vanishes():
     L = abelian(4)
     J = AlmostComplex.from_pairs(4, [(0, 1), (2, 3)])
-    x, y = [Q(1), Q(0), Q(2), Q(0)], [Q(0), Q(1), Q(0), Q(-1)]
-    assert nijenhuis(L, J, x, y) == [Q(0)] * 4
+    x, y = sparse([Q(1), Q(0), Q(2), Q(0)]), sparse([Q(0), Q(1), Q(0), Q(-1)])
+    assert dense(nijenhuis(L, J, x, y), 4) == [Q(0)] * 4
 
 
 def test_nijenhuis_vanishes_on_euclidean_basis_pairs(e3):
@@ -194,7 +195,8 @@ def test_nijenhuis_matches_naive_oracle(e3):
     for _ in range(5):
         x = [Q(rng.randint(-3, 3)) for _ in range(6)]
         y = [Q(rng.randint(-3, 3)) for _ in range(6)]
-        assert nijenhuis(L, J, x, y) == naive_nijenhuis(L, J.matrix.data, x, y)
+        got = nijenhuis(L, J, sparse(x), sparse(y))
+        assert dense(got, 6) == naive_nijenhuis(L, J.matrix.data, x, y)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=6, max_size=6),
@@ -203,9 +205,9 @@ def test_nijenhuis_matches_naive_oracle(e3):
 def test_nijenhuis_antisymmetry_property(xs, ys):
     e = catalog.euclidean(3)
     L, J = e.algebra, e.structures["j"]
-    x, y = [Q(v) for v in xs], [Q(v) for v in ys]
-    nf = nijenhuis(L, J, x, y)
-    nr = nijenhuis(L, J, y, x)
+    x, y = sparse([Q(v) for v in xs]), sparse([Q(v) for v in ys])
+    nf = dense(nijenhuis(L, J, x, y), 6)
+    nr = dense(nijenhuis(L, J, y, x), 6)
     assert nf == [-v for v in nr]
 
 
@@ -217,8 +219,8 @@ def test_nijenhuis_structure_twist_property(xs, ys):
     L, J = e.algebra, e.structures["j"]
     x, y = [Q(v) for v in xs], [Q(v) for v in ys]
     jm = J.matrix.data
-    njj = nijenhuis(L, J, naive_matvec(jm, x), naive_matvec(jm, y))
-    n = nijenhuis(L, J, x, y)
+    njj = dense(nijenhuis(L, J, sparse(naive_matvec(jm, x)), sparse(naive_matvec(jm, y))), 6)
+    n = dense(nijenhuis(L, J, sparse(x), sparse(y)), 6)
     assert njj == [-v for v in n]
 
 
@@ -234,14 +236,15 @@ def test_integrable_broken_structure_fails(e3):
     assert not cert.passed
     # recompute the first witness with the naive oracle
     i, j = cert.witnesses[0].indices
-    defect = naive_nijenhuis(L, Jb.matrix.data, L.basis_vector(i), L.basis_vector(j))
+    defect = naive_nijenhuis(L, Jb.matrix.data, dense(L.basis_vector(i), 6), dense(L.basis_vector(j), 6))
     assert list(cert.witnesses[0].defect) == defect
     assert any(defect)
     # full agreement between the library sweep and the oracle sweep
     oracle_bad = set()
     for a in range(6):
         for b in range(a + 1, 6):
-            if any(naive_nijenhuis(L, Jb.matrix.data, L.basis_vector(a), L.basis_vector(b))):
+            ea, eb = dense(L.basis_vector(a), 6), dense(L.basis_vector(b), 6)
+            if any(naive_nijenhuis(L, Jb.matrix.data, ea, eb)):
                 oracle_bad.add((a, b))
     assert cert.total_failures == len(oracle_bad)
 
@@ -256,6 +259,34 @@ def test_integrable_split_requires_spanning(e3):
     L, J = e3.algebra, e3.structures["j"]
     with pytest.raises(PreconditionError):
         check_integrable(L, J, split=[L.basis_vector(0), L.basis_vector(5)])
+    # an index outside the basis, or a list, is refused before J is applied
+    e4 = catalog.euclidean(4)
+    L4, J4 = e4.algebra, e4.structures["j"]
+    dense_split = [dense({i: 1}, 10) for i in e4.structures["split"]]
+    for split in ([{13: 1}], [dense({0: 1}, 12)], dense_split):
+        with pytest.raises(DimensionMismatchError, match="indices below 10$"):
+            check_integrable(L4, J4, split=split)
+
+
+def test_nijenhuis_takes_sparse_vectors_and_refuses_lists():
+    """On e(4), with its structure and with a pairing that is not
+    integrable, a sparse pair gives the oracle's value on the dense views;
+    a list, or an index outside the basis, is a dimension mismatch."""
+    e4 = catalog.euclidean(4)
+    L = e4.algebra
+    broken = AlmostComplex.from_pairs(10, [(0, 2), (1, 3), (4, 5), (6, 7), (8, 9)])
+    pairs = [({0: 1}, {1: 1}), ({0: 1, 4: Q(2)}, {1: 1, 7: Q(-1, 3)})]
+    values = []
+    for J in (e4.structures["j"], broken):
+        for x, y in pairs:
+            got = nijenhuis(L, J, x, y)
+            assert dense(got, 10) == naive_nijenhuis(L, J.matrix.data, dense(x, 10), dense(y, 10))
+            values.append(got)
+        for bad in (dense({0: 1}, 10), {10: 1}):
+            for args in ((bad, {1: 1}), ({0: 1}, bad)):
+                with pytest.raises(DimensionMismatchError, match="indices below 10$"):
+                    nijenhuis(L, J, *args)
+    assert values[:2] == [{}, {}] and all(values[2:])
 
 
 def test_integrable_split_agrees(e3):
@@ -279,11 +310,11 @@ def test_complex_lie_euclidean_fails(e3):
     # direct defect evaluation at the reported witness
     i, j = cert.witnesses[0].indices
     c = dense_constants(L)
-    ei = L.basis_vector(i)
+    ei, ej = dense(L.basis_vector(i), L.dim), dense(L.basis_vector(j), L.dim)
     jm = J.matrix.data
-    jej = naive_matvec(jm, L.basis_vector(j))
+    jej = naive_matvec(jm, ej)
     lhs = naive_bracket(c, ei, jej)
-    rhs = naive_matvec(jm, naive_bracket(c, ei, L.basis_vector(j)))
+    rhs = naive_matvec(jm, naive_bracket(c, ei, ej))
     assert [a - b for a, b in zip(lhs, rhs)] == list(cert.witnesses[0].defect)
 
 
@@ -348,7 +379,7 @@ def test_torsion_left_symmetric_aff():
     ls = Connection(aff, [LinearMap([[Q(0), Q(0)], [Q(0), Q(1)]]), LinearMap.zero(2)])
     for i in range(2):
         for j in range(2):
-            assert torsion(ls, i, j) == [Q(0), Q(0)]
+            assert dense(torsion(ls, i, j), 2) == [Q(0), Q(0)]
     assert check_torsion_free(ls).passed
 
 
@@ -356,7 +387,7 @@ def test_torsion_adjoint_aff():
     # ad_x y - ad_y x = 2[x, y], so the torsion equals [x, y]
     aff = catalog.affine(1).algebra
     ad = aff.adjoint_connection()
-    assert torsion(ad, 0, 1) == [Q(0), Q(1)]
+    assert dense(torsion(ad, 0, 1), 2) == [Q(0), Q(1)]
     assert not check_torsion_free(ad).passed
 
 
@@ -508,8 +539,9 @@ def test_flat_torsion_free_connection_rebuilds_a_lie_bracket():
     table = {}
     for i in range(2):
         for j in range(i + 1, 2):
-            v = [a - b for a, b in zip(naive_matvec(ls.maps[i].matrix.data, aff.basis_vector(j)),
-                                       naive_matvec(ls.maps[j].matrix.data, aff.basis_vector(i)))]
+            ei, ej = dense(aff.basis_vector(i), 2), dense(aff.basis_vector(j), 2)
+            v = [a - b for a, b in zip(naive_matvec(ls.maps[i].matrix.data, ej),
+                                       naive_matvec(ls.maps[j].matrix.data, ei))]
             coeffs = {k: c for k, c in enumerate(v) if c}
             if coeffs:
                 table[(i, j)] = coeffs
@@ -1021,9 +1053,9 @@ def test_integrable_and_complex_lie_match_oracles_on_rational_tables(data):
     split = [flat[a * n : (a + 1) * n] for a in range(n // 2)]
     if naive_rank(split + [naive_matvec(jmat, v) for v in split]) < n:
         with pytest.raises(PreconditionError):
-            check_integrable(L, J, split=split)
+            check_integrable(L, J, split=[sparse(v) for v in split])
         return
-    cert = check_integrable(L, J, split=split)
+    cert = check_integrable(L, J, split=[sparse(v) for v in split])
     assert cert.notes == {"split": True}
     _matches_oracle(cert, naive_integrable_sweep(L, jmat, split))
 
@@ -1038,7 +1070,8 @@ def test_integrable_and_complex_lie_witness_cap_and_order_past_sixteen_failures(
     split = _chained_split(perm, [1] * (n // 2 - 1))
     for cert, fails in (
         (check_integrable(L, J), naive_integrable_sweep(L, jmat, units)),
-        (check_integrable(L, J, split=split), naive_integrable_sweep(L, jmat, split)),
+        (check_integrable(L, J, split=[sparse(v) for v in split]),
+         naive_integrable_sweep(L, jmat, split)),
         (check_complex_lie(L, J), naive_complex_lie_sweep(L, jmat)),
     ):
         assert len(fails) > MAX_WITNESSES
@@ -1062,7 +1095,10 @@ def test_integrable_and_complex_lie_match_oracles_on_wide_sparse_tables(data):
     coeffs = data.draw(st.lists(small_rationals, min_size=n // 2 - 1, max_size=n // 2 - 1))
     split = _chained_split(perm, coeffs)
     _matches_oracle(check_integrable(L, J), naive_integrable_sweep(L, jmat, _units(n)))
-    _matches_oracle(check_integrable(L, J, split=split), naive_integrable_sweep(L, jmat, split))
+    _matches_oracle(
+        check_integrable(L, J, split=[sparse(v) for v in split]),
+        naive_integrable_sweep(L, jmat, split),
+    )
     _matches_oracle(check_complex_lie(L, J), naive_complex_lie_sweep(L, jmat))
 
 
@@ -1146,7 +1182,7 @@ def test_integrable_half_basis_sweep_matches_oracle_on_gaussian_tables(data):
     flat = data.draw(st.lists(small_rationals, min_size=n * n // 2, max_size=n * n // 2))
     split = [flat[a * n : (a + 1) * n] for a in range(n // 2)]
     assume(naive_rank(split + [naive_matvec(jmat, v) for v in split]) == n)
-    cert = check_integrable(L, LinearMap(jmat), split=split)
+    cert = check_integrable(L, LinearMap(jmat), split=[sparse(v) for v in split])
     _matches_oracle(cert, naive_integrable_sweep(L, jmat, split))
 
 
@@ -1430,8 +1466,8 @@ def test_linear_map_matches_dense_oracle(mats):
     assert lm.transpose().matrix.data == [[row[j] for row in a] for j in range(k)]
     assert lm.transpose().transpose() == lm
     assert (-lm).matrix.data == [[-e for e in row] for row in a]
-    image = lm.apply_sparse({j: x for j, x in enumerate(vec) if x})
-    assert _dense(image, r) == naive_matvec(a, vec)
+    image = lm.apply_sparse(sparse(vec))
+    assert dense(image, r) == naive_matvec(a, vec)
     assert (lm == lm2) == (a == a2)
     if lm == lm2:
         assert hash(lm) == hash(lm2)
@@ -1450,7 +1486,7 @@ def test_certificate_text_ignores_the_order_of_mixed_terms(terms, data):
         acc = {}
         for k, v in order:
             _acc(acc, {k: v})
-        texts.add(json.dumps(Witness((0,), tuple(_dense(acc, 3))).to_json()))
+        texts.add(json.dumps(Witness((0,), tuple(dense(acc, 3))).to_json()))
     assert len(texts) == 1
 
 

@@ -48,6 +48,7 @@ from lieforge.acceptance import (
 
 from oracles import (
     connection_at,
+    dense,
     dense_constants,
     is_integer_first,
     matrix_assoc_algebra,
@@ -126,10 +127,6 @@ def test_action_compatibility_refuses_a_module_map_that_is_not_complex():
         check_action_compatibility(cd.rho, cd.j, LinearMap.identity(4), cd.split)
 
 
-def _dense_vector(n, v):
-    return [v.get(i, 0) for i in range(n)] if isinstance(v, dict) else list(v)
-
-
 def _stored(cd):
     return cd.rho, cd.j, cd.i, cd.split
 
@@ -161,8 +158,8 @@ def test_action_compatibility_matches_the_dense_oracle(case):
     dense sums of rho(x) = sum_i x_i rho_i, taken by connection_at."""
     rho, J, I, split = _COMPAT_CASES[case]()
     n = rho.algebra.dim
-    part0 = [_dense_vector(n, v) for v in split.part0]
-    part1 = [_dense_vector(n, v) for v in split.part1]
+    part0 = [dense(v, n) for v in split.part0]
+    part1 = [dense(v, n) for v in split.part1]
     fails, mixed = naive_action_compatibility(rho, J.matrix.data, I.matrix.data, part0, part1)
     cert = check_action_compatibility(rho, J, I, split)
     assert cert.witnesses == [Witness(key, tuple(d)) for key, d in fails[:16]]
@@ -189,7 +186,7 @@ def test_connection_at_matches_the_dense_sum(name, data):
     x = data.draw(st.dictionaries(st.integers(0, n - 1), scalars, max_size=4))
     at = rho.at(x)
     assert (at.rows, at.cols) == (rho.module_dim, rho.module_dim)
-    assert at.matrix.data == connection_at(rho, _dense_vector(n, x))
+    assert at.matrix.data == connection_at(rho, dense(x, n))
     assert all(v and is_integer_first(v) for col in at.sparse_columns() for v in col.values())
 
 
@@ -737,8 +734,10 @@ def _wrong_size_pieces():
         rho_b=Connection(b, [LinearMap.zero(2)] * 4),
         da=Decomposition([a.basis_vector(i) for i in range(2)], []),
         db=Decomposition([b.basis_vector(i) for i in range(4)], []),
-        # a's basis with a zero tail: vectors of b, sparse the same as a's
-        da_padded=Decomposition([b.basis_vector(i) for i in range(2)], []),
+        # a's first basis vector and an index past a's basis
+        da_outside=Decomposition([a.basis_vector(0), {3: 1}], []),
+        # a's basis as dense lists
+        da_lists=Decomposition([[1, 0], [0, 1]], []),
     )
 
 
@@ -751,7 +750,10 @@ _WRONG_SIZE = {
     "action_structure": lambda p: check_action_compatibility(p.rho_b, p.Ja, p.Ja, p.db),
     "action_module_structure": lambda p: check_action_compatibility(p.rho_a, p.Ja, p.Jb, p.da),
     "action_decomposition_vectors": lambda p: check_action_compatibility(
-        p.rho_a, p.Ja, p.Ja, p.da_padded
+        p.rho_a, p.Ja, p.Ja, p.da_outside
+    ),
+    "action_decomposition_lists": lambda p: check_action_compatibility(
+        p.rho_a, p.Ja, p.Ja, p.da_lists
     ),
 }
 
