@@ -32,6 +32,7 @@ from .lie_core import (
     _acc,
     _escapes,
     _require,
+    _require_vectors,
     _require_almost_complex,
 )
 
@@ -62,9 +63,10 @@ class AssociativeAlgebra:
             raise PreconditionError("basis labels must be unique")
         self.name = name
         self.table = {}
+        _require_vectors(self.dim, table.values())
         for (i, j), coeffs in table.items():
             cd = {k: exact(v) for k, v in coeffs.items() if v}
-            if not all(0 <= x < self.dim for x in (i, j, *cd)):
+            if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise DimensionMismatchError("product table index outside the basis")
             if cd:
                 self.table[(i, j)] = cd

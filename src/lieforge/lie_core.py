@@ -114,9 +114,10 @@ class Certificate:
 def _require_vectors(dim, vectors):
     """Refuse any vector that is not a sparse dict indexed inside a basis
     of ``dim`` elements."""
-    basis = range(dim)
     for v in vectors:
-        if not isinstance(v, dict) or not all(k in basis for k in v):
+        if not isinstance(v, dict) or not all(
+            type(k) is int and 0 <= k < dim for k in v
+        ):
             raise DimensionMismatchError(
                 "vectors must be {index: scalar} dicts with indices below %d" % dim
             )
@@ -142,15 +143,13 @@ class LieAlgebra:
 
     def __init__(self, labels, table, name="algebra"):
         self._store(labels, {}, name)
+        _require_vectors(self.dim, table.values())
         for (i, j), coeffs in table.items():
             if not (0 <= i < j < self.dim):
                 raise PreconditionError(
                     "structure constants must be given for ordered pairs i < j"
                 )
             cd = {k: exact(v) for k, v in coeffs.items() if v}
-            for k in cd:
-                if not 0 <= k < self.dim:
-                    raise DimensionMismatchError("coefficient index out of range")
             if cd:
                 self.table[(i, j)] = cd
         cert = check_jacobi(self)

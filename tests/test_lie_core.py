@@ -186,7 +186,7 @@ def test_nijenhuis_vanishes_on_euclidean_basis_pairs(e3):
     L, J = e3.algebra, e3.structures["j"]
     for i in range(6):
         for j in range(6):
-            assert not any(nijenhuis(L, J, L.basis_vector(i), L.basis_vector(j)))
+            assert nijenhuis(L, J, L.basis_vector(i), L.basis_vector(j)) == {}
 
 
 def test_nijenhuis_matches_naive_oracle(e3):
@@ -271,7 +271,8 @@ def test_integrable_split_requires_spanning(e3):
 def test_nijenhuis_takes_sparse_vectors_and_refuses_lists():
     """On e(4), with its structure and with a pairing that is not
     integrable, a sparse pair gives the oracle's value on the dense views;
-    a list, or an index outside the basis, is a dimension mismatch."""
+    a list, an index outside the basis or a key that is not an int is a
+    dimension mismatch."""
     e4 = catalog.euclidean(4)
     L = e4.algebra
     broken = AlmostComplex.from_pairs(10, [(0, 2), (1, 3), (4, 5), (6, 7), (8, 9)])
@@ -282,7 +283,7 @@ def test_nijenhuis_takes_sparse_vectors_and_refuses_lists():
             got = nijenhuis(L, J, x, y)
             assert dense(got, 10) == naive_nijenhuis(L, J.matrix.data, dense(x, 10), dense(y, 10))
             values.append(got)
-        for bad in (dense({0: 1}, 10), {10: 1}):
+        for bad in (dense({0: 1}, 10), {10: 1}, {1.0: 1}, {True: 1}):
             for args in ((bad, {1: 1}), ({0: 1}, bad)):
                 with pytest.raises(DimensionMismatchError, match="indices below 10$"):
                     nijenhuis(L, J, *args)

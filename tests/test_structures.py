@@ -22,7 +22,13 @@ from lieforge.lie_core import (
     check_symplectic,
     check_torsion_free,
 )
-from lieforge.constructions import aff_algebra, lifted_connection, semidirect, tangent
+from lieforge.constructions import (
+    AssociativeAlgebra,
+    aff_algebra,
+    lifted_connection,
+    semidirect,
+    tangent,
+)
 from lieforge.structures import (
     CliffordFamily,
     Decomposition,
@@ -754,6 +760,12 @@ _WRONG_SIZE = {
     ),
     "action_decomposition_lists": lambda p: check_action_compatibility(
         p.rho_a, p.Ja, p.Ja, p.da_lists
+    ),
+    "lie_algebra_list_coefficient": lambda p: LieAlgebra(
+        p.a.labels, {(0, 1): [0, 1]}
+    ),
+    "associative_algebra_list_coefficient": lambda p: AssociativeAlgebra(
+        p.a.labels, {(0, 0): [1, 0]}
     ),
 }
 
