@@ -10,11 +10,9 @@ Every algebra is real; Gaussian scalars appear only in the eigenspaces.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from fractions import Fraction
 
 from .scalar_linear import (
     DimensionMismatchError,
-    GaussScalar,
     PreconditionError,
     SpanSolver,
     exact,
@@ -34,6 +32,7 @@ from .lie_core import (
     _require,
     _require_vectors,
     _require_almost_complex,
+    holomorphic_eigenbasis,
 )
 
 _ZERO = 0
@@ -80,19 +79,14 @@ class AssociativeAlgebra:
         return self.table.get((i, j), {})
 
     def product_sparse(self, u, v):
+        """The product of two sparse vectors: each pair of their entries adds
+        its coefficient product times the basis product."""
         out = {}
         for i, a in u.items():
             for j, b in v.items():
                 coeffs = self.table.get((i, j))
-                if not coeffs:
-                    continue
-                f = a * b
-                for k, c in coeffs.items():
-                    s = out.get(k, _ZERO) + f * c
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+                if coeffs:
+                    _acc(out, coeffs, a * b)
         return out
 
     def _associativity_defect(self):
@@ -229,34 +223,12 @@ def cotangent(g, conn, name=None, check_rep=True):
     return alg, symplectic_from_duality(LinearMap.identity(g.dim))
 
 
-def central_extension(g, label="z", name=None):
-    """Trivial central extension; the new central generator is appended last."""
+def central_extension(g, name=None):
+    """Trivial central extension; the new central generator ``z`` is appended last."""
     _bounded(g.dim + 1, "central extension")
-    if label in g.labels:
-        raise PreconditionError("label %r already used in the algebra" % label)
-    labels = list(g.labels) + [label]
-    return LieAlgebra._normalized(labels, dict(g.table), name=name or ("Rz+%s" % g.name))
-
-
-def holomorphic_eigenbasis(L, J):
-    """Spanning sets of the +i and -i eigenspaces inside the complexification
-    of a real algebra: b_k - i J b_k and its conjugate b_k + i J b_k, in the
-    order of k.  The eigenspace sweeps rely on that conjugation, so a
-    Gaussian entry in the table or the structure is refused."""
-    cols = J.sparse_columns()
-    if any(
-        isinstance(c, GaussScalar)
-        for coeffs in (*L.table.values(), *cols)
-        for c in coeffs.values()
-    ):
-        raise PreconditionError("eigenspaces need a real algebra and a real structure")
-    plus = []
-    for k, col in enumerate(cols):
-        v = {k: GaussScalar(1)}
-        for r, c in col.items():
-            v[r] = GaussScalar(int(r == k), -c)
-        plus.append(v)
-    return plus, [{r: x.conjugate() for r, x in v.items()} for v in plus]
+    if "z" in g.labels:
+        raise PreconditionError("label 'z' already used in the algebra")
+    return LieAlgebra._normalized(g.labels + ["z"], dict(g.table), name=name or ("Rz+%s" % g.name))
 
 
 def eigenspace_split(L, J):
@@ -370,14 +342,13 @@ def from_matrix_basis(mats, labels=None, name="matrix_algebra"):
 def aff_algebra(A, name=None):
     """Affinization of an associative algebra.
 
-    Doubles the underlying space; the first copy brackets by commutators and
-    acts on the second by left multiplication.  Returns the algebra, its
-    canonical block structure and the flat torsion-free left-multiplication
-    connection.
+    The semidirect product of A's commutator algebra with a copy of A
+    (labels ending ``_t``), on which it acts by left multiplication.
+    Returns the algebra, its canonical block structure and the flat
+    torsion-free left-multiplication connection.
     """
     n = A.dim
     _bounded(2 * n, "affinization")
-    labels = ["%s" % lab for lab in A.labels] + ["%s_t" % lab for lab in A.labels]
     table = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -385,12 +356,11 @@ def aff_algebra(A, name=None):
             _acc(comm, A.product_basis(j, i), -_ONE)
             if comm:
                 table[(i, j)] = {k: exact(v) for k, v in comm.items()}
-        for j in range(n):
-            act = A.product_basis(i, j)
-            if act:
-                table[(i, n + j)] = {n + k: v for k, v in act.items()}
-    alg = LieAlgebra._normalized(labels, table, name=name or ("aff(%s)" % A.name))
+    g = LieAlgebra._normalized(A.labels, table, name=A.name)
     ops = [A.left_multiplication(i) for i in range(n)]
+    copy = ["%s_t" % lab for lab in A.labels]
+    name = name or ("aff(%s)" % A.name)
+    alg = semidirect(g, Connection(g, ops), copy, name=name, check_rep=False)
     return alg, canonical_complex_structure(alg), _lift(alg, ops)
 
 
@@ -426,7 +396,7 @@ class ContractionFamily:
 
     def at(self, t):
         """Sampled algebra at a rational parameter value."""
-        t = Fraction(t)
+        t = exact(t)
         t2 = t * t
         ms = set(self.m)
         table = {}

@@ -242,6 +242,22 @@ def _fraction(literal):
     return Fraction(int(p), int(q or 1))
 
 
+def _label(index, tok):
+    """The index in ``index`` of the basis label ``tok`` names."""
+    k = index.get(tok.text)
+    if k is None:
+        raise UnknownNameError("unknown basis label %r" % tok.text, tok.span)
+    return k
+
+
+def _build(span, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its PreconditionError raised as a ShapeError at ``span``."""
+    try:
+        return make(*args, **kwargs)
+    except PreconditionError as exc:
+        raise ShapeError(str(exc), span)
+
+
 def _add(out, k, coeff):
     """Add ``coeff`` at ``k`` of the sparse dict ``out``, dropping a zero."""
     s = out.get(k, 0) + coeff
@@ -385,43 +401,42 @@ class _Parser:
                 t = self.next()
             if t.kind != "ident":
                 raise DslSyntaxError("expected a basis label, found %r" % t.text, t.span)
-            k = index.get(t.text)
-            if k is None:
-                raise UnknownNameError("unknown basis label %r" % t.text, t.span)
-            _add(out, k, coeff)
+            _add(out, _label(index, t), coeff)
             if self.tok.text not in ("+", "-"):
                 return out
             sign = -1 if self.next().text == "-" else 1
             t = self.next()
+
+    def _list(self, read):
+        """The values of ``read()``, called once and again after each comma."""
+        out = [read()]
+        while self.tok.text == ",":
+            self.next()
+            out.append(read())
+        return out
+
+    def _entry(self):
+        """A matrix entry: a number, optionally negated."""
+        t = self.next()
+        s = -1 if t.text == "-" else 1
+        if s < 0:
+            t = self.next()
+        if t.kind != "number":
+            raise DslSyntaxError("expected a number, found %r" % t.text, t.span)
+        return s * self._number(t)
+
+    def _row(self):
+        self.expect("[")
+        row = self._list(self._entry)
+        self.expect("]")
+        return row
 
     def _matrix(self):
         t = self.tok
         if t.kind == "ident" and t.text == "matrix":
             self.next()
         self.expect("[")
-        rows = []
-        while True:
-            self.expect("[")
-            row = []
-            while True:
-                s = 1
-                t = self.next()
-                if t.text == "-":
-                    s = -1
-                    t = self.next()
-                if t.kind != "number":
-                    raise DslSyntaxError("expected a number, found %r" % t.text, t.span)
-                row.append(s * self._number(t))
-                if self.tok.text == ",":
-                    self.next()
-                    continue
-                break
-            self.expect("]")
-            rows.append(row)
-            if self.tok.text == ",":
-                self.next()
-                continue
-            break
+        rows = self._list(self._row)
         close = self.expect("]")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("ragged matrix rows", close.span)
@@ -454,10 +469,7 @@ class _Parser:
             b = self.expect_ident()
             self.expect("]")
             self.expect("=")
-            for t in (a, b):
-                if t.text not in index:
-                    raise UnknownNameError("unknown basis label %r" % t.text, t.span)
-            i, j = index[a.text], index[b.text]
+            i, j = _label(index, a), _label(index, b)
             if i == j:
                 raise ShapeError("bracket of a label with itself", open_tok.span)
             if (i, j) in declared:
@@ -468,10 +480,7 @@ class _Parser:
             self.expect(";")
             put(i, j, combo)
         self.expect("}")
-        try:
-            alg = LieAlgebra(list(index), table, name=name.text)
-        except PreconditionError as exc:
-            raise ShapeError(str(exc), name.span)
+        alg = _build(name.span, LieAlgebra, list(index), table, name=name.text)
         self.ws.define(name.text, "algebra", alg, name.span)
 
     def _stmt_assoc(self):
@@ -484,10 +493,7 @@ class _Parser:
             self.expect("*")
             b = self.expect_ident()
             self.expect("=")
-            for t in (a, b):
-                if t.text not in index:
-                    raise UnknownNameError("unknown basis label %r" % t.text, t.span)
-            pair = (index[a.text], index[b.text])
+            pair = (_label(index, a), _label(index, b))
             if pair in declared:
                 raise ShapeError("product declared twice", a.span)
             declared.add(pair)
@@ -496,42 +502,50 @@ class _Parser:
             if combo:
                 table[pair] = combo
         self.expect("}")
-        try:
-            alg = AssociativeAlgebra(list(index), table, name=name.text)
-        except PreconditionError as exc:
-            raise ShapeError(str(exc), name.span)
+        alg = _build(name.span, AssociativeAlgebra, list(index), table, name=name.text)
         self.ws.define(name.text, "assoc", alg, name.span)
 
-    def _endo_body(self, dom, cod):
-        """Image of every basis label of ``dom``, as sparse columns over ``cod``."""
-        images = {}
+    def _labelled(self, dom, arrow, read, words, fast=None):
+        """The values of ``{ LABEL arrow value ; ... }``, one per basis label
+        of ``dom``, in basis order.  ``read(label_token)`` reads a value from
+        the tokens; ``words`` are the (declared twice, missing) error phrases;
+        ``fast``, if given, is a statement pattern and the value of its match
+        (None where ``read`` would raise), tried on each line first."""
+        values = {}
 
-        def image(m):
-            lab, combo = m["a"], _terms(m["combo"], cod._index)
-            if lab not in dom._index or lab in images or combo is None:
-                return False
-            images[lab] = combo
-            return True
+        def take(m):
+            lab, value = m["a"], fast[1](m)
+            ok = lab in dom._index and lab not in values and value is not None
+            if ok:
+                values[lab] = value
+            return ok
 
         self.expect("{")
-        while self._fast(_IMAGE, image).kind == "ident":
+        while (self._fast(fast[0], take) if fast else self.tok).kind == "ident":
             lab = self.expect_ident()
-            if lab.text not in dom._index:
-                raise UnknownNameError("unknown basis label %r" % lab.text, lab.span)
-            if lab.text in images:
-                raise ShapeError("image of %r declared twice" % lab.text, lab.span)
-            self.expect("->")
-            images[lab.text] = self._combo(cod._index)
+            _label(dom._index, lab)
+            if lab.text in values:
+                raise ShapeError("%s %r declared twice" % (words[0], lab.text), lab.span)
+            self.expect(arrow)
+            values[lab.text] = read(lab)
             self.expect(";")
         close = self.expect("}")
-        missing = [lab for lab in dom.labels if lab not in images]
+        missing = [lab for lab in dom.labels if lab not in values]
         if missing:
-            raise ShapeError("missing images for %s" % ", ".join(missing), close.span)
-        return [images[lab] for lab in dom.labels]
+            raise ShapeError("missing %s for %s" % (words[1], ", ".join(missing)), close.span)
+        return [values[lab] for lab in dom.labels]
+
+    def _images(self, dom, cod):
+        """Image of every basis label of ``dom``, as sparse columns over ``cod``."""
+        index = cod._index
+        fast = (_IMAGE, lambda m: _terms(m["combo"], index))
+        return self._labelled(
+            dom, "->", lambda _: self._combo(index), ("image of", "images"), fast
+        )
 
     def _stmt_endo(self):
         name, alg_name, alg = self._head()
-        cols = self._endo_body(alg, alg)
+        cols = self._images(alg, alg)
         lm = LinearMap.from_sparse_columns(alg.dim, alg.dim, cols)
         self.ws.define(name.text, "endo", (alg_name.text, lm), name.span)
 
@@ -543,37 +557,25 @@ class _Parser:
         self.expect("to")
         cod_name = self.expect_ident()
         cod = self.ws.algebra(cod_name.text, cod_name.span)
-        cols = self._endo_body(dom, cod)
+        cols = self._images(dom, cod)
         lm = LinearMap.from_sparse_columns(cod.dim, dom.dim, cols)
         self.ws.define(name.text, "map", (dom_name.text, cod_name.text, lm), name.span)
 
     def _stmt_conn(self):
         name, alg_name, alg = self._head()
-        self.expect("{")
-        mats = {}
-        mdim = None
-        while self.tok.kind == "ident":
-            lab = self.expect_ident()
-            if lab.text not in alg._index:
-                raise UnknownNameError("unknown basis label %r" % lab.text, lab.span)
-            if lab.text in mats:
-                raise ShapeError("map at %r declared twice" % lab.text, lab.span)
-            self.expect("=>")
+        sizes = set()
+
+        def square(lab):
             m = self._matrix()
             if m.rows != m.cols:
                 raise ShapeError("connection maps must be square", lab.span)
-            if mdim is None:
-                mdim = m.rows
-            elif m.rows != mdim:
+            sizes.add(m.rows)
+            if len(sizes) > 1:
                 raise ShapeError("connection maps of unequal size", lab.span)
-            mats[lab.text] = m
-            self.expect(";")
-        close = self.expect("}")
-        missing = [lab for lab in alg.labels if lab not in mats]
-        if missing:
-            raise ShapeError("missing maps for %s" % ", ".join(missing), close.span)
-        conn = Connection(alg, [mats[lab] for lab in alg.labels])
-        self.ws.define(name.text, "conn", (alg_name.text, conn), name.span)
+            return m
+
+        maps = self._labelled(alg, "=>", square, ("map at", "maps"))
+        self.ws.define(name.text, "conn", (alg_name.text, Connection(alg, maps)), name.span)
 
     def _stmt_form(self):
         name, alg_name, alg = self._head()
@@ -584,10 +586,7 @@ class _Parser:
         m = self._matrix()
         if m.rows != alg.dim:
             raise ShapeError("form size does not match the algebra", name.span)
-        try:
-            form = BilinearForm(m, kinds[kind_tok.text])
-        except PreconditionError as exc:
-            raise ShapeError(str(exc), kind_tok.span)
+        form = _build(kind_tok.span, BilinearForm, m, kinds[kind_tok.text])
         self.ws.define(name.text, "form", (alg_name.text, form), name.span)
 
     def _stmt_decomp(self):
@@ -599,45 +598,29 @@ class _Parser:
             if kw.text != key:
                 raise DslSyntaxError("expected %r" % key, kw.span)
             self.expect(":")
-            vecs = []
-            if self.tok.text != ";":
-                while True:
-                    vecs.append({k: exact(v) for k, v in self._combo(alg._index).items()})
-                    if self.tok.text == ",":
-                        self.next()
-                        continue
-                    break
+            combos = [] if self.tok.text == ";" else self._list(partial(self._combo, alg._index))
+            parts[key] = [{k: exact(v) for k, v in c.items()} for c in combos]
             self.expect(";")
-            parts[key] = vecs
         self.expect("}")
-        self.ws.define(
-            name.text,
-            "decomp",
-            (alg_name.text, st.Decomposition(parts["part0"], parts["part1"])),
-            name.span,
-        )
+        decomp = st.Decomposition(parts["part0"], parts["part1"])
+        self.ws.define(name.text, "decomp", (alg_name.text, decomp), name.span)
+
+    def _arg(self):
+        """One call argument as (kind, value, span)."""
+        t = self.next()
+        if t.text == "-" and self.tok.kind == "number":
+            return ("number", -self._number(self.next()), t.span)
+        if t.kind == "number":
+            return ("number", self._number(t), t.span)
+        if t.kind == "ident":
+            return ("ident", t.text, t.span)
+        if t.text in ("+", "-"):
+            return ("sign", 1 if t.text == "+" else -1, t.span)
+        raise DslSyntaxError("bad argument %r" % t.text, t.span)
 
     def _call_args(self):
         self.expect("(")
-        args = []
-        if self.tok.text != ")":
-            while True:
-                t = self.next()
-                if t.text == "-" and self.tok.kind == "number":
-                    num = self.next()
-                    args.append(("number", -self._number(num), t.span))
-                elif t.kind == "number":
-                    args.append(("number", self._number(t), t.span))
-                elif t.kind == "ident":
-                    args.append(("ident", t.text, t.span))
-                elif t.text in ("+", "-"):
-                    args.append(("sign", 1 if t.text == "+" else -1, t.span))
-                else:
-                    raise DslSyntaxError("bad argument %r" % t.text, t.span)
-                if self.tok.text == ",":
-                    self.next()
-                    continue
-                break
+        args = [] if self.tok.text == ")" else self._list(self._arg)
         self.expect(")")
         return args
 
@@ -936,8 +919,6 @@ def entry_to_dsl(entry):
             kind = "endo"
         elif isinstance(obj, Connection) and obj.algebra is alg:
             kind = "conn"
-        elif isinstance(obj, BilinearForm) and obj.dim == alg.dim:
-            kind = "form"
         else:
             continue
         ws.define("%s_%s" % (entry.name, key), kind, (entry.name, obj), None)

@@ -15,6 +15,7 @@ from operator import itemgetter
 
 from .scalar_linear import (
     DimensionMismatchError,
+    GaussScalar,
     Matrix,
     PreconditionError,
     SpanSolver,
@@ -285,9 +286,8 @@ class LinearMap:
         return _columns_map(rows, cols, columns)
 
     @classmethod
-    def zero(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return _columns_map(rows, cols, [{} for _ in range(cols)])
+    def zero(cls, n):
+        return _columns_map(n, n, [{} for _ in range(n)])
 
     @classmethod
     def identity(cls, n):
@@ -812,14 +812,33 @@ def check_complex_lie(L, J, target=None):
     return cert.done()
 
 
+def holomorphic_eigenbasis(L, J):
+    """Spanning sets of the +i and -i eigenspaces inside the complexification
+    of a real algebra: b_k - i J b_k and its conjugate b_k + i J b_k, in the
+    order of k.  The eigenspace sweeps rely on that conjugation, so a
+    Gaussian entry in the table or the structure is refused."""
+    cols = J.sparse_columns()
+    if any(
+        isinstance(c, GaussScalar)
+        for coeffs in (*L.table.values(), *cols)
+        for c in coeffs.values()
+    ):
+        raise PreconditionError("eigenspaces need a real algebra and a real structure")
+    plus = []
+    for k, col in enumerate(cols):
+        v = {k: GaussScalar(1)}
+        for r, c in col.items():
+            v[r] = GaussScalar(int(r == k), -c)
+        plus.append(v)
+    return plus, [{r: x.conjugate() for r, x in v.items()} for v in plus]
+
+
 def check_abelian_complex(L, J, target=None):
     """Whether both eigenspaces in the complexification are abelian.
 
     L and J are real, so the ``eigen_minus`` failures are the ``eigen_plus``
     ones with each defect conjugated, as in :func:`eigenspace_split`.
     """
-    from .constructions import holomorphic_eigenbasis
-
     cert = Certificate("abelian_complex", target or L.name, L.dim)
     _require_almost_complex(L, J)
     plus, _ = holomorphic_eigenbasis(L, J)

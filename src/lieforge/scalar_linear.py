@@ -58,25 +58,28 @@ _ONE = 1
 
 
 def exact(x):
-    """An integral ``Fraction`` as an ``int``; any other scalar unchanged."""
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
+    """An integral ``Fraction`` as an ``int``, any other ``int``, ``Fraction`` or
+    ``GaussScalar`` unchanged; every other value, a float or a bool too, is a TypeError."""
+    t = type(x)
+    if t is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if t is int or t is GaussScalar:
+        return x
+    raise TypeError("exact scalars are int, Fraction or GaussScalar, got %r" % (x,))
 
 
 def div(a, b):
     """Exact quotient: an ``int`` when it is integral, never a float.
 
     Rationals give an ``int`` or a ``Fraction``; a Gaussian operand gives a
-    ``GaussScalar``.  Division by zero raises ``ZeroDivisionError``.
+    ``GaussScalar``.  Division by zero raises ``ZeroDivisionError``, and a
+    float operand ``TypeError``.
     """
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     if isinstance(a, GaussScalar) or isinstance(b, GaussScalar):
         return a / b
-    if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
-        raise TypeError("div needs exact scalars, got %r and %r" % (a, b))
     return exact(a / b)
 
 

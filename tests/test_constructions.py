@@ -1009,6 +1009,16 @@ def test_aff_algebra_lifts_left_multiplication_onto_both_copies(make):
     assert K == LinearMap(swap)
 
 
+def test_aff_algebra_primes_a_copy_label_that_clashes():
+    """aff(A) is a semidirect product, so a copy label that is already a
+    label of A (``x_t`` of ``x``) gets a prime, as in every semidirect product."""
+    A = AssociativeAlgebra(["x", "x_t"], {(0, 0): {0: 1}, (0, 1): {1: 1}}, name="A")
+    alg, K, conn = aff_algebra(A)
+    assert alg.labels == ["x", "x_t", "x_t'", "x_t_t"] and alg.name == "aff(A)"
+    assert alg.table == {(0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1}}
+    assert check_representation(conn).passed and check_integrable(alg, K).passed
+
+
 def test_contraction_base_at_one():
     lz = catalog.lorentz(3)
     fam = ContractionFamily(

@@ -154,6 +154,8 @@ _AXY = "algebra a { basis x y ; [x, y] = y ; }\n"
         (_AXY + "conn c on a { x => [[1, 0]] ; }",
          ShapeError, "connection maps must be square", 2, 15),
         (_AXY + "conn c on a { x => [[1]] ; }", ShapeError, "missing maps for y", 2, 28),
+        (_AXY + "conn c on a { z => [[1]] ; }",
+         UnknownNameError, "unknown basis label 'z'", 2, 15),
         (_AXY + "form B on a sym [[1]]",
          ShapeError, "form size does not match the algebra", 2, 6),
         (_AXY + "decomp D on a { part1 : x ; part0 : y ; }",
@@ -170,7 +172,8 @@ _AXY = "algebra a { basis x y ; [x, y] = y ; }\n"
     ],
     ids=[
         "empty_basis", "duplicate_label", "ragged_rows", "assoc_unknown_label",
-        "conn_map_twice", "conn_not_square", "conn_missing_map", "form_size",
+        "conn_map_twice", "conn_not_square", "conn_missing_map", "conn_unknown_label",
+        "form_size",
         "decomp_part0", "bad_argument", "unknown_construction", "construct_arity",
         "sign_argument", "tower_level", "name_argument",
     ],

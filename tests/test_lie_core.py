@@ -1507,3 +1507,32 @@ def test_compose_keeps_the_columns_and_types_of_from_sparse_columns(data):
         for m in (AB, ref)
     ]
     assert (AB.rows, AB.cols) == (r, c) and typed[0] == typed[1]
+
+
+def _lieforge_imports(module):
+    """The lieforge modules that ``module``'s source imports anywhere, at
+    module level or inside a function."""
+    import ast
+
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):  # a relative import is inside lieforge
+            base = ".".join(filter(None, ["lieforge" if node.level else "", node.module]))
+            names = [base + "." + a.name for a in node.names]
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names if n.startswith("lieforge."))
+    return found
+
+
+def test_layers_import_only_the_layers_below():
+    """scalar_linear imports nothing of the package, and lie_core only
+    scalar_linear, so the lowest two layers never reach up."""
+    from lieforge import scalar_linear
+
+    assert _lieforge_imports(scalar_linear) == set()
+    assert _lieforge_imports(lie_core) == {"scalar_linear"}

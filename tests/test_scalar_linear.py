@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -396,6 +397,35 @@ def test_div_rejects_floats():
         div(1.0, 2)
     with pytest.raises(TypeError):
         div(Fraction(1), 0.5)
+
+
+def test_exact_and_every_constructor_refuse_floats_and_bools():
+    """``exact`` admits only int, Fraction and GaussScalar.  Every stored
+    scalar passes it, so no constructor keeps a float or a bool, and a
+    contraction parameter is taken exactly or not at all."""
+    from lieforge.lie_core import AlmostComplex, LieAlgebra
+    from lieforge.constructions import AssociativeAlgebra, ContractionFamily
+    from lieforge import catalog
+
+    lz = catalog.lorentz(3)
+    family = ContractionFamily(
+        lz.algebra, lz.structures["rotation_indices"], lz.structures["boost_indices"]
+    )
+    builds = [partial(exact, value) for value in (0.5, 1.0, True, False, "1", None)]
+    builds += [
+        lambda: LieAlgebra(["x", "y"], {(0, 1): {1: 0.5}}),
+        lambda: LinearMap([[0.5, 0], [0, 1]]),
+        lambda: AlmostComplex([[0, -1.0], [1.0, 0]]),
+        lambda: AssociativeAlgebra(["e"], {(0, 0): {0: 1.0}}),
+        lambda: LinearMap.from_sparse_columns(2, 2, [{0: Fraction(1, 4)}, {1: True}]),
+        lambda: LinearMap.from_sparse_columns(2, 2, [{0: 0.25}, {1: 1}]),
+        lambda: family.at(0.1),
+        lambda: family.at(True),
+    ]
+    for build in builds:
+        with pytest.raises(TypeError):
+            build()
+    assert family.at(Fraction(1, 2)).name == "so_3_1@t=1/2"
 
 
 @given(
